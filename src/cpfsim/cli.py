@@ -55,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="scenario config file (YAML)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--threads", type=int, help="worker threads")
 
     p = sub.add_parser("design-params", help="design the coordination-set parameters")
     common(p)
@@ -70,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", action="append",
                    help="suite name filter (repeatable); default: all")
+    p.add_argument("--seed", type=int, help="RNG seed of the suites")
+    p.add_argument("--threads", type=int, help="suites run side by side")
 
     p = sub.add_parser("demo-escape", help="escape-set brute-force demonstration")
     common(p)
@@ -128,10 +128,8 @@ def cmd_simulate(args) -> int:
     scenario = cfgmod.build_scenario(
         cfg,
         duration=_resolve(args, "duration", float),
-        dt=_resolve(args, "dt", float),
-        seed=_resolve(args, "seed", int))
-    threads = _resolve(args, "threads", int) or cfgmod.run_threads(cfg)
-    trace, metrics = run_scenario(scenario, threads=threads)
+        dt=_resolve(args, "dt", float))
+    trace, metrics = run_scenario(scenario)
 
     out = _out_dir(args, cfg)
     spec = cfgmod.output_spec(cfg)
@@ -144,7 +142,7 @@ def cmd_simulate(args) -> int:
 
     m = metrics.to_dict()
     print(f"simulated {scenario.duration:g}s x {len(scenario.uavs)} UAVs "
-          f"(dt={scenario.dt:g}s, threads={threads})")
+          f"(dt={scenario.dt:g}s)")
     print(f"  all-in-coordination-set time: {m['all_in_s1_time']}")
     print(f"  overtake events before/after: {m['overtake_events_before']}"
           f"/{m['overtake_events_after']}")

@@ -174,7 +174,7 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
     return out
 
 
-def build_scenario(cfg: dict, *, duration=None, dt=None, seed=None) -> Scenario:
+def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
     params = resolve_params(cfg)
     paths = build_paths(cfg, params.kappa_bound)
 
@@ -217,20 +217,15 @@ def build_scenario(cfg: dict, *, duration=None, dt=None, seed=None) -> Scenario:
             spawn_time=_num(u, "spawn_time", where, default=0.0)))
 
     run = cfg.get("run", {})
-    _check_keys(run, {"duration", "dt", "seed", "threads"}, "run")
+    _check_keys(run, {"duration", "dt"}, "run")
     scenario = Scenario(
         params=params, paths=paths, uavs=uavs,
         duration=_num(run, "duration", "run", default=100.0) if duration is None else duration,
         dt=_num(run, "dt", "run", default=0.01) if dt is None else dt,
         topology=topology, parents=parents,
-        chi_kind=chi_kind, chi_slope=chi_slope,
-        seed=int(_num(run, "seed", "run", default=0)) if seed is None else seed)
+        chi_kind=chi_kind, chi_slope=chi_slope)
     scenario.validate()
     return scenario
-
-
-def run_threads(cfg: dict) -> int:
-    return int(_num(cfg.get("run", {}), "threads", "run", default=1))
 
 
 def output_spec(cfg: dict) -> dict:

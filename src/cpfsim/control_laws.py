@@ -118,6 +118,10 @@ def coord_control(err: PathError, zeta: float, params: CoordParams,
     region = classify(err, params)
     if not region.in_s1:
         raise WrongRegion(f"coordinated law called in {region.value}")
+    return _coord_law(err, zeta, params, chi, region)
+
+
+def _coord_law(err, zeta, params, chi, region):
     rho, psi, kappa = err.rho, err.psi, err.kappa
     denom = 1.0 - kappa * rho
     v1 = sat(denom / math.cos(psi) * chi(zeta), params.v_min, params.v_max)
@@ -125,8 +129,7 @@ def coord_control(err: PathError, zeta: float, params: CoordParams,
     omega_d = (v1 * (-params.k1 * th / params.k2 + kappa * math.cos(psi) / denom)
                - params.alpha * smoothed_sign(th, params.sign_eps))
     omega = sat(omega_d, -params.omega_max, params.omega_max)
-    provisional = ControlCommand(v1, omega, region)
-    v = reset_value(provisional, err, params)
+    v = _reset(v1, omega, region, err, params)
     return ControlCommand(v, omega, region, resetvalue_applied=v != v1)
 
 
@@ -148,13 +151,14 @@ def reset_value(cmd: ControlCommand, err: PathError, params: CoordParams) -> flo
     the speed (a raise there can only come from the smoothed switching
     term near the surface, where the inequality is not load-bearing).
     """
+    return _reset(cmd.v, cmd.omega, cmd.region, err, params)
+
+
+def _reset(v, omega, region, err, params):
     rho, psi, kappa = err.rho, err.psi, err.kappa
-    v, omega = cmd.v, cmd.omega
     a, r1, alpha = params.psi_max, params.rho_max, params.alpha
     denom = 1.0 - kappa * rho
-    th = switching_value(rho, psi, params)
     kc = kappa * math.cos(psi)
-    region = cmd.region
 
     if region in (Region.S1_1, Region.S1_3):
         sign = 1.0 if region is Region.S1_1 else -1.0
@@ -209,6 +213,11 @@ def near_optimal_control_s24(err: PathError, params: CoordParams) -> ControlComm
     region = classify(err, params)
     if region is not Region.S2_4:
         raise WrongRegion(f"S2_4 law called in {region.value}")
+    return _s24_law(err, params)
+
+
+def _s24_law(err, params):
+    region = Region.S2_4
     if err.psi >= -params.psi_max + params.eps_switch:
         return ControlCommand(params.v_max, -params.omega_max, region)
     denom = 1.0 - err.kappa * err.rho
@@ -224,6 +233,11 @@ def near_optimal_control_s22(err: PathError, params: CoordParams) -> ControlComm
     region = classify(err, params)
     if region is not Region.S2_2:
         raise WrongRegion(f"S2_2 law called in {region.value}")
+    return _s22_law(err, params)
+
+
+def _s22_law(err, params):
+    region = Region.S2_2
     if err.psi <= params.psi_max - params.eps_switch:
         return ControlCommand(params.v_max, params.omega_max, region)
     denom = 1.0 - err.kappa * err.rho
@@ -237,27 +251,35 @@ def near_optimal_control_s22(err: PathError, params: CoordParams) -> ControlComm
 def robust_control_s21_s23(err: PathError, params: CoordParams) -> ControlCommand:
     """Constant laws minimizing the heading-to-lateral drift ratio."""
     region = classify(err, params)
+    if region is not Region.S2_1 and region is not Region.S2_3:
+        raise WrongRegion(f"robust law called in {region.value}")
+    return _robust_law(params, region)
+
+
+def _robust_law(params, region):
     if region is Region.S2_1:
         return ControlCommand(params.v_min, -params.omega_max, region)
-    if region is Region.S2_3:
-        return ControlCommand(params.v_min, params.omega_max, region)
-    raise WrongRegion(f"robust law called in {region.value}")
+    return ControlCommand(params.v_min, params.omega_max, region)
 
 
 def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
                       chi: ChiFunction) -> ControlCommand:
-    """Dispatch to the unique law owning the error's region."""
+    """Dispatch to the unique law owning the error's region.
+
+    Classifies once and hands the region to the law bodies; the public
+    per-region laws classify again only to guard direct callers.
+    """
     region = classify(err, params)
     if region is Region.OUTSIDE:
         raise OutsideUniverse(
             f"|rho|={abs(err.rho):.3f} exceeds rho_universe={params.rho_universe:.3f}")
     if region.in_s1:
-        return coord_control(err, zeta, params, chi)
+        return _coord_law(err, zeta, params, chi, region)
     if region is Region.S2_4:
-        return near_optimal_control_s24(err, params)
+        return _s24_law(err, params)
     if region is Region.S2_2:
-        return near_optimal_control_s22(err, params)
-    return robust_control_s21_s23(err, params)
+        return _s22_law(err, params)
+    return _robust_law(params, region)
 
 
 # -- comparison systems for the robust outer subsets --------------------------

@@ -28,7 +28,10 @@ class PathError:
 
 
 class Region(str, Enum):
-    """Tags partitioning the error plane; values appear verbatim in traces."""
+    """Tags partitioning the error plane; values appear verbatim in traces.
+
+    ``in_s1`` / ``in_s2`` are plain member attributes, set once per member.
+    """
 
     S1_1 = "S1_1"
     S1_2 = "S1_2"
@@ -42,13 +45,9 @@ class Region(str, Enum):
     S2_4 = "S2_4"
     OUTSIDE = "OutsideS"
 
-    @property
-    def in_s1(self) -> bool:
-        return self.value.startswith("S1")
-
-    @property
-    def in_s2(self) -> bool:
-        return self.value.startswith("S2")
+    def __init__(self, tag: str):
+        self.in_s1 = tag.startswith("S1")
+        self.in_s2 = tag.startswith("S2")
 
 
 def switching_value(rho: float, psi: float, params) -> float:

@@ -344,6 +344,34 @@ class SplinePath(Path):
             raise DegenerateSpline(f"vanishing spline derivative at s={s:g}")
         return (dx * ddy - dy * ddx) / sp2 ** 1.5
 
+    def _frame(self, s):
+        """(x, y, tangent_angle, curvature) at an in-range s from one segment lookup.
+
+        Bit-identical to ``point_at``, ``tangent_angle_at`` and
+        ``curvature_at`` for 0 <= s <= total_length: the same expressions
+        on the same ``du``.
+        """
+        u = self._u_at(s)
+        i = bisect.bisect_right(self._breaks, u) - 1
+        if i < 0:
+            i = 0
+        elif i >= len(self._cx):
+            i = len(self._cx) - 1
+        du = u - self._breaks[i]
+        c0, c1, c2, c3 = self._cx[i]
+        d0, d1, d2, d3 = self._cy[i]
+        dx = (3.0 * c0 * du + 2.0 * c1) * du + c2
+        dy = (3.0 * d0 * du + 2.0 * d1) * du + d2
+        ddx = 6.0 * c0 * du + 2.0 * c1
+        ddy = 6.0 * d0 * du + 2.0 * d1
+        sp2 = dx * dx + dy * dy
+        if sp2 < 1.0e-18:
+            raise DegenerateSpline(f"vanishing spline derivative at s={s:g}")
+        return (((c0 * du + c1) * du + c2) * du + c3,
+                ((d0 * du + d1) * du + d2) * du + d3,
+                math.atan2(dy, dx),
+                (dx * ddy - dy * ddx) / sp2 ** 1.5)
+
     # -- projection ---------------------------------------------------------
 
     def project(self, point, hint_s=None):
@@ -359,17 +387,28 @@ class SplinePath(Path):
             return self._tail_projection(s < 0.0, px, py)
         return self._projection_at(s, px, py)
 
+    def _projection_at(self, s, px, py):
+        # callers pass 0 <= s <= total_length, where _frame is exact
+        x, y, ta, kappa = self._frame(s)
+        rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
+        return Projection(s, x, y, ta, kappa, rho)
+
     def _newton_refine(self, px, py, s0, tol=1.0e-9, max_iter=30):
         # Root of g(s) = (q - p(s)) . T(s);  g'(s) = -(1 - kappa*rho).
         s = s0
         for _ in range(max_iter):
-            x, y = self.point_at(s)
-            ta = self.tangent_angle_at(s)
+            if 0.0 <= s <= self.total_length:
+                x, y, ta, kappa = self._frame(s)
+            else:
+                # straight extension; curvature is the spline's end value
+                x, y = self.point_at(s)
+                ta = self.tangent_angle_at(s)
+                kappa = self.curvature_at(min(max(s, 0.0), self.total_length))
             tx, ty = math.cos(ta), math.sin(ta)
             ex, ey = px - x, py - y
             g = ex * tx + ey * ty
             rho = tx * ey - ty * ex
-            denom = 1.0 - self.curvature_at(min(max(s, 0.0), self.total_length)) * rho
+            denom = 1.0 - kappa * rho
             if abs(denom) < 1.0e-6:
                 return None
             step = g / denom

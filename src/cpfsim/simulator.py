@@ -2,14 +2,12 @@
 
 Each step evaluates errors, coordination and commands from the frozen
 previous-step state, then integrates the unicycle kinematics with RK4 under
-zero-order-hold controls.  Identical scenarios produce bit-identical traces
-regardless of the thread count used for the per-UAV evaluations.
+zero-order-hold controls.  Identical scenarios produce bit-identical traces.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +60,6 @@ class Scenario:
     parents: dict[int, int | None] = field(default_factory=dict)
     chi_kind: str = "coordination"
     chi_slope: float | None = None
-    seed: int = 0
 
     def validate(self) -> None:
         if self.dt <= 0.0:
@@ -186,7 +183,7 @@ def rk4_unicycle(x: float, y: float, theta: float, v: float, omega: float,
 class _Runner:
     """Mutable per-run state; step() advances the whole fleet by dt."""
 
-    def __init__(self, scenario: Scenario, threads: int = 1):
+    def __init__(self, scenario: Scenario):
         scenario.validate()
         self.sc = scenario
         self.params = scenario.params
@@ -198,12 +195,6 @@ class _Runner:
         self.pending = sorted(scenario.uavs, key=lambda u: (u.spawn_time, u.id))
         self.coord_prev: CoordinationState | None = None
         self.trace = Trace()
-        self.pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        self.threads = max(threads, 1)
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def _spawn_due(self):
         while self.pending and self.pending[0].spawn_time <= self.t + 1.0e-12:
@@ -212,22 +203,10 @@ class _Runner:
             self.hints[u.id] = None
         self.active.sort(key=lambda s: s.id)
 
-    def _map(self, fn, items):
-        if self.pool is None or len(items) < 2:
-            return [fn(it) for it in items]
-        n = min(self.threads, len(items))
-        chunks = [items[i::n] for i in range(n)]
-        parts = list(self.pool.map(lambda ch: [fn(it) for it in ch], chunks))
-        out = [None] * len(items)
-        for i, part in enumerate(parts):
-            out[i::n] = part
-        return out
-
     def evaluate(self):
         """Errors, coordination and commands from the frozen current state."""
-        errs = self._map(
-            lambda u: compute_error(u, self.sc.paths[u.path_index], self.hints[u.id]),
-            self.active)
+        paths = self.sc.paths
+        errs = [compute_error(u, paths[u.path_index], self.hints[u.id]) for u in self.active]
         for u, e in zip(self.active, errs):
             self.hints[u.id] = e.s_proj
         projections = [(u.id, e.s_proj, e.rho) for u, e in zip(self.active, errs)]
@@ -241,18 +220,16 @@ class _Runner:
                 self.trace.events.append(TraceEvent(self.t, ev.uav_id, ev.kind, ev.detail))
         self.coord_prev = coord
         zetas = [compute_zeta(coord, u.id) for u in self.active]
-
-        def command(pair):
-            u, e, z = pair
-            try:
-                return hybrid_supervisor(e, z, self.params, self.chi)
-            except OutsideUniverse as exc:
-                raise OutsideUniverse(
-                    f"t={self.t:.3f}s UAV {u.id} at ({u.x:.2f}, {u.y:.2f}, "
-                    f"{u.theta:.4f}): {exc}") from exc
-
-        cmds = self._map(command, list(zip(self.active, errs, zetas)))
+        cmds = [self._command(u, e, z) for u, e, z in zip(self.active, errs, zetas)]
         return errs, coord, zetas, cmds
+
+    def _command(self, u, e, z):
+        try:
+            return hybrid_supervisor(e, z, self.params, self.chi)
+        except OutsideUniverse as exc:
+            raise OutsideUniverse(
+                f"t={self.t:.3f}s UAV {u.id} at ({u.x:.2f}, {u.y:.2f}, "
+                f"{u.theta:.4f}): {exc}") from exc
 
     def record(self, errs, coord, zetas, cmds):
         for u, e, z, c in zip(self.active, errs, zetas, cmds):
@@ -267,24 +244,21 @@ class _Runner:
             u.x, u.y, u.theta = rk4_unicycle(u.x, u.y, u.theta, c.v, c.omega, dt)
 
 
-def run_scenario(scenario: Scenario, threads: int = 1) -> tuple[Trace, Metrics]:
+def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
     """Run to the configured duration and compute convergence metrics.
 
     Aborts with OutsideUniverse (UAV and state identified) when any error
     leaves the supervised universe, including at t = 0.
     """
-    runner = _Runner(scenario, threads)
-    try:
-        n_steps = int(round(scenario.duration / scenario.dt))
-        for k in range(n_steps + 1):
-            runner.t = k * scenario.dt
-            runner._spawn_due()
-            errs, coord, zetas, cmds = runner.evaluate()
-            runner.record(errs, coord, zetas, cmds)
-            if k < n_steps:
-                runner.integrate(cmds)
-    finally:
-        runner.close()
+    runner = _Runner(scenario)
+    n_steps = int(round(scenario.duration / scenario.dt))
+    for k in range(n_steps + 1):
+        runner.t = k * scenario.dt
+        runner._spawn_due()
+        errs, coord, zetas, cmds = runner.evaluate()
+        runner.record(errs, coord, zetas, cmds)
+        if k < n_steps:
+            runner.integrate(cmds)
     return runner.trace, compute_metrics(runner.trace, scenario)
 
 
@@ -377,7 +351,9 @@ def escape_demo(params: CoordParams, eps0: float | None = None,
             psis.append(psi)
             rhos.append(rho)
     for rho, psi in zip(rhos, psis):
-        assert in_escape_set(PathError(rho, psi), params, eps0)
+        if not in_escape_set(PathError(rho, psi), params, eps0):
+            raise ValueError(f"grid state (rho={rho!r}, psi={psi!r}) is not in the "
+                             f"escape set for eps0={eps0!r}")
 
     nv, nw = control_grid
     vs = np.linspace(params.v_min, params.v_max, nv)

@@ -205,7 +205,9 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
                 rho, psi = _error_step(rho, psi, cmd.v, cmd.omega, kappa, dt)
                 t += dt
             checked += 1
-            if entered is None or entered > deadline:
+            # entry is only observed at whole steps: the true entry time lies
+            # in (entered - dt, entered]
+            if entered is None or entered - dt > deadline:
                 failures += 1
                 if first is None:
                     first = (f"{label} run {run}: start=({rho0:.3f}, {psi0:.4f}) "

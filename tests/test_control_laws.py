@@ -339,6 +339,76 @@ class TestSupervisor:
         assert cmd.region is Region.S2_3
 
 
+def _random_states(params, n, seed):
+    """(error, zeta) pairs covering every region: half drawn from the
+    coordination set, half from the whole universe, plus the set's corners."""
+    rng = np.random.default_rng(seed)
+    r2 = params.rho_universe
+    states = sample_s1(rng, params, n // 2)
+    states += [(rng.uniform(-r2, r2), rng.uniform(-math.pi, math.pi))
+               for _ in range(n - len(states))]
+    states += [(rho, psi) for rho in (-r2, -params.rho_max, 0.0, params.rho_max, r2)
+               for psi in (-params.psi_max, 0.0, params.psi_max)]
+    out = []
+    for rho, psi in states:
+        kappa = rng.uniform(-0.999 * params.kappa_bound, 0.999 * params.kappa_bound)
+        out.append((PathError(rho, psi, 0.0, kappa), rng.uniform(0.0, 2.0 * SPACING)))
+    return out
+
+
+def _public_law_command(region, err, zeta, p, chi):
+    if region.in_s1:
+        return coord_control(err, zeta, p, chi)
+    if region is Region.S2_4:
+        return near_optimal_control_s24(err, p)
+    if region is Region.S2_2:
+        return near_optimal_control_s22(err, p)
+    return robust_control_s21_s23(err, p)
+
+
+class TestSupervisorMatchesPublicLaws:
+    """The supervisor's single classify gives what the public laws give."""
+
+    @pytest.mark.parametrize("sign_eps", [1.0e-3, 0.0])
+    def test_command_equality_on_random_states(self, params, sign_eps):
+        p = dataclasses.replace(params, sign_eps=sign_eps)
+        chi = build_chi(p)
+        seen = set()
+        for err, zeta in _random_states(p, 10_000, seed=97):
+            region = classify(err, p)
+            seen.add(region)
+            cmd = hybrid_supervisor(err, zeta, p, chi)
+            assert cmd == _public_law_command(region, err, zeta, p, chi), (err, zeta)
+            assert cmd.region is region
+        assert seen == set(Region) - {Region.OUTSIDE}
+
+    def test_every_public_law_guards_its_region(self, params):
+        chi = build_chi(params)
+        laws = {
+            "coord": (lambda e: coord_control(e, SPACING, params, chi),
+                      lambda r: r.in_s1),
+            "s24": (lambda e: near_optimal_control_s24(e, params),
+                    lambda r: r is Region.S2_4),
+            "s22": (lambda e: near_optimal_control_s22(e, params),
+                    lambda r: r is Region.S2_2),
+            "robust": (lambda e: robust_control_s21_s23(e, params),
+                       lambda r: r is Region.S2_1 or r is Region.S2_3),
+        }
+        states = [e for e, _ in _random_states(params, 2_000, seed=5)]
+        states.append(PathError(params.rho_universe + 1.0, 0.0))
+        wrong = {name: 0 for name in laws}
+        for err in states:
+            region = classify(err, params)
+            for name, (law, owns) in laws.items():
+                if owns(region):
+                    assert law(err).region is region
+                else:
+                    with pytest.raises(WrongRegion):
+                        law(err)
+                    wrong[name] += 1
+        assert all(n > 0 for n in wrong.values())
+
+
 class TestComparisonTrajectory:
     def test_worst_case_from_right_angle(self, params):
         crossing = comparison_system_trajectory(PathError(0.0, math.pi / 2.0),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
-from cpfsim.paths import (CirclePath, LinePath, SplinePath, waypoints_from_lonlat,
-                          wrap_angle)
+from cpfsim.paths import (CirclePath, LinePath, Path, SplinePath,
+                          waypoints_from_lonlat, wrap_angle)
 
 from conftest import HIL_LONLAT, HIL_WAYPOINTS
 from oracles import brute_force_projection
@@ -165,6 +165,23 @@ class TestSpline:
             valley.project((2000.0, 2500.0))
         # off-axis points stay unique
         assert valley.project((2100.0, 2500.0)).rho != 0.0
+
+    def test_frame_matches_single_queries_exactly(self, hil_spline):
+        length = hil_spline.total_length
+        grid = [0.0, length, -0.0, float(np.nextafter(length, 0.0))]
+        grid += [float(v) for v in np.linspace(0.0, length, 20_001)]
+        grid += [float(v) for v in np.random.default_rng(3).uniform(0.0, length, 5_000)]
+        for s in grid:
+            assert hil_spline._frame(s) == (*hil_spline.point_at(s),
+                                            hil_spline.tangent_angle_at(s),
+                                            hil_spline.curvature_at(s)), s
+
+    def test_spline_projection_at_matches_generic(self, hil_spline):
+        rng = np.random.default_rng(19)
+        for s in rng.uniform(0.0, hil_spline.total_length, 2_000):
+            px, py = rng.uniform(-500.0, 12500.0), rng.uniform(-2500.0, 2500.0)
+            assert hil_spline._projection_at(float(s), px, py) == \
+                Path._projection_at(hil_spline, float(s), px, py)
 
     def test_extrapolation_beyond_ends(self, hil_spline):
         x0, y0 = hil_spline.point_at(0.0)

@@ -71,14 +71,14 @@ class TestRunScenario:
         with pytest.raises(OutsideUniverse, match="UAV 7"):
             run_scenario(sc)
 
-    def test_determinism_including_threads(self, params):
+    def test_determinism_repeated_runs(self, params):
         path = CirclePath((0.0, 0.0), 1000.0, "ccw", 0.002)
         uavs = [on_path_spec(i, path, 300.0 * i, rho=20.0 * (i - 2), psi=0.1 * i)
                 for i in range(1, 5)]
         runs = []
-        for threads in (1, 1, 2, 3):
+        for _ in range(4):
             sc = circle_scenario(params, list(uavs), 5.0)
-            trace, _ = run_scenario(sc, threads=threads)
+            trace, _ = run_scenario(sc)
             runs.append(trace.rows)
         assert runs[0] == runs[1] == runs[2] == runs[3]
 
@@ -139,6 +139,12 @@ class TestEscapeDemo:
     def test_rejects_wrong_curvature_sign(self, params):
         with pytest.raises(ValueError):
             escape_demo(params, kappa=0.001)
+
+    def test_non_member_grid_state_raises(self, params, monkeypatch):
+        # a raised error, not an assert, so the check survives python -O
+        monkeypatch.setattr("cpfsim.simulator.in_escape_set", lambda err, p, eps0: False)
+        with pytest.raises(ValueError, match="not in the escape set"):
+            escape_demo(params, eps0=0.05, state_grid=(2, 2), control_grid=(2, 2))
 
     def test_grid_states_are_members(self, params):
         # in particular the benign origin state is never gridded
