@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append",
                    help="suite name filter (repeatable); default: all")
     p.add_argument("--seed", type=int, help="RNG seed of the suites")
-    p.add_argument("--threads", type=int, help="suites run side by side")
 
     p = sub.add_parser("demo-escape", help="escape-set brute-force demonstration")
     common(p)
@@ -163,9 +162,7 @@ def cmd_verify(args) -> int:
         raw = _env("suite")
         names = [raw] if raw else None
     seed = _resolve(args, "seed", int) or 0
-    threads = _resolve(args, "threads", int) or 1
-    results = run_suites(scenario.params, scenario.paths[0],
-                         names=names, seed=seed, threads=threads)
+    results = run_suites(scenario.params, scenario.paths[0], names=names, seed=seed)
     all_ok = True
     for r in results:
         print(r.summary())

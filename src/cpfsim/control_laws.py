@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .error_frame import PathError, Region, classify, switching_value
+import numpy as np
+
+from .error_frame import N_S1, REGIONS, PathError, Region, classify, switching_value
 from .exceptions import OutsideUniverse, WrongRegion
 from .param_design import CoordParams
 
@@ -34,6 +36,17 @@ def smoothed_sign(x: float, eps: float) -> float:
     return 0.0 if x == 0.0 else math.copysign(1.0, x)
 
 
+def batch_sat(x, lo, hi):
+    """sat lane by lane on an array."""
+    return np.where(x <= lo, lo, np.where(x >= hi, hi, x))
+
+
+def _batch_smoothed_sign(x, eps):
+    if eps > 0.0:
+        return batch_sat(x / eps, -1.0, 1.0)
+    return np.where(x == 0.0, 0.0, np.copysign(1.0, x))
+
+
 @dataclass(frozen=True)
 class ControlCommand:
     """Forward/angular speed pair plus the region the law was chosen for."""
@@ -48,6 +61,10 @@ class ChiFunction:
     """Speed-assignment function mapping the spacing zeta to an along-path speed."""
 
     def __call__(self, zeta: float) -> float:
+        raise NotImplementedError
+
+    def many(self, zeta: np.ndarray) -> np.ndarray:
+        """The assignment of each element of an array of spacings."""
         raise NotImplementedError
 
 
@@ -80,6 +97,13 @@ class CoordinationChi(ChiFunction):
         if zeta <= hi:
             return self.floor + self.slope * (zeta - lo)
         return self.floor + 2.0 * self.slope * (zeta - self.spacing)
+
+    def many(self, zeta):
+        lo = self.spacing - self.delta1
+        hi = self.spacing + self.delta1
+        return np.where(zeta < lo, self.floor,
+                        np.where(zeta <= hi, self.floor + self.slope * (zeta - lo),
+                                 self.floor + 2.0 * self.slope * (zeta - self.spacing)))
 
 
 class LinearChi(ChiFunction):
@@ -271,8 +295,7 @@ def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
     """
     region = classify(err, params)
     if region is Region.OUTSIDE:
-        raise OutsideUniverse(
-            f"|rho|={abs(err.rho):.3f} exceeds rho_universe={params.rho_universe:.3f}")
+        raise outside_universe(err.rho, params)
     if region.in_s1:
         return _coord_law(err, zeta, params, chi, region)
     if region is Region.S2_4:
@@ -280,6 +303,117 @@ def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
     if region is Region.S2_2:
         return _s22_law(err, params)
     return _robust_law(params, region)
+
+
+def outside_universe(rho: float, params: CoordParams) -> OutsideUniverse:
+    """The error hybrid_supervisor raises for a lateral error beyond the universe."""
+    return OutsideUniverse(
+        f"|rho|={abs(rho):.3f} exceeds rho_universe={params.rho_universe:.3f}")
+
+
+# -- batched hybrid law -------------------------------------------------------
+
+
+def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams, chi: ChiFunction,
+                     code) -> tuple[np.ndarray, np.ndarray]:
+    """``hybrid_supervisor`` lane by lane on arrays: (v, omega).
+
+    ``code`` holds the lanes' region codes from ``batch_classify``;
+    ``kappa`` and ``zeta`` may be scalars.  Each region's branch runs only
+    when some lane is in that region and evaluates the scalar law's float
+    expressions in the same order, so every command equals the scalar one.
+    Lanes outside the universe get NaN; the caller decides how they fail.
+    """
+    kappa = np.broadcast_to(kappa, rho.shape)
+    count = np.bincount(code, minlength=len(REGIONS)).tolist()
+    v = np.full(rho.shape, np.nan)
+    omega = np.full(rho.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_s1 = sum(count[:N_S1])
+        if n_s1:
+            m = slice(None) if n_s1 == rho.size else code < N_S1
+            chi_z = chi(zeta) if np.ndim(zeta) == 0 else chi.many(zeta[m])
+            v[m], omega[m] = _batch_coord_law(rho[m], psi[m], kappa[m], chi_z, params,
+                                              code[m])
+        for region, turn in ((Region.S2_4, -1.0), (Region.S2_2, 1.0)):
+            if count[region.code]:
+                m = code == region.code
+                v[m], omega[m] = _batch_box_law(rho[m], psi[m], kappa[m], params, turn)
+        for region, turn in ((Region.S2_1, -1.0), (Region.S2_3, 1.0)):
+            if count[region.code]:
+                m = code == region.code
+                v[m] = params.v_min
+                omega[m] = turn * params.omega_max
+    return v, omega
+
+
+def _batch_coord_law(rho, psi, kappa, chi_z, params, code):
+    denom = 1.0 - kappa * rho
+    cos_psi = np.cos(psi)
+    sin_psi = np.sin(psi)
+    v1 = batch_sat(denom / cos_psi * chi_z, params.v_min, params.v_max)
+    th = params.k1 * rho + params.k2 * psi + params.k3 * sin_psi
+    omega_d = (v1 * (-params.k1 * th / params.k2 + kappa * cos_psi / denom)
+               - params.alpha * _batch_smoothed_sign(th, params.sign_eps))
+    omega = batch_sat(omega_d, -params.omega_max, params.omega_max)
+    return _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params), omega
+
+
+# by S1 code: the sign of the subset's margin inequality, and whether a
+# reset may only lower the speed (else it may raise it up to v_max)
+_RESET_SIGN = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
+_LOWER_ONLY = np.array([True, True, True, True, False, False])
+
+
+def _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params):
+    """``_reset`` lane by lane; see ``reset_value`` for the rule.
+
+    Multiplying by the lane's sign is exact, so ``sign * x > 0`` is the
+    scalar ``x > 0`` or ``x < 0`` and ``omega + sign * alpha`` its
+    ``omega +- alpha``.
+    """
+    a, r1, alpha = params.psi_max, params.rho_max, params.alpha
+    sign = _RESET_SIGN[code]
+    kc = kappa * cos_psi
+    quad = (code == Region.S1_1.code) | (code == Region.S1_3.code)
+    v = v1
+    if quad.any():
+        margin = (v1 * (a * sin_psi - r1 * kappa * cos_psi / denom) + r1 * omega
+                  + sign * r1 * alpha)
+        bracket = a * sin_psi - r1 * kc / denom
+        cand = -r1 * (omega + sign * alpha) / bracket
+        take = (quad & (sign * margin > 0.0) & (bracket != 0.0)
+                & (params.v_min <= cand) & (cand < v1))
+        v = np.where(take, cand, v)
+    if not quad.all():
+        shifted = omega - kc * v1 / denom + sign * alpha
+        cand = denom / kc * (omega + sign * alpha)
+        below = np.where(_LOWER_ONLY[code], cand < v1, cand <= params.v_max)
+        take = (~quad & (sign * shifted > 0.0) & (kc != 0.0)
+                & (params.v_min <= cand) & below)
+        v = np.where(take, cand, v)
+    return v
+
+
+def _batch_box_law(rho, psi, kappa, params, turn):
+    """``_s24_law`` (turn = -1) or ``_s22_law`` (turn = +1) lane by lane."""
+    om_max = params.omega_max
+    if turn < 0.0:
+        turning = psi >= -params.psi_max + params.eps_switch
+    else:
+        turning = psi <= params.psi_max - params.eps_switch
+    denom = 1.0 - kappa * rho
+    cos_psi = np.cos(psi)
+    feed = kappa * params.v_max * cos_psi / denom
+    if turn < 0.0:
+        hold = om_max - feed >= 0.0
+        held = np.where(feed > -om_max, feed, -om_max)
+    else:
+        hold = om_max + feed >= 0.0
+        held = np.where(feed < om_max, feed, om_max)
+    v = np.where(turning | hold, params.v_max, -turn * om_max * denom / (kappa * cos_psi))
+    omega = np.where(turning, turn * om_max, np.where(hold, held, -turn * om_max))
+    return v, omega
 
 
 # -- comparison systems for the robust outer subsets --------------------------

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .exceptions import SingularDenominator
 from .paths import Path, wrap_angle
 
@@ -30,7 +32,9 @@ class PathError:
 class Region(str, Enum):
     """Tags partitioning the error plane; values appear verbatim in traces.
 
-    ``in_s1`` / ``in_s2`` are plain member attributes, set once per member.
+    ``in_s1`` / ``in_s2`` are plain member attributes, set once per member;
+    ``code`` is the member's index in ``REGIONS``, the integer tag of the
+    batched kernels.
     """
 
     S1_1 = "S1_1"
@@ -48,6 +52,12 @@ class Region(str, Enum):
     def __init__(self, tag: str):
         self.in_s1 = tag.startswith("S1")
         self.in_s2 = tag.startswith("S2")
+
+
+REGIONS = tuple(Region)
+for _code, _region in enumerate(REGIONS):
+    _region.code = _code
+N_S1 = 6  # codes 0..5 are the coordination subsets S1_1..S1_6
 
 
 def switching_value(rho: float, psi: float, params) -> float:
@@ -76,10 +86,47 @@ def error_dynamics(err: PathError, cmd) -> tuple[float, float]:
     return rho_dot, psi_dot
 
 
+def batch_error_rates(rho, psi, v, omega, kappa):
+    """error_dynamics lane by lane on arrays, without the singularity check."""
+    return v * np.sin(psi), omega - kappa * v * np.cos(psi) / (1.0 - kappa * rho)
+
+
+def batch_error_step(rho, psi, v, omega, kappa, dt: float, wrap: bool = True):
+    """One RK4 step of the error dynamics under held (v, omega), constant curvature.
+
+    Lane by lane on arrays (``kappa`` may be a scalar).  The heading error
+    is wrapped to [-pi, pi) unless ``wrap`` is False.
+    """
+    k1r, k1p = batch_error_rates(rho, psi, v, omega, kappa)
+    k2r, k2p = batch_error_rates(rho + 0.5 * dt * k1r, psi + 0.5 * dt * k1p, v, omega, kappa)
+    k3r, k3p = batch_error_rates(rho + 0.5 * dt * k2r, psi + 0.5 * dt * k2p, v, omega, kappa)
+    k4r, k4p = batch_error_rates(rho + dt * k3r, psi + dt * k3p, v, omega, kappa)
+    rho = rho + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+    psi = psi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    if wrap:
+        psi = (psi + math.pi) % (2.0 * math.pi) - math.pi
+    return rho, psi
+
+
 def in_coordination_set(rho: float, psi: float, params) -> bool:
     a, r1 = params.psi_max, params.rho_max
     return (abs(rho) <= r1 and abs(psi) <= a
             and abs(a * rho + r1 * psi) <= a * r1)
+
+
+def _s1_subset(rho: float, psi: float, th: float) -> Region:
+    """Subset of the coordination set from the signs of rho, psi and theta."""
+    if rho > 0.0 and psi >= 0.0 and th > 0.0:
+        return Region.S1_1
+    if rho <= 0.0 and psi >= 0.0 and th >= 0.0:
+        return Region.S1_2
+    if rho < 0.0 and psi <= 0.0 and th < 0.0:
+        return Region.S1_3
+    if rho >= 0.0 and psi <= 0.0 and th <= 0.0:
+        return Region.S1_4
+    if rho < 0.0 and psi > 0.0 and th < 0.0:
+        return Region.S1_5
+    return Region.S1_6
 
 
 def classify(err: PathError, params) -> Region:
@@ -93,18 +140,7 @@ def classify(err: PathError, params) -> Region:
     rho, psi = err.rho, err.psi
     a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
     if in_coordination_set(rho, psi, params):
-        th = switching_value(rho, psi, params)
-        if rho > 0.0 and psi >= 0.0 and th > 0.0:
-            return Region.S1_1
-        if rho <= 0.0 and psi >= 0.0 and th >= 0.0:
-            return Region.S1_2
-        if rho < 0.0 and psi <= 0.0 and th < 0.0:
-            return Region.S1_3
-        if rho >= 0.0 and psi <= 0.0 and th <= 0.0:
-            return Region.S1_4
-        if rho < 0.0 and psi > 0.0 and th < 0.0:
-            return Region.S1_5
-        return Region.S1_6
+        return _s1_subset(rho, psi, switching_value(rho, psi, params))
     if abs(rho) > r2:
         return Region.OUTSIDE
     if -r2 <= rho < -r1 and 0.0 < psi <= a:
@@ -114,6 +150,40 @@ def classify(err: PathError, params) -> Region:
     if psi > 0.0 or (psi == 0.0 and rho > r1):
         return Region.S2_1
     return Region.S2_3
+
+
+def _sign_class(x):
+    """0, 1 or 2 for x < 0, x == 0 and x > 0 (NaN counts as negative)."""
+    return np.add(x > 0.0, x >= 0.0, dtype=np.intp)
+
+
+# S1 subset by the signs of (rho, psi, theta), indexed 9*rho + 3*psi + theta
+# in _sign_class terms: _s1_subset only compares the three with zero
+_S1_BY_SIGNS = np.array([_s1_subset(r, p, t).code for r in (-1.0, 0.0, 1.0)
+                         for p in (-1.0, 0.0, 1.0) for t in (-1.0, 0.0, 1.0)])
+
+
+def batch_classify(rho, psi, params) -> np.ndarray:
+    """Region codes (see ``REGIONS``) of arrays of error states.
+
+    The same tests as ``classify``, in the same order, lane by lane.
+    """
+    a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
+    abs_rho = np.abs(rho)
+    in_set = (abs_rho <= r1) & (np.abs(psi) <= a) & (np.abs(a * rho + r1 * psi) <= a * r1)
+    if in_set.any():
+        th = params.k1 * rho + params.k2 * psi + params.k3 * np.sin(psi)
+        s1 = _S1_BY_SIGNS[9 * _sign_class(rho) + 3 * _sign_class(psi) + _sign_class(th)]
+        if in_set.all():
+            return s1
+    # the |rho| <= r2 bounds of S2_2 and S2_4 hold wherever OUTSIDE does not
+    outer = np.where(
+        abs_rho > r2, Region.OUTSIDE.code, np.where(
+            (rho < -r1) & (0.0 < psi) & (psi <= a), Region.S2_2.code, np.where(
+                (r1 < rho) & (-a <= psi) & (psi < 0.0), Region.S2_4.code, np.where(
+                    (psi > 0.0) | ((psi == 0.0) & (rho > r1)), Region.S2_1.code,
+                    Region.S2_3.code))))
+    return np.where(in_set, s1, outer) if in_set.any() else outer
 
 
 def in_escape_set(err: PathError, params, eps0: float) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 from .control_laws import ChiFunction, build_chi, hybrid_supervisor
 from .coordination import (CoordinationState, chain_coordination, compute_zeta,
                            detect_overtaking, update_pre_neighbors)
-from .error_frame import PathError, compute_error, in_escape_set
+from .error_frame import PathError, batch_error_step, compute_error, in_escape_set
 from .exceptions import ConfigError, OutsideUniverse
 from .param_design import CoordParams
 from .paths import Path, wrap_angle
@@ -366,9 +366,6 @@ def escape_demo(params: CoordParams, eps0: float | None = None,
     v = np.tile(v_grid, n_states)
     w = np.tile(w_grid, n_states)
 
-    def rhs(r, p):
-        return v * np.sin(p), w - kappa * v * np.cos(p) / (1.0 - kappa * r)
-
     worst = (r0 - min(rhos)) / (params.v_min * math.sin(eps0))
     n_steps = int(math.ceil(2.0 * worst / dt)) + 100
     exit_time = np.full(rho.shape, np.inf)
@@ -377,12 +374,7 @@ def escape_demo(params: CoordParams, eps0: float | None = None,
         alive = np.isinf(exit_time)
         if not alive.any():
             break
-        k1r, k1p = rhs(rho, psi)
-        k2r, k2p = rhs(rho + 0.5 * dt * k1r, psi + 0.5 * dt * k1p)
-        k3r, k3p = rhs(rho + 0.5 * dt * k2r, psi + 0.5 * dt * k2p)
-        k4r, k4p = rhs(rho + dt * k3r, psi + dt * k3p)
-        rho = rho + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        psi = psi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        rho, psi = batch_error_step(rho, psi, v, w, kappa, dt, wrap=False)
         t += dt
         out = alive & (np.abs(rho) > r0)
         exit_time[out] = t

@@ -4,6 +4,14 @@ Each suite checks one provable property of the hybrid law on randomized
 states or runs and reports counts plus the first counterexample.  The
 invariant suites evaluate the laws with the pure sign term (sign_eps = 0);
 the run-based suites use the scenario's configured law.
+
+Starts are drawn from the suite's seeded generator in the order of
+one-at-a-time draws (an array draw gives the same values); the states and
+runs then advance together as lanes of the batched law
+(``batch_classify``, ``batch_hybrid_law``, ``batch_error_step``), which
+equal the scalar law and RK4 lane by lane.  A run's clock is shared by all
+lanes and accumulated as ``t += dt``, and the first counterexample is that of
+the lowest-index failing state or run.
 """
 
 from __future__ import annotations
@@ -13,12 +21,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control_laws import (build_chi, comparison_admissible, coord_control,
-                           hybrid_supervisor, sat)
+from .control_laws import (batch_hybrid_law, batch_sat, build_chi, comparison_admissible,
+                           outside_universe)
 from .coordination import compute_zeta, detect_overtaking, update_pre_neighbors
-from .error_frame import PathError, Region, classify, error_dynamics, switching_value
-from .exceptions import OutsideUniverse
+from .error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, batch_error_rates,
+                          batch_error_step, classify)
+from .exceptions import WrongRegion
 from .param_design import CoordParams
+
+# Largest number of states whose draws or commands are evaluated at once.
+_BLOCK = 2048
 
 SUITE_NAMES = ("invariance", "reset_bound", "no_overtaking", "reach_box",
                "reach_robust", "switch_drive")
@@ -43,28 +55,34 @@ class SuiteResult:
 
 def sample_s1(rng: np.random.Generator, params: CoordParams, n: int) -> list[tuple[float, float]]:
     """Uniform samples of the coordination set (rejection in its bounding box)."""
+    rho, psi = _sample_s1_arrays(rng, params, n)
+    return list(zip(rho.tolist(), psi.tolist()))
+
+
+def _sample_s1_arrays(rng: np.random.Generator, params: CoordParams,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_s1`` as two arrays (rho, psi).
+
+    Draws (rho, psi) per attempt in the order of a one-at-a-time rejection
+    loop.  Each attempt yields at most one sample, so a round of at most
+    n - found attempts never draws past the attempt that completes the n
+    samples.  Rounds hold at most ``_BLOCK`` attempts.
+    """
     a, r1 = params.psi_max, params.rho_max
-    out = []
-    while len(out) < n:
-        rho = rng.uniform(-r1, r1)
-        psi = rng.uniform(-a, a)
-        if abs(a * rho + r1 * psi) <= a * r1:
-            out.append((rho, psi))
-    return out
+    rhos, psis, found = [np.empty(0)], [np.empty(0)], 0
+    while found < n:
+        m = min(n - found, _BLOCK)
+        rho, psi = rng.uniform(np.tile([-r1, -a], m), np.tile([r1, a], m)).reshape(m, 2).T
+        ok = np.abs(a * rho + r1 * psi) <= a * r1
+        rhos.append(rho[ok])
+        psis.append(psi[ok])
+        found += len(rhos[-1])
+    return np.concatenate(rhos), np.concatenate(psis)
 
 
-def _error_step(rho, psi, v, omega, kappa, dt):
-    """RK4 step of the error dynamics under held (v, omega), constant curvature."""
-    def f(r, p):
-        return v * math.sin(p), omega - kappa * v * math.cos(p) / (1.0 - kappa * r)
-
-    k1r, k1p = f(rho, psi)
-    k2r, k2p = f(rho + 0.5 * dt * k1r, psi + 0.5 * dt * k1p)
-    k3r, k3p = f(rho + 0.5 * dt * k2r, psi + 0.5 * dt * k2p)
-    k4r, k4p = f(rho + dt * k3r, psi + dt * k3p)
-    rho += dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    psi += dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return rho, (psi + math.pi) % (2.0 * math.pi) - math.pi
+def _first(messages: dict[int, str]) -> str | None:
+    """The message of the lowest-index failing lane."""
+    return messages[min(messages)] if messages else None
 
 
 def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 200.0,
@@ -75,40 +93,68 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     Runs the closed-loop error dynamics from random in-set states with a
     per-run constant curvature inside the bound.  A single-step boundary
     graze below ``one_step_slack`` is tolerated (discretized sliding);
-    anything larger or longer fails.
+    anything larger or longer fails, and the run leaves the batch.
     """
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
     a, r1 = params.psi_max, params.rho_max
     n_steps = int(duration / dt)
-    failures = 0
-    first = None
-    for run, (rho0, psi0) in enumerate(sample_s1(rng, params, n_runs)):
-        kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
-        rho, psi = rho0, psi0
-        consecutive = 0
-        for k in range(n_steps):
-            try:
-                cmd = hybrid_supervisor(PathError(rho, psi, 0.0, kappa),
-                                        params.spacing, params, chi)
-            except OutsideUniverse:
-                slack = math.inf
-                cmd = None
-            if cmd is not None:
-                rho, psi = _error_step(rho, psi, cmd.v, cmd.omega, kappa, dt)
-                slack = max(abs(rho) - r1, abs(psi) - a,
-                            abs(a * rho + r1 * psi) - a * r1)
-            if slack > resident_slack:
-                consecutive += 1
-            else:
-                consecutive = 0
-            if slack > one_step_slack or consecutive > 1:
-                failures += 1
-                if first is None:
-                    first = (f"run {run}: start=({rho0:.4f}, {psi0:.4f}) kappa={kappa:.5f} "
-                             f"t={k * dt:.2f}s state=({rho:.6f}, {psi:.6f}) slack={slack:.3e}")
-                break
-    return SuiteResult("invariance", failures == 0, n_runs, failures, first)
+    rho0, psi0 = _sample_s1_arrays(rng, params, n_runs)
+    kappas = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, n_runs)
+    lanes = np.arange(n_runs)
+    rho, psi, kappa = rho0, psi0, kappas
+    consecutive = np.zeros(n_runs, dtype=int)
+    failed = {}
+    for k in range(n_steps):
+        if not lanes.size:
+            break
+        code = batch_classify(rho, psi, params)
+        outside = code == Region.OUTSIDE.code
+        v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
+        rho_n, psi_n = batch_error_step(rho, psi, v, omega, kappa, dt)
+        # a lane outside the universe gets no command: it keeps its state
+        rho = np.where(outside, rho, rho_n)
+        psi = np.where(outside, psi, psi_n)
+        slack = np.maximum(np.maximum(np.abs(rho) - r1, np.abs(psi) - a),
+                           np.abs(a * rho + r1 * psi) - a * r1)
+        slack[outside] = math.inf
+        consecutive = np.where(slack > resident_slack, consecutive + 1, 0)
+        dead = (slack > one_step_slack) | (consecutive > 1)
+        if dead.any():
+            for j in np.flatnonzero(dead).tolist():
+                run = int(lanes[j])
+                failed[run] = (f"run {run}: start=({rho0[run]:.4f}, {psi0[run]:.4f}) "
+                               f"kappa={kappas[run]:.5f} t={k * dt:.2f}s "
+                               f"state=({float(rho[j]):.6f}, {float(psi[j]):.6f}) "
+                               f"slack={float(slack[j]):.3e}")
+            keep = ~dead
+            lanes, rho, psi, kappa, consecutive = (
+                x[keep] for x in (lanes, rho, psi, kappa, consecutive))
+    return SuiteResult("invariance", not failed, n_runs, len(failed), _first(failed))
+
+
+def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int, chi):
+    """n in-set states with a curvature and a spacing each, and their commands.
+
+    The curvature and spacing of each state are drawn in turn after all
+    states (an array draw gives the values of one-at-a-time draws).  Draws
+    and the law run on blocks of ``_BLOCK`` states, which bounds their
+    temporaries.
+    Returns the arrays (rho, psi, kappa, zeta, code, v, omega).
+    """
+    rho, psi = _sample_s1_arrays(rng, pure, n)
+    lo, hi = [-0.999 * pure.kappa_bound, 0.0], [0.999 * pure.kappa_bound, 2.0 * pure.spacing]
+    kappa, zeta, v, omega = (np.empty(n) for _ in range(4))
+    code = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        m = min(_BLOCK, n - start)
+        kappa[b], zeta[b] = rng.uniform(np.tile(lo, m), np.tile(hi, m)).reshape(m, 2).T
+        code[b] = batch_classify(rho[b], psi[b], pure)
+        v[b], omega[b] = batch_hybrid_law(rho[b], psi[b], kappa[b], zeta[b], pure, chi, code[b])
+    if (code >= N_S1).any():
+        raise WrongRegion("coordinated law called outside the coordination set")
+    return rho, psi, kappa, zeta, code, v, omega
 
 
 def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0) -> SuiteResult:
@@ -116,30 +162,24 @@ def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0) -> S
     pure = replace(params, sign_eps=0.0)
     rng = np.random.default_rng(seed)
     chi = build_chi(pure)
-    failures = 0
+    rho, psi, kappa, zeta, _, v, omega = _coord_states(rng, pure, n, chi)
+    v_before = batch_sat((1.0 - kappa * rho) / np.cos(psi) * chi.many(zeta),
+                         pure.v_min, pure.v_max)
+    off_box = ~((pure.v_min <= v) & (v <= pure.v_max) & (np.abs(omega) <= pure.omega_max))
+    reset = ~off_box & (v != v_before)
+    off_bound = reset & ~((pure.v_coord <= v) & (v < v_before))
+    bad = np.flatnonzero(off_box | off_bound)
     first = None
-    resets = 0
-    states = sample_s1(rng, pure, n)
-    for i, (rho, psi) in enumerate(states):
-        kappa = rng.uniform(-0.999 * pure.kappa_bound, 0.999 * pure.kappa_bound)
-        zeta = rng.uniform(0.0, 2.0 * pure.spacing)
-        err = PathError(rho, psi, 0.0, kappa)
-        cmd = coord_control(err, zeta, pure, chi)
-        denom = 1.0 - kappa * rho
-        v_before = sat(denom / math.cos(psi) * chi(zeta), pure.v_min, pure.v_max)
-        bad = None
-        if not (pure.v_min <= cmd.v <= pure.v_max and abs(cmd.omega) <= pure.omega_max):
-            bad = f"command outside box: v={cmd.v!r} omega={cmd.omega!r}"
-        elif cmd.resetvalue_applied:
-            resets += 1
-            if not (pure.v_coord <= cmd.v < v_before):
-                bad = f"reset bound violated: v={cmd.v!r} v_before={v_before!r}"
-        if bad:
-            failures += 1
-            if first is None:
-                first = f"state {i}: ({rho:.4f}, {psi:.4f}) kappa={kappa:.5f} zeta={zeta:.2f}: {bad}"
-    return SuiteResult("reset_bound", failures == 0, n, failures, first,
-                       info={"resets_observed": resets})
+    if bad.size:
+        i = int(bad[0])
+        if off_box[i]:
+            why = f"command outside box: v={float(v[i])!r} omega={float(omega[i])!r}"
+        else:
+            why = f"reset bound violated: v={float(v[i])!r} v_before={float(v_before[i])!r}"
+        first = (f"state {i}: ({rho[i]:.4f}, {psi[i]:.4f}) kappa={kappa[i]:.5f} "
+                 f"zeta={zeta[i]:.2f}: {why}")
+    return SuiteResult("reset_bound", not bad.size, n, int(bad.size), first,
+                       info={"resets_observed": int(reset.sum())})
 
 
 def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
@@ -149,27 +189,78 @@ def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
     rng = np.random.default_rng(seed)
     chi = build_chi(pure)
     a_over_r1 = pure.psi_max / pure.rho_max
-    failures = 0
+    rho, psi, kappa, _, code, v, omega = _coord_states(rng, pure, n, chi)
+    rho_dot, psi_dot = batch_error_rates(rho, psi, v, omega, kappa)
+    th = pure.k1 * rho + pure.k2 * psi + pure.k3 * np.sin(psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = psi_dot / rho_dot
+    up = (th > 0.0) & (psi_dot > -pure.alpha + tol)
+    down = ~up & (th < 0.0) & (psi_dot < pure.alpha - tol)
+    drift = (~up & ~down
+             & ((code == Region.S1_1.code) | (code == Region.S1_3.code))
+             & (np.abs(np.sin(psi)) > 1.0e-12) & (ratio > -a_over_r1 + tol))
+    bad = np.flatnonzero(up | down | drift)
     first = None
-    for i, (rho, psi) in enumerate(sample_s1(rng, pure, n)):
-        kappa = rng.uniform(-0.999 * pure.kappa_bound, 0.999 * pure.kappa_bound)
-        err = PathError(rho, psi, 0.0, kappa)
-        cmd = coord_control(err, rng.uniform(0.0, 2.0 * pure.spacing), pure, chi)
-        rho_dot, psi_dot = error_dynamics(err, cmd)
-        th = switching_value(rho, psi, pure)
-        bad = None
-        if th > 0.0 and psi_dot > -pure.alpha + tol:
-            bad = f"theta>0 but psi_dot={psi_dot!r}"
-        elif th < 0.0 and psi_dot < pure.alpha - tol:
-            bad = f"theta<0 but psi_dot={psi_dot!r}"
-        elif cmd.region in (Region.S1_1, Region.S1_3) and abs(math.sin(psi)) > 1.0e-12:
-            if psi_dot / rho_dot > -a_over_r1 + tol:
-                bad = f"drift ratio {psi_dot / rho_dot!r} > {-a_over_r1!r}"
-        if bad:
-            failures += 1
-            if first is None:
-                first = f"state {i}: ({rho:.4f}, {psi:.4f}) kappa={kappa:.5f}: {bad}"
-    return SuiteResult("switch_drive", failures == 0, n, failures, first)
+    if bad.size:
+        i = int(bad[0])
+        if up[i]:
+            why = f"theta>0 but psi_dot={float(psi_dot[i])!r}"
+        elif down[i]:
+            why = f"theta<0 but psi_dot={float(psi_dot[i])!r}"
+        else:
+            why = f"drift ratio {float(ratio[i])!r} > {-a_over_r1!r}"
+        first = f"state {i}: ({rho[i]:.4f}, {psi[i]:.4f}) kappa={kappa[i]:.5f}: {why}"
+    return SuiteResult("switch_drive", not bad.size, n, int(bad.size), first)
+
+
+# by region code: whether a start in S2_1/S2_3 has left its robust subset
+_LEFT_ROBUST = np.array([r.in_s1 or r in (Region.S2_2, Region.S2_4) for r in REGIONS])
+
+
+def _run_to_s1(params: CoordParams, chi, rho, psi, kappa, dt: float, limit):
+    """Advance lanes under the hybrid law until each is in the coordination set.
+
+    A lane runs while the shared clock (``t += dt`` from 0) is at most its
+    ``limit``.  Per lane, returns lists of: the time it was first seen in
+    S1 (None if never), the time it was first seen in S1, S2_2 or S2_4, and
+    the lateral error at which it was seen outside the universe (None if
+    never; the lane stops there).
+    """
+    n = rho.size
+    entered, left, outside = [None] * n, [None] * n, [None] * n
+    lanes = np.arange(n)
+    limit = np.broadcast_to(limit, (n,))
+    not_left = np.ones(n, dtype=bool)
+    t = 0.0
+    while True:
+        keep = t <= limit
+        if not keep.all():
+            lanes, rho, psi, kappa, limit, not_left = (
+                x[keep] for x in (lanes, rho, psi, kappa, limit, not_left))
+        if not lanes.size:
+            break
+        code = batch_classify(rho, psi, params)
+        leaving = not_left & _LEFT_ROBUST[code]
+        if leaving.any():
+            for lane in lanes[leaving].tolist():
+                left[lane] = t
+            not_left &= ~leaving
+        done = (code < N_S1) | (code == Region.OUTSIDE.code)
+        if done.any():
+            for j in np.flatnonzero(done).tolist():
+                if code[j] < N_S1:
+                    entered[int(lanes[j])] = t
+                else:
+                    outside[int(lanes[j])] = float(rho[j])
+            keep = ~done
+            lanes, rho, psi, kappa, limit, not_left, code = (
+                x[keep] for x in (lanes, rho, psi, kappa, limit, not_left, code))
+            if not lanes.size:
+                break
+        v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
+        rho, psi = batch_error_step(rho, psi, v, omega, kappa, dt)
+        t += dt
+    return entered, left, outside
 
 
 def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
@@ -178,41 +269,35 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
     """Entry into the coordination set from the outer box subsets.
 
     Start headings are kept away from zero so the analytic entry-time bound
-    (lateral gap over the worst-case closing speed) stays finite.
+    (lateral gap over the worst-case closing speed) stays finite.  A start
+    that leaves the universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
     a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
-    failures = 0
-    first = None
-    checked = 0
+    starts = []
     for label, sign in (("S2_4", -1.0), ("S2_2", 1.0)):
         for run in range(n_per_class):
             rho0 = rng.uniform(r1 + 1.0e-6, r2) * -sign
             psi0 = sign * rng.uniform(psi_min_sample, a)
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
             bound = (-sign * r1 - rho0) / (params.v_min * math.sin(psi0))
-            deadline = bound * (1.0 + margin)
-            rho, psi = rho0, psi0
-            entered = None
-            t = 0.0
-            while t <= deadline + dt:
-                err = PathError(rho, psi, 0.0, kappa)
-                if classify(err, params).in_s1:
-                    entered = t
-                    break
-                cmd = hybrid_supervisor(err, params.spacing, params, chi)
-                rho, psi = _error_step(rho, psi, cmd.v, cmd.omega, kappa, dt)
-                t += dt
-            checked += 1
-            # entry is only observed at whole steps: the true entry time lies
-            # in (entered - dt, entered]
-            if entered is None or entered - dt > deadline:
-                failures += 1
-                if first is None:
-                    first = (f"{label} run {run}: start=({rho0:.3f}, {psi0:.4f}) "
-                             f"kappa={kappa:.5f} bound={bound:.2f}s entered={entered}")
-    return SuiteResult("reach_box", failures == 0, checked, failures, first)
+            starts.append((label, run, rho0, psi0, kappa, bound, bound * (1.0 + margin)))
+    rho0s, psi0s, kappas, deadlines = (np.array([st[c] for st in starts], dtype=float)
+                                       for c in (2, 3, 4, 6))
+    entered, _, outside = _run_to_s1(params, chi, rho0s, psi0s, kappas, dt,
+                                     deadlines + dt)
+    for rho in outside:
+        if rho is not None:
+            raise outside_universe(rho, params)
+    failed = {}
+    for i, (label, run, rho0, psi0, kappa, bound, deadline) in enumerate(starts):
+        # entry is only observed at whole steps: the true entry time lies
+        # in (entered - dt, entered]
+        if entered[i] is None or entered[i] - dt > deadline:
+            failed[i] = (f"{label} run {run}: start=({rho0:.3f}, {psi0:.4f}) "
+                         f"kappa={kappa:.5f} bound={bound:.2f}s entered={entered[i]}")
+    return SuiteResult("reach_box", not failed, len(starts), len(failed), _first(failed))
 
 
 def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
@@ -231,9 +316,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
     alpha1 = params.omega_max - params.kappa_bound * params.v_min / (
         1.0 - params.kappa_bound * r2)
     phase_bound = math.pi / alpha1 * (1.0 + margin)
-    failures = 0
-    first = None
-    checked = 0
+    starts = []
     for label, region, which in (("S2_1", Region.S2_1, "S21"), ("S2_3", Region.S2_3, "S23")):
         found = 0
         attempts = 0
@@ -249,38 +332,22 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
             if not comparison_admissible(err0, params, which):
                 continue
             found += 1
-            checked += 1
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
-            rho, psi = rho0, psi0
-            t = 0.0
-            left_subset = None
-            entered_s1 = None
-            try:
-                while t <= settle_horizon:
-                    tag = classify(PathError(rho, psi, 0.0, kappa), params)
-                    if left_subset is None and tag in (Region.S1_1, Region.S1_2, Region.S1_3,
-                                                       Region.S1_4, Region.S1_5, Region.S1_6,
-                                                       Region.S2_2, Region.S2_4):
-                        left_subset = t
-                    if tag.in_s1:
-                        entered_s1 = t
-                        break
-                    cmd = hybrid_supervisor(PathError(rho, psi, 0.0, kappa),
-                                            params.spacing, params, chi)
-                    rho, psi = _error_step(rho, psi, cmd.v, cmd.omega, kappa, dt)
-                    t += dt
-            except OutsideUniverse as exc:
-                failures += 1
-                if first is None:
-                    first = f"{label}: start=({rho0:.3f}, {psi0:.4f}) kappa={kappa:.5f}: {exc}"
-                continue
-            if left_subset is None or left_subset > phase_bound or entered_s1 is None:
-                failures += 1
-                if first is None:
-                    first = (f"{label}: start=({rho0:.3f}, {psi0:.4f}) kappa={kappa:.5f} "
-                             f"left_subset={left_subset} bound={phase_bound:.2f}s "
-                             f"entered_s1={entered_s1}")
-    return SuiteResult("reach_robust", failures == 0, checked, failures, first,
+            starts.append((label, rho0, psi0, kappa))
+    rho0s, psi0s, kappas = (np.array([st[c] for st in starts], dtype=float)
+                            for c in (1, 2, 3))
+    entered, left, outside = _run_to_s1(params, chi, rho0s, psi0s, kappas, dt,
+                                        settle_horizon)
+    failed = {}
+    for i, (label, rho0, psi0, kappa) in enumerate(starts):
+        if outside[i] is not None:
+            failed[i] = (f"{label}: start=({rho0:.3f}, {psi0:.4f}) kappa={kappa:.5f}: "
+                         f"{outside_universe(outside[i], params)}")
+        elif left[i] is None or left[i] > phase_bound or entered[i] is None:
+            failed[i] = (f"{label}: start=({rho0:.3f}, {psi0:.4f}) kappa={kappa:.5f} "
+                         f"left_subset={left[i]} bound={phase_bound:.2f}s "
+                         f"entered_s1={entered[i]}")
+    return SuiteResult("reach_robust", not failed, len(starts), len(failed), _first(failed),
                        info={"phase_bound_s": phase_bound})
 
 
@@ -290,49 +357,71 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
     """Fixed ordering once the whole fleet is inside the coordination set.
 
     Random in-set errors are planted at distinct arc positions on the path;
-    no overtaking event may occur for the rest of the run.
+    no overtaking event may occur for the rest of the run.  The law and the
+    error dynamics of all runs' UAVs advance as one batch; each run keeps
+    its own relation and overtake detection.  A UAV that leaves the
+    universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
-    failures = 0
-    first = None
     n_steps = int(duration / dt)
-    for run in range(n_runs):
+    starts = []
+    for _ in range(n_runs):
         while True:
             arc = np.sort(rng.uniform(0.0, path.total_length, n_uavs))
             gaps = np.diff(np.concatenate([arc, [arc[0] + path.total_length]]))
             if gaps.min() > 1.0:
                 break
-        states = []
         for i in range(n_uavs):
             rho, psi = sample_s1(rng, params, 1)[0]
-            states.append([float(arc[i]), 0.6 * rho, 0.6 * psi])
-        prev = None
-        events = 0
-        for _ in range(n_steps):
-            projections = [(i, st[0], st[1]) for i, st in enumerate(states)]
-            coord = update_pre_neighbors(projections, path, params.spacing)
-            if prev is not None:
-                events += len(detect_overtaking(prev, coord))
-            prev = coord
-            for i, st in enumerate(states):
-                s, rho, psi = st
-                kappa = path.curvature_at(s)
-                cmd = hybrid_supervisor(PathError(rho, psi, s, kappa),
-                                        compute_zeta(coord, i), params, chi)
-                s_dot = cmd.v * math.cos(psi) / (1.0 - kappa * rho)
-                st[1], st[2] = _error_step(rho, psi, cmd.v, cmd.omega, kappa, dt)
-                st[0] = path.wrap_s(s + s_dot * dt)
-        if events:
-            failures += 1
-            if first is None:
-                first = f"run {run}: {events} overtaking event(s)"
-    return SuiteResult("no_overtaking", failures == 0, n_runs, failures, first)
+            starts.append((float(arc[i]), 0.6 * rho, 0.6 * psi))
+    s, rho, psi = np.array(starts, dtype=float).reshape(-1, 3).T
+    runs = list(range(n_runs))          # runs still in the batch, in lane order
+    prev = [None] * n_runs
+    events = [0] * n_runs
+    outside = {}
+    zeta = np.empty(s.size)
+    for _ in range(n_steps):
+        if not runs:
+            break
+        s_l, rho_l = s.tolist(), rho.tolist()
+        for k, run in enumerate(runs):
+            lane0 = k * n_uavs
+            coord = update_pre_neighbors(
+                [(i, s_l[lane0 + i], rho_l[lane0 + i]) for i in range(n_uavs)],
+                path, params.spacing)
+            if prev[run] is not None:
+                events[run] += len(detect_overtaking(prev[run], coord))
+            prev[run] = coord
+            for i in range(n_uavs):
+                zeta[lane0 + i] = compute_zeta(coord, i)
+        kappa = np.array([path.curvature_at(x) for x in s_l])
+        code = batch_classify(rho, psi, params)
+        out = code == Region.OUTSIDE.code
+        if out.any():
+            # the run stops at its first UAV outside the universe
+            for j in np.flatnonzero(out).tolist():
+                outside.setdefault(runs[j // n_uavs], rho_l[j])
+            keep = ~out.reshape(-1, n_uavs).any(axis=1)
+            runs = [run for run, kept in zip(runs, keep.tolist()) if kept]
+            lane_keep = np.repeat(keep, n_uavs)
+            s, rho, psi, kappa, code = (x[lane_keep] for x in (s, rho, psi, kappa, code))
+            zeta = zeta[lane_keep]
+            if not runs:
+                break
+        v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
+        s_dot = v * np.cos(psi) / (1.0 - kappa * rho)
+        rho, psi = batch_error_step(rho, psi, v, omega, kappa, dt)
+        s = path.wrap_s(s + s_dot * dt)
+    if outside:
+        raise outside_universe(outside[min(outside)], params)
+    failed = {run: f"run {run}: {events[run]} overtaking event(s)"
+              for run in range(n_runs) if events[run]}
+    return SuiteResult("no_overtaking", not failed, n_runs, len(failed), _first(failed))
 
 
 def run_suites(params: CoordParams, path, names: list[str] | None = None,
-               seed: int = 0, threads: int = 1,
-               sizes: dict | None = None) -> list[SuiteResult]:
+               seed: int = 0, sizes: dict | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default); results ordered by name."""
     wanted = sorted(set(names) if names else SUITE_NAMES)
     unknown = [n for n in wanted if n not in SUITE_NAMES]
@@ -340,25 +429,10 @@ def run_suites(params: CoordParams, path, names: list[str] | None = None,
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"available: {', '.join(SUITE_NAMES)}")
     sizes = sizes or {}
-
-    def make(name):
-        if name == "invariance":
-            return lambda: suite_invariance(params, sizes.get("invariance", 200), seed=seed)
-        if name == "reset_bound":
-            return lambda: suite_reset_bound(params, sizes.get("reset_bound", 100_000), seed=seed)
-        if name == "switch_drive":
-            return lambda: suite_switch_drive(params, sizes.get("switch_drive", 100_000), seed=seed)
-        if name == "reach_box":
-            return lambda: suite_reach_box(params, sizes.get("reach_box", 200), seed=seed)
-        if name == "reach_robust":
-            return lambda: suite_reach_robust(params, sizes.get("reach_robust", 200), seed=seed)
-        return lambda: suite_no_overtaking(params, path, sizes.get("no_overtaking", 20), seed=seed)
-
-    jobs = [(name, make(name)) for name in wanted]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: j[1](), jobs))
-    else:
-        results = [job() for _, job in jobs]
-    return sorted(results, key=lambda r: r.name)
+    results = []
+    for name in wanted:
+        args = (params, path) if name == "no_overtaking" else (params,)
+        if name in sizes:
+            args += (sizes[name],)
+        results.append(globals()[f"suite_{name}"](*args, seed=seed))
+    return results

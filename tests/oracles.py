@@ -89,3 +89,21 @@ def integrate_unicycle(x, y, theta, v, omega, dt, n_steps):
             y -= v / omega * (math.cos(theta + omega * dt) - math.cos(theta))
             theta += omega * dt
     return x, y, theta
+
+
+def error_step(rho, psi, v, omega, kappa, dt):
+    """One scalar RK4 step of the path-error equations, heading wrapped to [-pi, pi)."""
+    rho, psi = integrate_error_dynamics(rho, psi, v, omega, kappa, dt, 1)
+    return rho, (psi + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def sample_s1_one_at_a_time(rng, params, n):
+    """Rejection samples of the coordination set, one (rho, psi) attempt at a time."""
+    a, r1 = params.psi_max, params.rho_max
+    out = []
+    while len(out) < n:
+        rho = rng.uniform(-r1, r1)
+        psi = rng.uniform(-a, a)
+        if abs(a * rho + r1 * psi) <= a * r1:
+            out.append((rho, psi))
+    return out

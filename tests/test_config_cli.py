@@ -167,13 +167,16 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert "UAV 1" in capsys.readouterr().err
 
     def test_seed_and_threads_only_on_verify(self):
+        # --seed parses only on verify; --threads (a pool that gained nothing
+        # under the GIL) is gone from every command
         parser = build_parser()
-        args = parser.parse_args(["verify", "--seed", "5", "--threads", "2"])
-        assert (args.seed, args.threads) == (5, 2)
+        assert parser.parse_args(["verify", "--seed", "5"]).seed == 5
         for command in ("simulate", "design-params", "demo-escape"):
-            for flag in ("--seed", "--threads"):
-                with pytest.raises(SystemExit):
-                    parser.parse_args([command, flag, "1"])
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--seed", "1"])
+        for command in ("verify", "simulate", "design-params", "demo-escape"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--threads", "1"])
 
     def test_missing_config_flag(self, capsys, monkeypatch):
         monkeypatch.delenv("CPFSIM_CONFIG", raising=False)
