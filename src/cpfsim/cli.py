@@ -18,7 +18,7 @@ from pathlib import Path as FsPath
 
 from . import config as cfgmod
 from .exceptions import ConfigError, CpfsimError, Infeasible, OutsideUniverse
-from .param_design import check_feasibility_precondition, coordination_rate_bound
+from .param_design import coordination_rate_bound
 from .simulator import escape_demo, run_scenario
 from .verification import run_suites
 
@@ -91,16 +91,8 @@ def _out_dir(args, cfg) -> FsPath:
 
 def cmd_design_params(args) -> int:
     cfg = _load(args)
-    limits = cfgmod.build_limits(cfg)
-    block = cfg.get("params", {}).get("design")
-    if block is None:
+    if cfg.get("params", {}).get("design") is None:
         raise ConfigError("design-params needs a params.design section")
-    speed_margin = float(block.get("speed_margin", 1.0))
-    alpha = float(block.get("alpha", 0.01))
-    if not check_feasibility_precondition(limits, speed_margin):
-        if limits.kappa_bound > limits.omega_max / limits.v_max:
-            raise Infeasible("curvature bound exceeds omega_max/v_max")
-        raise Infeasible("v_min + speed_margin exceeds v_max")
     params = cfgmod.resolve_params(cfg)
 
     rows = [("psi_max (rad)", params.psi_max),

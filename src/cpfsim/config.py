@@ -84,7 +84,7 @@ def build_limits(cfg: dict) -> SpeedLimits:
 
 _PARAM_FIELDS = {"psi_max", "rho_max", "v_coord", "rho_universe", "alpha",
                  "speed_margin", "k1", "k2", "k3", "eps_switch", "chi_blend",
-                 "chi_delta1", "chi_delta2", "sign_eps"}
+                 "chi_delta1", "sign_eps"}
 _DESIGN_KEYS = {"speed_margin", "alpha"} | (_PARAM_FIELDS - {"psi_max", "rho_max", "v_coord"})
 
 

@@ -80,8 +80,8 @@ class CoordinationChi(ChiFunction):
     def __init__(self, params: CoordParams):
         if params.spacing <= 0.0:
             raise ValueError("coordination chi needs a positive desired spacing")
-        if not 0.0 < params.chi_delta2 <= params.chi_delta1 < params.spacing:
-            raise ValueError("need 0 < chi_delta2 <= chi_delta1 < spacing")
+        if not 0.0 < params.chi_delta1 < params.spacing:
+            raise ValueError("need 0 < chi_delta1 < spacing")
         self.spacing = params.spacing
         self.delta1 = params.chi_delta1
         self.floor = params.v_min_ref

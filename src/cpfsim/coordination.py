@@ -31,7 +31,6 @@ class OvertakeEvent:
 class CoordinationState:
     """Snapshot of the relation: single writer per step, frozen between steps."""
 
-    topology: str  # "cyclic" | "tree"
     spacing: float
     path_closed: bool
     path_length: float
@@ -49,7 +48,7 @@ def update_pre_neighbors(projections: list[tuple[int, float, float]], path: Path
     in that order (wrapping on closed paths).  The head of an open-path
     chain, and every ineligible UAV, has none.
     """
-    state = CoordinationState("cyclic", spacing, path.closed, path.total_length)
+    state = CoordinationState(spacing, path.closed, path.total_length)
     r0 = path.r0
     eligible = []
     for uav_id, s_proj, rho in projections:
@@ -80,7 +79,7 @@ def chain_coordination(projections: list[tuple[int, float, float]],
     edge; arc positions are comparable across paths because the paths are
     translates of each other.
     """
-    state = CoordinationState("tree", spacing, path.closed, path.total_length)
+    state = CoordinationState(spacing, path.closed, path.total_length)
     r0 = path.r0
     for uav_id, s_proj, rho in projections:
         state.arc_pos[uav_id] = s_proj

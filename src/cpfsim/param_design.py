@@ -62,7 +62,6 @@ class CoordParams:
     eps_switch: float = 0.05
     chi_blend: float = 0.05
     chi_delta1: float = 6.0
-    chi_delta2: float = 6.0
     spacing: float = 0.0
     sign_eps: float = 1.0e-3
 
@@ -133,14 +132,22 @@ class CoordParams:
         if self.contraction >= 1.0:
             raise ValueError("contraction factor must be < 1")
         if self.spacing > 0.0:
-            if not 0.0 < self.chi_delta2 <= self.chi_delta1 < self.spacing:
-                raise ValueError("need 0 < chi_delta2 <= chi_delta1 < spacing")
+            if not 0.0 < self.chi_delta1 < self.spacing:
+                raise ValueError("need 0 < chi_delta1 < spacing")
+
+
+def _failed_precondition(limits: SpeedLimits, speed_margin: float) -> str | None:
+    """The first inequality of the existence condition that fails, or None."""
+    if limits.kappa_bound > limits.omega_max / limits.v_max:
+        return "curvature bound exceeds omega_max/v_max"
+    if limits.v_min + speed_margin > limits.v_max:
+        return "v_min + speed_margin exceeds v_max"
+    return None
 
 
 def check_feasibility_precondition(limits: SpeedLimits, speed_margin: float) -> bool:
     """Sufficient existence condition for the set design problem."""
-    return (limits.kappa_bound <= limits.omega_max / limits.v_max
-            and limits.v_min + speed_margin <= limits.v_max)
+    return _failed_precondition(limits, speed_margin) is None
 
 
 def _v_coord_window(a, r1, limits: SpeedLimits, speed_margin, alpha):
@@ -185,10 +192,9 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
     limits.validate()
     if speed_margin <= 0.0:
         raise ValueError("speed_margin must be positive")
-    if not check_feasibility_precondition(limits, speed_margin):
-        raise Infeasible(
-            "feasibility precondition fails: need kappa_bound <= omega_max/v_max "
-            "and v_min + speed_margin <= v_max")
+    failed = _failed_precondition(limits, speed_margin)
+    if failed is not None:
+        raise Infeasible(f"feasibility precondition fails: {failed}")
 
     r0 = 1.0 / limits.kappa_bound
     a_lo, a_hi = 1.0e-4, math.pi / 2.0 - 1.0e-6

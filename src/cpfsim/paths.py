@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline, PPoly
+from scipy.interpolate import PPoly
 
 from .exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
 
@@ -90,12 +90,6 @@ class Path:
 
     def wrap_s(self, s: float) -> float:
         return s % self.total_length if self.closed else s
-
-    def _projection_at(self, s: float, px: float, py: float) -> Projection:
-        x, y = self.point_at(s)
-        ta = self.tangent_angle_at(s)
-        rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
-        return Projection(s, x, y, ta, self.curvature_at(s), rho)
 
 
 class CirclePath(Path):
@@ -231,14 +225,13 @@ class SplinePath(Path):
         _, self._cy = self._power_coefficients(knots, pts[:, 1])
 
         self._build_lut(lut_step)
-        self._check_shape(BSpline(knots, pts[:, 0], k), BSpline(knots, pts[:, 1], k))
+        self._check_shape()
 
-        x0, y0 = self._eval(0.0, 0)
-        dx0, dy0 = self._eval(0.0, 1)
+        ends = np.array([0.0, self._u_end])
+        (x0, x1), (y0, y1) = (v.tolist() for v in self._eval_vec(ends, 0))
+        (dx0, dx1), (dy0, dy1) = (v.tolist() for v in self._eval_vec(ends, 1))
         n0 = math.hypot(dx0, dy0)
         self._head = (x0, y0, dx0 / n0, dy0 / n0)
-        x1, y1 = self._eval(self._u_end, 0)
-        dx1, dy1 = self._eval(self._u_end, 1)
         n1 = math.hypot(dx1, dy1)
         self._tail = (x1, y1, dx1 / n1, dy1 / n1)
 
@@ -264,28 +257,29 @@ class SplinePath(Path):
         s_grid = np.arange(0.0, self.total_length + lut_step, lut_step)
         u_of_s = np.interp(s_grid, s, u)
         u_of_s[-1] = self._u_end
-        self._u_of_s = [float(v) for v in u_of_s]
+        self._u_of_s = u_of_s.tolist()
 
-    def _check_shape(self, splx, sply):
+    def _check_shape(self):
         n = max(4000, int(self.total_length / 0.1) + 1)
         u = np.linspace(0.0, self._u_end, n)
-        dx, dy = splx(u, 1), sply(u, 1)
-        ddx, ddy = splx(u, 2), sply(u, 2)
+        dx, dy = self._eval_vec(u, 1)
+        ddx, ddy = self._eval_vec(u, 2)
         speed = np.hypot(dx, dy)
         kappa_max = float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
         if kappa_max >= self.kappa_bound:
             raise CurvatureBoundExceeded(
                 f"spline curvature {kappa_max:g} >= bound {self.kappa_bound:g}")
 
-    def _eval(self, u, deriv):
-        i = bisect.bisect_right(self._breaks, u) - 1
-        if i < 0:
-            i = 0
-        elif i >= len(self._cx):
-            i = len(self._cx) - 1
-        du = u - self._breaks[i]
-        c0, c1, c2, c3 = self._cx[i]
-        d0, d1, d2, d3 = self._cy[i]
+    def _eval_vec(self, u, deriv):
+        """Derivative ``deriv`` (0, 1 or 2) of x and y at an array of spline parameters.
+
+        Returns ``(x, y)`` arrays.  The expressions are ``_frame``'s, so both
+        evaluators give the same floats at the same u.
+        """
+        idx = np.clip(np.searchsorted(self._breaks, u, side="right") - 1, 0, len(self._cx) - 1)
+        du = u - np.asarray(self._breaks)[idx]
+        c0, c1, c2, c3 = np.asarray(self._cx)[idx].T
+        d0, d1, d2, d3 = np.asarray(self._cy)[idx].T
         if deriv == 0:
             return (((c0 * du + c1) * du + c2) * du + c3,
                     ((d0 * du + d1) * du + d2) * du + d3)
@@ -293,16 +287,6 @@ class SplinePath(Path):
             return ((3.0 * c0 * du + 2.0 * c1) * du + c2,
                     (3.0 * d0 * du + 2.0 * d1) * du + d2)
         return (6.0 * c0 * du + 2.0 * c1, 6.0 * d0 * du + 2.0 * d1)
-
-    def _eval_vec(self, u, deriv):
-        idx = np.clip(np.searchsorted(self._breaks, u, side="right") - 1, 0, len(self._cx) - 1)
-        du = u - np.asarray(self._breaks)[idx]
-        cx = np.asarray(self._cx)[idx]
-        cy = np.asarray(self._cy)[idx]
-        if deriv == 1:
-            return ((3.0 * cx[:, 0] * du + 2.0 * cx[:, 1]) * du + cx[:, 2],
-                    (3.0 * cy[:, 0] * du + 2.0 * cy[:, 1]) * du + cy[:, 2])
-        raise ValueError("vectorized eval only used for first derivatives")
 
     def _u_at(self, s):
         # Uniform LUT: direct index + linear interpolation.
@@ -323,33 +307,26 @@ class SplinePath(Path):
             x, y, ux, uy = self._tail
             ds = s - self.total_length
             return (x + ds * ux, y + ds * uy)
-        return self._eval(self._u_at(s), 0)
+        x, y, _, _ = self._frame(s)
+        return (x, y)
 
     def tangent_angle_at(self, s):
         if s < 0.0:
             return math.atan2(self._head[3], self._head[2])
         if s > self.total_length:
             return math.atan2(self._tail[3], self._tail[2])
-        dx, dy = self._eval(self._u_at(s), 1)
-        return math.atan2(dy, dx)
+        return self._frame(s)[2]
 
     def curvature_at(self, s):
         if s < 0.0 or s > self.total_length:
             return 0.0
-        u = self._u_at(s)
-        dx, dy = self._eval(u, 1)
-        ddx, ddy = self._eval(u, 2)
-        sp2 = dx * dx + dy * dy
-        if sp2 < 1.0e-18:
-            raise DegenerateSpline(f"vanishing spline derivative at s={s:g}")
-        return (dx * ddy - dy * ddx) / sp2 ** 1.5
+        return self._frame(s)[3]
 
     def _frame(self, s):
         """(x, y, tangent_angle, curvature) at an in-range s from one segment lookup.
 
-        Bit-identical to ``point_at``, ``tangent_angle_at`` and
-        ``curvature_at`` for 0 <= s <= total_length: the same expressions
-        on the same ``du``.
+        The only scalar evaluator: ``point_at``, ``tangent_angle_at`` and
+        ``curvature_at`` return its parts for 0 <= s <= total_length.
         """
         u = self._u_at(s)
         i = bisect.bisect_right(self._breaks, u) - 1
@@ -434,12 +411,7 @@ class SplinePath(Path):
         s_grid = np.linspace(0.0, self.total_length, n)
         u_lut = np.asarray(self._u_of_s)
         u = np.interp(s_grid, np.arange(len(u_lut)) * self._lut_step, u_lut)
-        idx = np.clip(np.searchsorted(self._breaks, u, side="right") - 1, 0, len(self._cx) - 1)
-        du = u - np.asarray(self._breaks)[idx]
-        cx = np.asarray(self._cx)[idx]
-        cy = np.asarray(self._cy)[idx]
-        x = ((cx[:, 0] * du + cx[:, 1]) * du + cx[:, 2]) * du + cx[:, 3]
-        y = ((cy[:, 0] * du + cy[:, 1]) * du + cy[:, 2]) * du + cy[:, 3]
+        x, y = self._eval_vec(u, 0)
         d2 = (x - px) ** 2 + (y - py) ** 2
         best = int(np.argmin(d2))
         lo = max(0.0, s_grid[best] - stride)

@@ -36,7 +36,7 @@ def params(limits):
         v_min=limits.v_min, v_max=limits.v_max, omega_max=limits.omega_max,
         kappa_bound=limits.kappa_bound, alpha=0.01, speed_margin=1.0,
         k1=1.0, k2=RHO_MAX / PSI_MAX + 1.0, k3=1.0, eps_switch=0.05,
-        chi_blend=CHI_BLEND, chi_delta1=6.0, chi_delta2=6.0,
+        chi_blend=CHI_BLEND, chi_delta1=6.0,
         spacing=SPACING, sign_eps=1.0e-3)
     p.validate()
     return p

@@ -4,9 +4,14 @@ These deliberately re-derive results by brute force (grids, dense scans,
 fine integration) without calling the code paths under test.
 """
 
+import bisect
 import math
 
 import numpy as np
+from scipy.interpolate import BSpline
+
+from cpfsim.exceptions import DegenerateSpline
+from cpfsim.paths import Projection
 
 
 def grid_design_oracle(limits, speed_margin, alpha,
@@ -107,3 +112,98 @@ def sample_s1_one_at_a_time(rng, params, n):
         if abs(a * rho + r1 * psi) <= a * r1:
             out.append((rho, psi))
     return out
+
+
+# -- SplinePath pre-change reference ------------------------------------------
+# The scalar evaluator and single queries SplinePath had before ``_frame``
+# became its only scalar evaluator, kept verbatim (``self`` -> ``path``) so
+# the evaluators can be held to them with ``==``.
+
+def spline_eval(path, u, deriv):
+    i = bisect.bisect_right(path._breaks, u) - 1
+    if i < 0:
+        i = 0
+    elif i >= len(path._cx):
+        i = len(path._cx) - 1
+    du = u - path._breaks[i]
+    c0, c1, c2, c3 = path._cx[i]
+    d0, d1, d2, d3 = path._cy[i]
+    if deriv == 0:
+        return (((c0 * du + c1) * du + c2) * du + c3,
+                ((d0 * du + d1) * du + d2) * du + d3)
+    if deriv == 1:
+        return ((3.0 * c0 * du + 2.0 * c1) * du + c2,
+                (3.0 * d0 * du + 2.0 * d1) * du + d2)
+    return (6.0 * c0 * du + 2.0 * c1, 6.0 * d0 * du + 2.0 * d1)
+
+
+def spline_ends(path):
+    """``(head, tail)``: end point and unit end tangent, as the constructor built them."""
+    x0, y0 = spline_eval(path, 0.0, 0)
+    dx0, dy0 = spline_eval(path, 0.0, 1)
+    n0 = math.hypot(dx0, dy0)
+    head = (x0, y0, dx0 / n0, dy0 / n0)
+    x1, y1 = spline_eval(path, path._u_end, 0)
+    dx1, dy1 = spline_eval(path, path._u_end, 1)
+    n1 = math.hypot(dx1, dy1)
+    return head, (x1, y1, dx1 / n1, dy1 / n1)
+
+
+def spline_point_at(path, s):
+    if s < 0.0:
+        x, y, ux, uy = path._head
+        return (x + s * ux, y + s * uy)
+    if s > path.total_length:
+        x, y, ux, uy = path._tail
+        ds = s - path.total_length
+        return (x + ds * ux, y + ds * uy)
+    return spline_eval(path, path._u_at(s), 0)
+
+
+def spline_tangent_angle_at(path, s):
+    if s < 0.0:
+        return math.atan2(path._head[3], path._head[2])
+    if s > path.total_length:
+        return math.atan2(path._tail[3], path._tail[2])
+    dx, dy = spline_eval(path, path._u_at(s), 1)
+    return math.atan2(dy, dx)
+
+
+def spline_curvature_at(path, s):
+    if s < 0.0 or s > path.total_length:
+        return 0.0
+    u = path._u_at(s)
+    dx, dy = spline_eval(path, u, 1)
+    ddx, ddy = spline_eval(path, u, 2)
+    sp2 = dx * dx + dy * dy
+    if sp2 < 1.0e-18:
+        raise DegenerateSpline(f"vanishing spline derivative at s={s:g}")
+    return (dx * ddy - dy * ddx) / sp2 ** 1.5
+
+
+def spline_projection_at(path, s, px, py):
+    """The generic projection composed from the three reference single queries."""
+    x, y = spline_point_at(path, s)
+    ta = spline_tangent_angle_at(path, s)
+    rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
+    return Projection(s, x, y, ta, spline_curvature_at(path, s), rho)
+
+
+def bspline_kappa_max(waypoints, total_length):
+    """Largest |curvature| on SplinePath's shape-check grid, by scipy's BSpline.
+
+    Rebuilds the clamped cubic with chord-length knots from the waypoints and
+    evaluates its derivatives by de Boor's algorithm, not power coefficients.
+    """
+    k = 3
+    pts = np.asarray(waypoints, dtype=float)
+    chord = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    interior = np.array([chord[j + 1:j + k + 1].mean() for j in range(len(pts) - k - 1)])
+    knots = np.concatenate([[chord[0]] * (k + 1), interior, [chord[-1]] * (k + 1)])
+    splx, sply = BSpline(knots, pts[:, 0], k), BSpline(knots, pts[:, 1], k)
+    n = max(4000, int(total_length / 0.1) + 1)
+    u = np.linspace(0.0, float(chord[-1]), n)
+    dx, dy = splx(u, 1), sply(u, 1)
+    ddx, ddy = splx(u, 2), sply(u, 2)
+    speed = np.hypot(dx, dy)
+    return float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())

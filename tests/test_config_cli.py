@@ -49,6 +49,11 @@ class TestSchema:
         with pytest.raises(ConfigError, match="unknown key"):
             build_scenario(load_config(write_config(tmp_path, text)))
 
+    def test_chi_delta2_rejected(self, tmp_path):
+        text = MINIMAL.replace("v_coord: 25.0}", "v_coord: 25.0, chi_delta2: 6.0}")
+        with pytest.raises(ConfigError, match=r"params.explicit: unknown key\(s\) \['chi_delta2'\]"):
+            build_scenario(load_config(write_config(tmp_path, text)))
+
     def test_missing_required(self, tmp_path):
         text = MINIMAL.replace("psi_max: 0.6303, ", "")
         with pytest.raises(ConfigError, match="psi_max"):

@@ -52,7 +52,7 @@ class TestChi:
         vals = np.array([chi(float(z)) for z in zs])
         assert (np.diff(vals) >= -1e-12).all()
         assert np.abs(np.diff(vals)).max() < 1.0  # no jumps
-        lo, hi = SPACING - params.chi_delta2, SPACING + params.chi_delta2
+        lo, hi = SPACING - params.chi_delta1, SPACING + params.chi_delta1
         inside = vals[(zs >= lo) & (zs <= hi)]
         assert (np.diff(inside) > 0.0).all()
 

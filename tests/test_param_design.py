@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import pytest
@@ -86,6 +87,14 @@ class TestDesign:
         with pytest.raises(Infeasible):
             design_coordination_set(SpeedLimits(10.0, 25.0, 0.2, 0.01),
                                     speed_margin=1.0, alpha=0.01, spacing=SPACING)
+
+    @pytest.mark.parametrize("limits, speed_margin, failed", [
+        (SpeedLimits(10.0, 25.0, 0.2, 0.01), 1.0, "curvature bound exceeds omega_max/v_max"),
+        (SpeedLimits(10.0, 25.0, 0.2, 0.002), 20.0, "v_min + speed_margin exceeds v_max"),
+    ], ids=["curvature", "speed"])
+    def test_infeasible_names_failing_inequality(self, limits, speed_margin, failed):
+        with pytest.raises(Infeasible, match=re.escape(failed)):
+            design_coordination_set(limits, speed_margin=speed_margin, alpha=0.01)
 
     def test_rejects_nonpositive_margin(self, limits):
         with pytest.raises(ValueError):

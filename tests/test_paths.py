@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
-from cpfsim.paths import (CirclePath, LinePath, Path, SplinePath,
-                          waypoints_from_lonlat, wrap_angle)
+from cpfsim.paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat, wrap_angle
 
 from conftest import HIL_LONLAT, HIL_WAYPOINTS
-from oracles import brute_force_projection
+from oracles import (brute_force_projection, bspline_kappa_max, spline_curvature_at,
+                     spline_ends, spline_eval, spline_point_at, spline_projection_at,
+                     spline_tangent_angle_at)
+
+VALLEY_WAYPOINTS = [(0.0, 2000.0), (1000.0, 600.0), (2000.0, 0.0),
+                    (3000.0, 600.0), (4000.0, 2000.0)]
 
 
 def test_wrap_angle_half_open():
@@ -159,29 +165,64 @@ class TestSpline:
                 assert abs(ex * tx + ey * ty) <= 1e-9 * norm
 
     def test_ambiguous_far_point_on_symmetry_axis(self):
-        valley = SplinePath([(0.0, 2000.0), (1000.0, 600.0), (2000.0, 0.0),
-                             (3000.0, 600.0), (4000.0, 2000.0)], kappa_bound=0.002)
+        valley = SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
         with pytest.raises(ProjectionAmbiguous):
             valley.project((2000.0, 2500.0))
         # off-axis points stay unique
         assert valley.project((2100.0, 2500.0)).rho != 0.0
 
-    def test_frame_matches_single_queries_exactly(self, hil_spline):
+    def test_evaluators_match_reference_exactly(self, hil_spline):
         length = hil_spline.total_length
         grid = [0.0, length, -0.0, float(np.nextafter(length, 0.0))]
         grid += [float(v) for v in np.linspace(0.0, length, 20_001)]
         grid += [float(v) for v in np.random.default_rng(3).uniform(0.0, length, 5_000)]
         for s in grid:
-            assert hil_spline._frame(s) == (*hil_spline.point_at(s),
-                                            hil_spline.tangent_angle_at(s),
-                                            hil_spline.curvature_at(s)), s
+            x, y = spline_point_at(hil_spline, s)
+            ta = spline_tangent_angle_at(hil_spline, s)
+            kappa = spline_curvature_at(hil_spline, s)
+            assert hil_spline._frame(s) == (x, y, ta, kappa), s
+            assert hil_spline.point_at(s) == (x, y), s
+            assert hil_spline.tangent_angle_at(s) == ta, s
+            assert hil_spline.curvature_at(s) == kappa, s
+        u = np.array([hil_spline._u_at(s) for s in grid])
+        for deriv in (0, 1, 2):
+            ref = np.array([spline_eval(hil_spline, v, deriv) for v in u.tolist()]).T
+            assert np.array_equal(np.array(hil_spline._eval_vec(u, deriv)), ref), deriv
+        assert (hil_spline._head, hil_spline._tail) == spline_ends(hil_spline)
+        ends = hil_spline._head + hil_spline._tail
+        assert all(type(v) is float for v in ends + tuple(hil_spline._u_of_s))
 
-    def test_spline_projection_at_matches_generic(self, hil_spline):
+    def test_spline_projection_at_matches_reference(self, hil_spline):
         rng = np.random.default_rng(19)
         for s in rng.uniform(0.0, hil_spline.total_length, 2_000):
             px, py = rng.uniform(-500.0, 12500.0), rng.uniform(-2500.0, 2500.0)
             assert hil_spline._projection_at(float(s), px, py) == \
-                Path._projection_at(hil_spline, float(s), px, py)
+                spline_projection_at(hil_spline, float(s), px, py)
+
+    @pytest.mark.parametrize("waypoints", [HIL_WAYPOINTS, VALLEY_WAYPOINTS],
+                             ids=["hil", "valley"])
+    def test_curvature_gate_decides_as_bspline(self, waypoints):
+        length = SplinePath(waypoints, kappa_bound=1.0).total_length
+        kappa_max = bspline_kappa_max(waypoints, length)
+        SplinePath(waypoints, kappa_bound=kappa_max + 1e-9)
+        with pytest.raises(CurvatureBoundExceeded):
+            SplinePath(waypoints, kappa_bound=kappa_max - 1e-9)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(frac=st.floats(0.0, 1.0),
+           rho_frac=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+           offset=st.floats(-5.0, 5.0))
+    def test_warm_start_agrees_with_global_projection(self, hil_spline, frac, rho_frac, offset):
+        # a point |rho| < r0/2 off the path at s, warm-started a few meters away
+        s = frac * hil_spline.total_length
+        rho = rho_frac * hil_spline.r0
+        x, y = hil_spline.point_at(s)
+        ta = hil_spline.tangent_angle_at(s)
+        p = (x - rho * math.sin(ta), y + rho * math.cos(ta))
+        warm = hil_spline.project(p, hint_s=s + offset)
+        cold = hil_spline._global_project(*p)
+        assert abs(warm.s - cold.s) <= 1e-6
+        assert abs(warm.rho - cold.rho) <= 1e-6
 
     def test_extrapolation_beyond_ends(self, hil_spline):
         x0, y0 = hil_spline.point_at(0.0)
