@@ -54,6 +54,14 @@ def _pair(v, where: str) -> tuple[float, float]:
     return float(v[0]), float(v[1])
 
 
+def _grid(d: dict, key: str, where: str, default: tuple[int, int]) -> tuple[int, int]:
+    v = d.get(key, default)
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in v)):
+        raise ConfigError(f"{where}.{key}: expected [n, m] positive integers, got {v!r}")
+    return v[0], v[1]
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -102,7 +110,7 @@ def resolve_params(cfg: dict) -> CoordParams:
     if "design" in block:
         d = block["design"] or {}
         _check_keys(d, _DESIGN_KEYS, "params.design")
-        kwargs = {k: float(d[k]) for k in d if k not in ("speed_margin", "alpha")}
+        kwargs = {k: _num(d, k, "params.design") for k in d if k not in ("speed_margin", "alpha")}
         if _num(d, "speed_margin", "params.design", default=1.0) <= 0.0:
             raise ConfigError("params.design.speed_margin must be > 0")
         return design_coordination_set(
@@ -116,7 +124,7 @@ def resolve_params(cfg: dict) -> CoordParams:
     for key in ("psi_max", "rho_max", "v_coord"):
         if key not in e:
             raise ConfigError(f"params.explicit: missing required key '{key}'")
-    fields = {k: float(v) for k, v in e.items()}
+    fields = {k: _num(e, k, "params.explicit") for k in e}
     r0 = 1.0 / limits.kappa_bound
     fields.setdefault("rho_universe", 0.9 * (r0 - limits.v_min / limits.omega_max))
     fields.setdefault("k2", fields["rho_max"] / fields["psi_max"] + 1.0)
@@ -239,13 +247,11 @@ def output_spec(cfg: dict) -> dict:
 def escape_spec(cfg: dict) -> dict:
     block = cfg.get("escape", {})
     _check_keys(block, {"eps0", "kappa", "state_grid", "control_grid", "dt"}, "escape")
-    grid = block.get("state_grid", [20, 20])
-    ctrl = block.get("control_grid", [21, 21])
     return {
         "eps0": _num(block, "eps0", "escape", default=None),
         "kappa": _num(block, "kappa", "escape", default=0.0),
-        "state_grid": (int(grid[0]), int(grid[1])),
-        "control_grid": (int(ctrl[0]), int(ctrl[1])),
+        "state_grid": _grid(block, "state_grid", "escape", (20, 20)),
+        "control_grid": _grid(block, "control_grid", "escape", (21, 21)),
         "dt": _num(block, "dt", "escape", default=0.01),
     }
 

@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from .exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
 
 TWO_PI = 2.0 * math.pi
+
+# Spline parameters per _eval_vec call when SplinePath samples its dense
+# build grids (about 340k points for a 17 km path); bounds the temporaries.
+_BUILD_BLOCK = 16384
 
 # Mean Earth radius for the equirectangular lon/lat conversion (m).
 EARTH_RADIUS = 6371008.8
@@ -237,35 +241,99 @@ class SplinePath(Path):
 
     @staticmethod
     def _power_coefficients(knots, coeffs):
-        pp = PPoly.from_spline((knots, coeffs, SplinePath._DEGREE))
-        keep = np.nonzero(np.diff(pp.x) > 0.0)[0]
-        breaks = [float(v) for v in pp.x[keep]]
-        cols = [tuple(float(c) for c in pp.c[:, i]) for i in keep]
+        """Break points and power-basis columns of one spline coordinate.
+
+        One break per knot span of positive length; its column holds
+        ``(f'''/6, f''/2, f', f)`` at the break.  The derivatives are
+        FITPACK's: ``splder``'s recurrence for the B-spline coefficients of
+        each derivative, evaluated by ``fpbspl``'s de Boor-Cox recursion, with
+        their floating-point operations in their order.  So the floats equal
+        those of scipy's ``PPoly.from_spline``.
+        """
+        k = SplinePath._DEGREE
+        t = knots.tolist()
+        n_coef = len(t) - k - 1
+        # der[m]: coefficients of the m-th derivative, a spline of degree
+        # k - m; splder updates in place and skips empty supports.
+        w = coeffs.tolist()[:n_coef]
+        der = [list(w)]
+        for m in range(1, k + 1):
+            kk = k - m + 1
+            for i in range(n_coef - m):
+                fac = t[i + m + kk] - t[i + m]
+                if not fac <= 0.0:
+                    w[i] = kk * (w[i + 1] - w[i]) / fac
+            der.append(list(w))
+        breaks, cols = [], []
+        for l in range(k, n_coef):
+            if not t[l + 1] - t[l] > 0.0:
+                continue
+            # splder returns the piecewise-constant k-th derivative as is
+            col = [der[k][l - k] / math.factorial(k)]
+            for m in range(k - 1, -1, -1):
+                h = SplinePath._fpbspl(t, k - m, l)
+                v = 0.0
+                for j, hj in enumerate(h):
+                    v = v + der[m][l - k + j] * hj
+                col.append(v / math.factorial(m))
+            breaks.append(t[l])
+            cols.append(tuple(col))
         return breaks, cols
+
+    @staticmethod
+    def _fpbspl(t, k, l):
+        """The k + 1 degree-k B-splines that are nonzero on span l, at its left end t[l]."""
+        x = t[l]
+        h = [1.0] + [0.0] * k
+        for j in range(1, k + 1):
+            hh = h[:j]
+            h[0] = 0.0
+            for i in range(j):
+                li = l + i + 1
+                lj = li - j
+                if t[li] == t[lj]:
+                    h[i + 1] = 0.0
+                    continue
+                f = hh[i] / (t[li] - t[lj])
+                h[i] = h[i] + f * (t[li] - x)
+                h[i + 1] = f * (x - t[lj])
+        return h
 
     def _build_lut(self, lut_step):
         # Fine trapezoid integration of spline speed, then a uniform s -> u table.
+        # The speed is sampled in blocks; neighbouring blocks share one point.
+        # np.minimum keeps a NaN, as one min over the whole grid does.
         n_fine = max(2000, int(self._u_end / 0.05) + 1)
         u = np.linspace(0.0, self._u_end, n_fine)
-        dx, dy = self._eval_vec(u, 1)
-        speed = np.hypot(dx, dy)
-        if speed.min() < 1.0e-9:
+        s = np.empty(n_fine)
+        s[0] = 0.0
+        slowest = np.inf
+        for a in range(0, n_fine - 1, _BUILD_BLOCK):
+            ub = u[a:a + _BUILD_BLOCK + 1]
+            speed = np.hypot(*self._eval_vec(ub, 1))
+            slowest = np.minimum(slowest, speed.min())
+            s[a + 1:a + len(ub)] = 0.5 * (speed[1:] + speed[:-1]) * np.diff(ub)
+        if slowest < 1.0e-9:
             raise DegenerateSpline("spline speed vanishes")
-        s = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(u))])
+        np.cumsum(s, out=s)
         self.total_length = float(s[-1])
         self._lut_step = float(lut_step)
         s_grid = np.arange(0.0, self.total_length + lut_step, lut_step)
         u_of_s = np.interp(s_grid, s, u)
         u_of_s[-1] = self._u_end
-        self._u_of_s = u_of_s.tolist()
+        self._u_of_s = array("d", u_of_s.tobytes())
 
     def _check_shape(self):
         n = max(4000, int(self.total_length / 0.1) + 1)
         u = np.linspace(0.0, self._u_end, n)
-        dx, dy = self._eval_vec(u, 1)
-        ddx, ddy = self._eval_vec(u, 2)
-        speed = np.hypot(dx, dy)
-        kappa_max = float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
+        kappa_max = 0.0  # np.maximum keeps a NaN, as one max over the whole grid does
+        for a in range(0, n, _BUILD_BLOCK):
+            ub = u[a:a + _BUILD_BLOCK]
+            dx, dy = self._eval_vec(ub, 1)
+            ddx, ddy = self._eval_vec(ub, 2)
+            speed = np.hypot(dx, dy)
+            kappa_max = np.maximum(kappa_max, np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
+        kappa_max = float(kappa_max)
         if kappa_max >= self.kappa_bound:
             raise CurvatureBoundExceeded(
                 f"spline curvature {kappa_max:g} >= bound {self.kappa_bound:g}")

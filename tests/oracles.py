@@ -8,7 +8,7 @@ import bisect
 import math
 
 import numpy as np
-from scipy.interpolate import BSpline
+from scipy.interpolate import BSpline, PPoly
 
 from cpfsim.exceptions import DegenerateSpline
 from cpfsim.paths import Projection
@@ -189,6 +189,29 @@ def spline_projection_at(path, s, px, py):
     return Projection(s, x, y, ta, spline_curvature_at(path, s), rho)
 
 
+def clamped_knots(waypoints):
+    """Waypoints as an (n, 2) array and SplinePath's clamped chord-length cubic knots."""
+    k = 3
+    pts = np.asarray(waypoints, dtype=float)
+    chord = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    interior = np.array([chord[j + 1:j + k + 1].mean() for j in range(len(pts) - k - 1)])
+    knots = np.concatenate([[chord[0]] * (k + 1), interior, [chord[-1]] * (k + 1)])
+    return pts, knots
+
+
+def ppoly_power_coefficients(knots, coeffs):
+    """Breaks and power-basis columns of one spline coordinate, by scipy's PPoly.
+
+    SplinePath._power_coefficients as it was while the package called scipy,
+    kept verbatim.
+    """
+    pp = PPoly.from_spline((knots, coeffs, 3))
+    keep = np.nonzero(np.diff(pp.x) > 0.0)[0]
+    breaks = [float(v) for v in pp.x[keep]]
+    cols = [tuple(float(c) for c in pp.c[:, i]) for i in keep]
+    return breaks, cols
+
+
 def bspline_kappa_max(waypoints, total_length):
     """Largest |curvature| on SplinePath's shape-check grid, by scipy's BSpline.
 
@@ -196,13 +219,10 @@ def bspline_kappa_max(waypoints, total_length):
     evaluates its derivatives by de Boor's algorithm, not power coefficients.
     """
     k = 3
-    pts = np.asarray(waypoints, dtype=float)
-    chord = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
-    interior = np.array([chord[j + 1:j + k + 1].mean() for j in range(len(pts) - k - 1)])
-    knots = np.concatenate([[chord[0]] * (k + 1), interior, [chord[-1]] * (k + 1)])
+    pts, knots = clamped_knots(waypoints)
     splx, sply = BSpline(knots, pts[:, 0], k), BSpline(knots, pts[:, 1], k)
     n = max(4000, int(total_length / 0.1) + 1)
-    u = np.linspace(0.0, float(chord[-1]), n)
+    u = np.linspace(0.0, float(knots[-1]), n)
     dx, dy = splx(u, 1), sply(u, 1)
     ddx, ddy = splx(u, 2), sply(u, 2)
     speed = np.hypot(dx, dy)

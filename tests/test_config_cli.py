@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from cpfsim.cli import build_parser, main
-from cpfsim.config import (build_scenario, bundled_config_path, load_config,
+from cpfsim.config import (build_scenario, bundled_config_path, escape_spec, load_config,
                            params_fragment, resolve_params)
 from cpfsim.exceptions import ConfigError
 
@@ -63,6 +63,38 @@ class TestSchema:
         text = MINIMAL.replace("radius: 1000.0", "radius: huge")
         with pytest.raises(ConfigError, match="expected a number"):
             build_scenario(load_config(write_config(tmp_path, text)))
+
+    @pytest.mark.parametrize("value", ['"abc"', "[1.0, 2.0]", "true", "null"])
+    @pytest.mark.parametrize("block, key", [("explicit", "psi_max"), ("explicit", "k3"),
+                                            ("design", "k1"), ("design", "sign_eps")])
+    def test_param_value_must_be_number(self, tmp_path, block, key, value):
+        # a string raised a bare ValueError, a list a TypeError; true read as 1.0
+        fields = {"explicit": ["psi_max: 0.6303", "rho_max: 122.1297", "v_coord: 25.0"],
+                  "design": ["speed_margin: 1.0"]}[block]
+        fields = [f for f in fields if not f.startswith(key)] + [f"{key}: {value}"]
+        text = MINIMAL.replace("explicit: {psi_max: 0.6303, rho_max: 122.1297, v_coord: 25.0}",
+                               f"{block}: {{{', '.join(fields)}}}")
+        with pytest.raises(ConfigError, match=rf"params\.{block}\.{key}: expected a number"):
+            resolve_params(load_config(write_config(tmp_path, text)))
+
+    def test_list_param_is_a_config_error_at_the_cli(self, tmp_path, capsys):
+        text = MINIMAL.replace("psi_max: 0.6303", "psi_max: [0.6, 0.7]")
+        rc = main(["simulate", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "params.explicit.psi_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["state_grid", "control_grid"])
+    @pytest.mark.parametrize("value", ["5", "[5]", "[5, 5, 5]", "[5, 0]", "[5.0, 5]",
+                                       "[true, 5]", '"5x5"'])
+    def test_escape_grid_must_be_two_positive_ints(self, tmp_path, key, value):
+        cfg = load_config(write_config(tmp_path, MINIMAL + f"escape: {{{key}: {value}}}\n"))
+        with pytest.raises(ConfigError, match=rf"escape\.{key}: expected \[n, m\] positive"):
+            escape_spec(cfg)
+
+    def test_escape_grid_defaults(self, tmp_path):
+        spec = escape_spec(load_config(write_config(tmp_path, MINIMAL)))
+        assert spec["state_grid"] == (20, 20) and spec["control_grid"] == (21, 21)
 
     @pytest.mark.parametrize("key", ["seed", "threads"])
     def test_run_seed_and_threads_rejected(self, tmp_path, key):

@@ -1,20 +1,69 @@
+import hashlib
+import json
 import math
+import struct
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cpfsim import paths as paths_mod
+from cpfsim.config import build_limits, build_paths, bundled_config_path, load_config
 from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
 from cpfsim.paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat, wrap_angle
 
 from conftest import HIL_LONLAT, HIL_WAYPOINTS
-from oracles import (brute_force_projection, bspline_kappa_max, spline_curvature_at,
-                     spline_ends, spline_eval, spline_point_at, spline_projection_at,
-                     spline_tangent_angle_at)
+from oracles import (brute_force_projection, bspline_kappa_max, clamped_knots,
+                     ppoly_power_coefficients, spline_curvature_at, spline_ends, spline_eval,
+                     spline_point_at, spline_projection_at, spline_tangent_angle_at)
 
 VALLEY_WAYPOINTS = [(0.0, 2000.0), (1000.0, 600.0), (2000.0, 0.0),
                     (3000.0, 600.0), (4000.0, 2000.0)]
+
+# _u_of_s, total_length, _head and _tail of every bundled spline, recorded
+# while SplinePath built its coefficients with scipy's PPoly and evaluated
+# its dense build grids in one call each.
+GOLDEN_SPLINES = json.loads(
+    (FsPath(__file__).parent / "golden_splines.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def bundled_splines(hil_spline):
+    cfg = load_config(bundled_config_path("parallel4"))
+    named = {f"parallel4[{i}]": p
+             for i, p in enumerate(build_paths(cfg, build_limits(cfg).kappa_bound))}
+    named["hil_spline"] = hil_spline
+    named["valley"] = SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
+    return named
+
+
+def _same_floats(got, want):
+    # repr tells -0.0 from 0.0, which == does not
+    return got == want and repr(got) == repr(want)
+
+
+def _build_record(path):
+    u_of_s = list(path._u_of_s)
+    return {"u_of_s_len": len(u_of_s),
+            "u_of_s_sha256": hashlib.sha256(struct.pack(f"<{len(u_of_s)}d", *u_of_s)).hexdigest(),
+            "total_length": path.total_length,
+            "head": list(path._head),
+            "tail": list(path._tail)}
+
+
+# Waypoints on a coarse lattice repeat often (coincident knots); free floats
+# cover the generic case.  Runs of repeats make empty knot spans.
+_waypoint = (st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
+                 lambda p: (p[0] * 500.0, p[1] * 500.0))
+             | st.tuples(st.floats(-1.0e4, 1.0e4), st.floats(-1.0e4, 1.0e4)))
+
+
+@st.composite
+def _waypoint_sets(draw):
+    pts = draw(st.lists(st.tuples(_waypoint, st.integers(1, 4)), min_size=4, max_size=29))
+    return [p for p, repeat in pts for _ in range(repeat)][:29]
 
 
 def test_wrap_angle_half_open():
@@ -198,6 +247,83 @@ class TestSpline:
             px, py = rng.uniform(-500.0, 12500.0), rng.uniform(-2500.0, 2500.0)
             assert hil_spline._projection_at(float(s), px, py) == \
                 spline_projection_at(hil_spline, float(s), px, py)
+
+    def test_power_coefficients_equal_ppoly(self, bundled_splines):
+        for name, path in bundled_splines.items():
+            pts, knots = clamped_knots(path.waypoints)
+            breaks, cx = ppoly_power_coefficients(knots, pts[:, 0])
+            _, cy = ppoly_power_coefficients(knots, pts[:, 1])
+            assert _same_floats((path._breaks, path._cx, path._cy), (breaks, cx, cy)), name
+            floats = path._breaks + [c for col in path._cx + path._cy for c in col]
+            assert all(type(v) is float for v in floats), name
+
+    # coincident interior knots; an interior knot equal to the end knots
+    @example(waypoints=[(0.0, 0.0), (500.0, 0.0), (500.0, 0.0), (500.0, 0.0), (500.0, 0.0),
+                        (1000.0, 300.0), (1500.0, 0.0)])
+    @example(waypoints=[(0.0, 0.0), (300.0, 200.0), (600.0, 0.0), (900.0, 100.0),
+                        (900.0, 100.0), (900.0, 100.0), (900.0, 100.0)])
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(waypoints=_waypoint_sets())
+    def test_power_coefficients_equal_ppoly_with_repeats(self, waypoints):
+        pts, knots = clamped_knots(waypoints)
+        if not knots[-1] > 0.0:
+            return  # all waypoints coincide: the constructor raises DegenerateSpline
+        for coord in (pts[:, 0], pts[:, 1]):
+            assert _same_floats(SplinePath._power_coefficients(knots, coord),
+                                ppoly_power_coefficients(knots, coord))
+
+    def test_build_equals_recorded(self, bundled_splines):
+        assert set(bundled_splines) == set(GOLDEN_SPLINES)
+        for name, path in bundled_splines.items():
+            assert _build_record(path) == GOLDEN_SPLINES[name], name
+
+    def test_build_does_not_depend_on_block_size(self, monkeypatch, hil_spline):
+        monkeypatch.setattr(paths_mod, "_BUILD_BLOCK", 997)
+        assert _build_record(SplinePath(HIL_WAYPOINTS, kappa_bound=0.002)) == \
+            _build_record(hil_spline)
+
+    # The gates compare the min speed and the max curvature of a whole grid;
+    # a NaN anywhere makes those NaN and the comparison false.  The grids are
+    # evaluated in blocks, and a NaN and a failing value in different blocks
+    # must decide as in one call, in either order.
+
+    @staticmethod
+    def _spoil(monkeypatch, deriv, bad, nan, bad_first):
+        """Patch _eval_vec: derivative ``deriv`` is ``(bad, bad)`` on the first
+        (``bad_first``) or last 2 % of u, and with ``nan`` its x is NaN on the other end."""
+        evaluate = SplinePath._eval_vec
+
+        def eval_vec(self, u, d):
+            x, y = evaluate(self, u, d)
+            if d != deriv or len(u) <= 2:   # leave the end tangents alone
+                return x, y
+            first, last = u < 0.02 * self._u_end, u > 0.98 * self._u_end
+            at_bad, at_nan = (first, last) if bad_first else (last, first)
+            x, y = np.where(at_bad, bad, x), np.where(at_bad, bad, y)
+            if nan:
+                x = np.where(at_nan, np.nan, x)
+            return x, y
+
+        monkeypatch.setattr(paths_mod, "_BUILD_BLOCK", 997)
+        monkeypatch.setattr(SplinePath, "_eval_vec", eval_vec)
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_speed_gate_with_nan_decides_as_the_whole_grid(self, monkeypatch, bad_first):
+        self._spoil(monkeypatch, 1, 0.0, False, bad_first)
+        with pytest.raises(DegenerateSpline):
+            SplinePath(VALLEY_WAYPOINTS, kappa_bound=1.0)
+        # the NaN passes the gate and reaches the arc length
+        self._spoil(monkeypatch, 1, 0.0, True, bad_first)
+        with pytest.raises(ValueError, match="arange"):
+            SplinePath(VALLEY_WAYPOINTS, kappa_bound=1.0)
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_curvature_gate_with_nan_decides_as_the_whole_grid(self, monkeypatch, bad_first):
+        self._spoil(monkeypatch, 2, 1.0e6, False, bad_first)
+        with pytest.raises(CurvatureBoundExceeded):
+            SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
+        self._spoil(monkeypatch, 2, 1.0e6, True, bad_first)
+        SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
 
     @pytest.mark.parametrize("waypoints", [HIL_WAYPOINTS, VALLEY_WAYPOINTS],
                              ids=["hil", "valley"])
