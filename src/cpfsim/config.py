@@ -6,6 +6,7 @@ are rejected everywhere so typos fail loudly.
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 from pathlib import Path as FsPath
 
@@ -44,14 +45,25 @@ def _num(d: dict, key: str, where: str, default=None, required=False) -> float:
     v = d[key]
     if not isinstance(v, _NUM) or isinstance(v, bool):
         raise ConfigError(f"{where}.{key}: expected a number, got {type(v).__name__}")
-    return float(v)
+    return _finite(v, f"{where}.{key}")
+
+
+def _finite(v, where: str) -> float:
+    """v as a float; NaN, infinities and integers beyond float range are errors."""
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
+    return x
 
 
 def _pair(v, where: str) -> tuple[float, float]:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, _NUM) for x in v)):
+            or not all(isinstance(x, _NUM) and not isinstance(x, bool) for x in v)):
         raise ConfigError(f"{where}: expected [x, y] numbers")
-    return float(v[0]), float(v[1])
+    return _finite(v[0], where), _finite(v[1], where)
 
 
 def _grid(d: dict, key: str, where: str, default: tuple[int, int]) -> tuple[int, int]:

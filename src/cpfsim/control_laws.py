@@ -324,26 +324,27 @@ def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams, chi: ChiFunctio
     expressions in the same order, so every command equals the scalar one.
     Lanes outside the universe get NaN; the caller decides how they fail.
     """
-    kappa = np.broadcast_to(kappa, rho.shape)
+    if np.ndim(kappa) == 0:
+        kappa = np.broadcast_to(kappa, rho.shape)
     count = np.bincount(code, minlength=len(REGIONS)).tolist()
-    v = np.full(rho.shape, np.nan)
-    omega = np.full(rho.shape, np.nan)
+    n_s1, n_outer = sum(count[:N_S1]), sum(count[N_S1:Region.OUTSIDE.code])
     with np.errstate(divide="ignore", invalid="ignore"):
-        n_s1 = sum(count[:N_S1])
+        # lanes all in S1 or all in the outer subsets need no mask
+        if n_s1 == rho.size:
+            chi_z = chi(zeta) if np.ndim(zeta) == 0 else chi.many(zeta)
+            return _batch_coord_law(rho, psi, kappa, chi_z, params, code)
+        if n_outer == rho.size:
+            return _batch_outer_law(rho, psi, kappa, params, code)
+        v = np.full(rho.shape, np.nan)
+        omega = np.full(rho.shape, np.nan)
         if n_s1:
-            m = slice(None) if n_s1 == rho.size else code < N_S1
+            m = code < N_S1
             chi_z = chi(zeta) if np.ndim(zeta) == 0 else chi.many(zeta[m])
             v[m], omega[m] = _batch_coord_law(rho[m], psi[m], kappa[m], chi_z, params,
                                               code[m])
-        for region, turn in ((Region.S2_4, -1.0), (Region.S2_2, 1.0)):
-            if count[region.code]:
-                m = code == region.code
-                v[m], omega[m] = _batch_box_law(rho[m], psi[m], kappa[m], params, turn)
-        for region, turn in ((Region.S2_1, -1.0), (Region.S2_3, 1.0)):
-            if count[region.code]:
-                m = code == region.code
-                v[m] = params.v_min
-                omega[m] = turn * params.omega_max
+        if n_outer:
+            m = (code >= N_S1) & (code < Region.OUTSIDE.code)
+            v[m], omega[m] = _batch_outer_law(rho[m], psi[m], kappa[m], params, code[m])
     return v, omega
 
 
@@ -395,24 +396,40 @@ def _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params):
     return v
 
 
-def _batch_box_law(rho, psi, kappa, params, turn):
-    """``_s24_law`` (turn = -1) or ``_s22_law`` (turn = +1) lane by lane."""
+# by region code: the outer laws' turn direction, and whether the region is
+# an outer box subset (near-time-optimal law) rather than a robust subset
+_TURN = np.array([-1.0 if r in (Region.S2_1, Region.S2_4) else 1.0 for r in REGIONS])
+_BOX = np.array([r in (Region.S2_2, Region.S2_4) for r in REGIONS])
+
+
+def _batch_outer_law(rho, psi, kappa, params, code):
+    """``_s24_law``, ``_s22_law`` and ``_robust_law`` lane by lane, in one pass.
+
+    The S2_2 law is the S2_4 law with (psi, feed, omega) negated, so with the
+    lane's turn t = -1 (S2_4) or +1 (S2_2) each test reads as the scalar
+    one: ``t * psi <= psi_max - eps_switch`` is ``psi >= -psi_max +
+    eps_switch`` for t = -1, ``om_max + t * feed`` is ``om_max - feed``.
+    Multiplying by +-1 and negating are exact, so every command equals the
+    scalar one.
+    """
     om_max = params.omega_max
-    if turn < 0.0:
-        turning = psi >= -params.psi_max + params.eps_switch
-    else:
-        turning = psi <= params.psi_max - params.eps_switch
+    turn = _TURN[code]
+    box = _BOX[code]
+    turn_om = turn * om_max
+    if not box.any():
+        return np.full(rho.shape, params.v_min), turn_om
+    turning = turn * psi <= params.psi_max - params.eps_switch
     denom = 1.0 - kappa * rho
     cos_psi = np.cos(psi)
     feed = kappa * params.v_max * cos_psi / denom
-    if turn < 0.0:
-        hold = om_max - feed >= 0.0
-        held = np.where(feed > -om_max, feed, -om_max)
-    else:
-        hold = om_max + feed >= 0.0
-        held = np.where(feed < om_max, feed, om_max)
-    v = np.where(turning | hold, params.v_max, -turn * om_max * denom / (kappa * cos_psi))
-    omega = np.where(turning, turn * om_max, np.where(hold, held, -turn * om_max))
+    turn_feed = turn * feed
+    hold = om_max + turn_feed >= 0.0
+    held = np.where(turn_feed < om_max, feed, turn_om)
+    v = np.where(turning | hold, params.v_max, -turn_om * denom / (kappa * cos_psi))
+    omega = np.where(turning, turn_om, np.where(hold, held, -turn_om))
+    if not box.all():
+        v = np.where(box, v, params.v_min)
+        omega = np.where(box, omega, turn_om)
     return v, omega
 
 
@@ -434,47 +451,51 @@ def comparison_system_trajectory(err0: PathError, params: CoordParams,
         raise ValueError("which must be 'S21' or 'S23'")
     k0, v, om = params.kappa_bound, params.v_min, params.omega_max
     r2 = params.rho_universe
-
+    # heading rate w + kv*cos(psi)/(1 + k0*rho) below the edge, else
+    # w - kv*cos(psi)/(1 - k0*rho); k0 * v * cos(psi) is (k0 * v) * cos(psi)
+    kv = k0 * v
     if which == "S21":
-        def f(rho, psi):
-            if psi >= math.pi / 2.0:
-                return v * math.sin(psi), -om - k0 * v * math.cos(psi) / (1.0 - k0 * rho)
-            return v * math.sin(psi), -om + k0 * v * math.cos(psi) / (1.0 + k0 * rho)
-        crossed = lambda psi: psi <= 0.0
+        w, edge, turn = -om, math.pi / 2.0, -1.0
     else:
-        def f(rho, psi):
-            if psi < -math.pi / 2.0:
-                return v * math.sin(psi), om + k0 * v * math.cos(psi) / (1.0 + k0 * rho)
-            return v * math.sin(psi), om - k0 * v * math.cos(psi) / (1.0 - k0 * rho)
-        crossed = lambda psi: psi >= 0.0
+        w, edge, turn = om, -math.pi / 2.0, 1.0
+    sin, cos = math.sin, math.cos
 
     def rk4(rho, psi, h):
-        k1r, k1p = f(rho, psi)
-        k2r, k2p = f(rho + 0.5 * h * k1r, psi + 0.5 * h * k1p)
-        k3r, k3p = f(rho + 0.5 * h * k2r, psi + 0.5 * h * k2p)
-        k4r, k4p = f(rho + h * k3r, psi + h * k3p)
-        return (rho + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-                psi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+        hh = 0.5 * h
+        k1r = v * sin(psi)
+        k1p = (w + kv * cos(psi) / (1.0 + k0 * rho) if psi < edge
+               else w - kv * cos(psi) / (1.0 - k0 * rho))
+        r, p = rho + hh * k1r, psi + hh * k1p
+        k2r = v * sin(p)
+        k2p = w + kv * cos(p) / (1.0 + k0 * r) if p < edge else w - kv * cos(p) / (1.0 - k0 * r)
+        r, p = rho + hh * k2r, psi + hh * k2p
+        k3r = v * sin(p)
+        k3p = w + kv * cos(p) / (1.0 + k0 * r) if p < edge else w - kv * cos(p) / (1.0 - k0 * r)
+        r, p = rho + h * k3r, psi + h * k3p
+        k4r = v * sin(p)
+        k4p = w + kv * cos(p) / (1.0 + k0 * r) if p < edge else w - kv * cos(p) / (1.0 - k0 * r)
+        h6 = h / 6.0
+        return (rho + h6 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+                psi + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
 
+    # the heading has crossed the axis when turn * psi >= 0
     rho, psi = err0.rho, err0.psi
-    if crossed(psi):
+    if turn * psi >= 0.0:
         return rho
     horizon = max_time if max_time is not None else 3.0 * math.pi / om
     steps = int(horizon / dt) + 1
     for _ in range(steps):
         rho_n, psi_n = rk4(rho, psi, dt)
-        if crossed(psi_n):
+        if turn * psi_n >= 0.0:
             # bisect the substep length to land on the axis
             lo, hi = 0.0, dt
             for _ in range(50):
                 mid = 0.5 * (lo + hi)
-                _, psi_m = rk4(rho, psi, mid)
-                if crossed(psi_m):
+                if turn * rk4(rho, psi, mid)[1] >= 0.0:
                     hi = mid
                 else:
                     lo = mid
-            rho_c, _ = rk4(rho, psi, hi)
-            return rho_c
+            return rk4(rho, psi, hi)[0]
         if abs(rho_n) > r2:
             return None
         rho, psi = rho_n, psi_n

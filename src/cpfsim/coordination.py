@@ -9,11 +9,18 @@ projection, or the desired spacing when it has none.
 Two topologies are supported: the projection ordering above (cyclic on a
 closed path, a chain on an open one) and a fixed chain for fleets flying
 translated copies of one path, where arc positions correspond 1:1.
+
+The scalar functions are the simulator's relation.  ``batch_relation`` and
+``batch_overtake_counts`` compute the projection ordering and its events for
+many independent fleets at once (runs x UAVs arrays) and equal the scalar
+functions run by run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .paths import Path
 
@@ -145,3 +152,47 @@ def detect_overtaking(prev: CoordinationState, curr: CoordinationState) -> list[
             events.append(OvertakeEvent(
                 uav_id, "zeta_zero_cross", f"{g0:.6f} -> {g1:.6f}"))
     return events
+
+
+# -- batched relation ---------------------------------------------------------
+
+
+def batch_relation(s, rho, path: Path, spacing: float):
+    """``update_pre_neighbors`` and ``compute_zeta`` for runs x UAVs arrays.
+
+    Row r holds one fleet; a UAV's id is its column.  Ineligible UAVs sort
+    last (key inf) and a stable sort keeps equal arc positions in id order,
+    as the scalar tuple sort does.  Returns ``(pre, zeta, gap)``: the
+    pre-neighbor's column (-1 for none), the spacing, and the signed gap of
+    ``_wrapped_gap`` (meaningful only where ``pre >= 0``).
+    """
+    runs, n = s.shape
+    eligible = np.abs(rho) < path.r0
+    order = np.argsort(np.where(eligible, path.wrap_s(s), np.inf), axis=1, kind="stable")
+    m = eligible.sum(axis=1, keepdims=True)
+    j = np.arange(n)
+    row0 = n * np.arange(runs)[:, None]     # flat index of each row's first lane
+    # successor in the eligible prefix: a cycle when closed, a chain when open
+    has = (j < m) & (m >= 2) if path.closed else j + 1 < m
+    succ = order.ravel()[row0 + np.where(j + 1 < m, j + 1, 0)]
+    pre = np.empty(s.size, dtype=order.dtype)
+    pre[row0 + order] = np.where(has, succ, -1)
+    pre = pre.reshape(runs, n)
+    d = s.ravel()[row0 + np.maximum(pre, 0)] - s
+    if path.closed:
+        d %= path.total_length
+        gap = np.where(d > 0.5 * path.total_length, d - path.total_length, d)
+    else:
+        gap = d
+    return pre, np.where(pre >= 0, d, spacing), gap
+
+
+def batch_overtake_counts(prev_pre, prev_gap, pre, gap, path: Path) -> np.ndarray:
+    """Per row, the number of ``detect_overtaking`` events between two
+    ``batch_relation`` results of the same fleets."""
+    changed = prev_pre != pre
+    cross = (((prev_gap > ZERO_CROSS_EPS) & (gap < -ZERO_CROSS_EPS))
+             | ((prev_gap < -ZERO_CROSS_EPS) & (gap > ZERO_CROSS_EPS)))
+    if path.closed:
+        cross &= np.abs(gap - prev_gap) < 0.25 * path.total_length
+    return (changed | ((pre >= 0) & cross)).sum(axis=1)

@@ -201,9 +201,9 @@ class SplinePath(Path):
     (``lut_step`` meters) maps arc length to the spline parameter.  Beyond
     either endpoint the path continues straight along the end tangent.
 
-    Raises ``DegenerateSpline`` when the spline speed vanishes anywhere and
-    ``CurvatureBoundExceeded`` when the densely sampled curvature reaches
-    ``kappa_bound``.
+    Raises ``DegenerateSpline`` on non-finite waypoints or when the spline
+    speed vanishes anywhere, and ``CurvatureBoundExceeded`` when the densely
+    sampled curvature reaches ``kappa_bound``.
     """
 
     kind = "bspline"
@@ -215,6 +215,8 @@ class SplinePath(Path):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < self._DEGREE + 1:
             raise ValueError("need at least 4 [x, y] waypoints")
+        if not np.isfinite(pts).all():
+            raise DegenerateSpline("non-finite waypoint coordinates")
         self.waypoints = [(float(x), float(y)) for x, y in pts]
         self.kappa_bound = float(kappa_bound)
 

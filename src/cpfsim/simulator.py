@@ -62,10 +62,11 @@ class Scenario:
     chi_slope: float | None = None
 
     def validate(self) -> None:
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.duration < 0.0:
-            raise ConfigError("duration must be >= 0")
+        # written so that NaN fails too (the CLI overrides skip the config checks)
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ConfigError(f"duration must be finite and >= 0, got {self.duration!r}")
         if not self.paths:
             raise ConfigError("at least one path required")
         if not self.uavs:

@@ -9,7 +9,10 @@ Starts are drawn from the suite's seeded generator in the order of
 one-at-a-time draws (an array draw gives the same values); the states and
 runs then advance together as lanes of the batched law
 (``batch_classify``, ``batch_hybrid_law``, ``batch_error_step``), which
-equal the scalar law and RK4 lane by lane.  A run's clock is shared by all
+equal the scalar law and RK4 lane by lane.  ``no_overtaking`` also batches
+its pre-neighbor relation and overtake detection across runs
+(``batch_relation``, ``batch_overtake_counts``), which equal the
+simulator's scalar relation run by run.  A run's clock is shared by all
 lanes and accumulated as ``t += dt``, and the first counterexample is that of
 the lowest-index failing state or run.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from .control_laws import (batch_hybrid_law, batch_sat, build_chi, comparison_admissible,
                            outside_universe)
-from .coordination import compute_zeta, detect_overtaking, update_pre_neighbors
+from .coordination import batch_overtake_counts, batch_relation
 from .error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, batch_error_rates,
                           batch_error_step, classify)
 from .exceptions import WrongRegion
@@ -357,9 +360,10 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
     """Fixed ordering once the whole fleet is inside the coordination set.
 
     Random in-set errors are planted at distinct arc positions on the path;
-    no overtaking event may occur for the rest of the run.  The law and the
-    error dynamics of all runs' UAVs advance as one batch; each run keeps
-    its own relation and overtake detection.  A UAV that leaves the
+    no overtaking event may occur for the rest of the run.  The relation,
+    the overtake detection, the law and the error dynamics of all runs'
+    UAVs advance as one batch (``batch_relation``, which equals the
+    simulator's scalar relation run by run).  A UAV that leaves the
     universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
@@ -376,47 +380,41 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
             rho, psi = sample_s1(rng, params, 1)[0]
             starts.append((float(arc[i]), 0.6 * rho, 0.6 * psi))
     s, rho, psi = np.array(starts, dtype=float).reshape(-1, 3).T
-    runs = list(range(n_runs))          # runs still in the batch, in lane order
-    prev = [None] * n_runs
-    events = [0] * n_runs
+    runs = np.arange(n_runs)            # runs still in the batch, in lane order
+    events = np.zeros(n_runs, dtype=int)
+    prev = None
     outside = {}
-    zeta = np.empty(s.size)
     for _ in range(n_steps):
-        if not runs:
+        if not runs.size:
             break
-        s_l, rho_l = s.tolist(), rho.tolist()
-        for k, run in enumerate(runs):
-            lane0 = k * n_uavs
-            coord = update_pre_neighbors(
-                [(i, s_l[lane0 + i], rho_l[lane0 + i]) for i in range(n_uavs)],
-                path, params.spacing)
-            if prev[run] is not None:
-                events[run] += len(detect_overtaking(prev[run], coord))
-            prev[run] = coord
-            for i in range(n_uavs):
-                zeta[lane0 + i] = compute_zeta(coord, i)
-        kappa = np.array([path.curvature_at(x) for x in s_l])
+        pre, zeta, gap = batch_relation(s.reshape(-1, n_uavs), rho.reshape(-1, n_uavs),
+                                        path, params.spacing)
+        if prev is not None:
+            events[runs] += batch_overtake_counts(*prev, pre, gap, path)
+        zeta = zeta.ravel()
+        kappa = np.array([path.curvature_at(x) for x in s.tolist()])
         code = batch_classify(rho, psi, params)
         out = code == Region.OUTSIDE.code
         if out.any():
             # the run stops at its first UAV outside the universe
             for j in np.flatnonzero(out).tolist():
-                outside.setdefault(runs[j // n_uavs], rho_l[j])
+                outside.setdefault(int(runs[j // n_uavs]), float(rho[j]))
             keep = ~out.reshape(-1, n_uavs).any(axis=1)
-            runs = [run for run, kept in zip(runs, keep.tolist()) if kept]
+            runs, pre, gap = runs[keep], pre[keep], gap[keep]
             lane_keep = np.repeat(keep, n_uavs)
-            s, rho, psi, kappa, code = (x[lane_keep] for x in (s, rho, psi, kappa, code))
-            zeta = zeta[lane_keep]
-            if not runs:
+            s, rho, psi, kappa, code, zeta = (
+                x[lane_keep] for x in (s, rho, psi, kappa, code, zeta))
+            if not runs.size:
                 break
+        prev = pre, gap
         v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
         s_dot = v * np.cos(psi) / (1.0 - kappa * rho)
         rho, psi = batch_error_step(rho, psi, v, omega, kappa, dt)
         s = path.wrap_s(s + s_dot * dt)
     if outside:
         raise outside_universe(outside[min(outside)], params)
-    failed = {run: f"run {run}: {events[run]} overtaking event(s)"
-              for run in range(n_runs) if events[run]}
+    failed = {run: f"run {run}: {n} overtaking event(s)"
+              for run, n in enumerate(events.tolist()) if n}
     return SuiteResult("no_overtaking", not failed, n_runs, len(failed), _first(failed))
 
 

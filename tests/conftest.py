@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.param_design import CoordParams, SpeedLimits, design_coordination_set
 from cpfsim.paths import CirclePath, SplinePath
+from cpfsim.simulator import run_scenario
 
 # Circle scenario constants used across modules.
 SPACING = 1000.0 * math.pi / 3.0
@@ -57,3 +59,10 @@ def circle():
 @pytest.fixture(scope="session")
 def hil_spline():
     return SplinePath(HIL_WAYPOINTS, kappa_bound=0.002)
+
+
+@pytest.fixture(scope="session")
+def parallel4_run():
+    """(scenario, trace, metrics) of the bundled parallel4 scenario at full length."""
+    scenario = build_scenario(load_config(bundled_config_path("parallel4")))
+    return (scenario, *run_scenario(scenario))

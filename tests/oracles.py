@@ -10,7 +10,9 @@ import math
 import numpy as np
 from scipy.interpolate import BSpline, PPoly
 
+from cpfsim.error_frame import PathError
 from cpfsim.exceptions import DegenerateSpline
+from cpfsim.param_design import CoordParams
 from cpfsim.paths import Projection
 
 
@@ -112,6 +114,72 @@ def sample_s1_one_at_a_time(rng, params, n):
         if abs(a * rho + r1 * psi) <= a * r1:
             out.append((rho, psi))
     return out
+
+
+# -- comparison-system reference ----------------------------------------------
+# comparison_system_trajectory as it was before its RK4 was flattened, kept
+# verbatim so the flat one can be held to it with ``==``.
+
+def comparison_system_trajectory(err0: PathError, params: CoordParams,
+                                 which: str, dt: float = 0.01,
+                                 max_time: float | None = None) -> float | None:
+    """Axis crossing of the worst-case comparison system, or None.
+
+    Integrates the bounding system matching the robust law in the given
+    subset ("S21" or "S23") from err0 until the heading error crosses
+    zero, returning the crossing abscissa; None when the lateral error
+    leaves the universe first.  A crossing inside the universe certifies
+    that the robust law cannot push the real trajectory out.
+    """
+    if which not in ("S21", "S23"):
+        raise ValueError("which must be 'S21' or 'S23'")
+    k0, v, om = params.kappa_bound, params.v_min, params.omega_max
+    r2 = params.rho_universe
+
+    if which == "S21":
+        def f(rho, psi):
+            if psi >= math.pi / 2.0:
+                return v * math.sin(psi), -om - k0 * v * math.cos(psi) / (1.0 - k0 * rho)
+            return v * math.sin(psi), -om + k0 * v * math.cos(psi) / (1.0 + k0 * rho)
+        crossed = lambda psi: psi <= 0.0
+    else:
+        def f(rho, psi):
+            if psi < -math.pi / 2.0:
+                return v * math.sin(psi), om + k0 * v * math.cos(psi) / (1.0 + k0 * rho)
+            return v * math.sin(psi), om - k0 * v * math.cos(psi) / (1.0 - k0 * rho)
+        crossed = lambda psi: psi >= 0.0
+
+    def rk4(rho, psi, h):
+        k1r, k1p = f(rho, psi)
+        k2r, k2p = f(rho + 0.5 * h * k1r, psi + 0.5 * h * k1p)
+        k3r, k3p = f(rho + 0.5 * h * k2r, psi + 0.5 * h * k2p)
+        k4r, k4p = f(rho + h * k3r, psi + h * k3p)
+        return (rho + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+                psi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+    rho, psi = err0.rho, err0.psi
+    if crossed(psi):
+        return rho
+    horizon = max_time if max_time is not None else 3.0 * math.pi / om
+    steps = int(horizon / dt) + 1
+    for _ in range(steps):
+        rho_n, psi_n = rk4(rho, psi, dt)
+        if crossed(psi_n):
+            # bisect the substep length to land on the axis
+            lo, hi = 0.0, dt
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                _, psi_m = rk4(rho, psi, mid)
+                if crossed(psi_m):
+                    hi = mid
+                else:
+                    lo = mid
+            rho_c, _ = rk4(rho, psi, hi)
+            return rho_c
+        if abs(rho_n) > r2:
+            return None
+        rho, psi = rho_n, psi_n
+    return None
 
 
 # -- SplinePath pre-change reference ------------------------------------------

@@ -128,10 +128,8 @@ def test_criterion_7_escape_demo(params):
            f"{rep.summary()}, wall={wall:.1f}s")
 
 
-def test_criterion_8_parallel_paths(tmp_path):
-    cfg = load_config(bundled_config_path("parallel4"))
-    scenario = build_scenario(cfg)
-    trace, metrics = run_scenario(scenario)
+def test_criterion_8_parallel_paths(parallel4_run, tmp_path):
+    scenario, trace, metrics = parallel4_run
     out = tmp_path / "trace.csv"
     trace.write_csv(out)
     blob = out.read_bytes()

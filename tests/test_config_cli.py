@@ -92,6 +92,34 @@ class TestSchema:
         with pytest.raises(ConfigError, match=rf"escape\.{key}: expected \[n, m\] positive"):
             escape_spec(cfg)
 
+    @pytest.mark.parametrize("old, new, where", [
+        # run.duration: .inf escaped as an OverflowError traceback
+        ("duration: 1.0", "duration: .inf", "run.duration"),
+        # run.dt: .nan exited 1 with "cannot convert float NaN to integer"
+        ("dt: 0.01", "dt: .nan", "run.dt"),
+        # limits.v_max: .inf was designed, simulated and aborted at t = 0.01 s
+        ("v_max: 25.0", "v_max: .inf", "limits.v_max"),
+        ("v_coord: 25.0", "v_coord: -.inf", "params.explicit.v_coord"),
+        ("radius: 1000.0", "radius: 1" + "0" * 400, "paths[0].radius"),
+        ("center: [0.0, 0.0]", "center: [.nan, 0.0]", "paths[0].center"),
+        # a bool in a pair was read as 1.0
+        ("center: [0.0, 0.0]", "center: [true, 0.0]", "paths[0].center"),
+    ])
+    def test_non_finite_and_bool_numbers_rejected_at_the_cli(self, tmp_path, capsys,
+                                                            old, new, where):
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {where}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--duration", "inf"), ("--dt", "nan")])
+    def test_non_finite_cli_override_rejected(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, MINIMAL)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), flag, value])
+        assert rc == 1
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+
     def test_escape_grid_defaults(self, tmp_path):
         spec = escape_spec(load_config(write_config(tmp_path, MINIMAL)))
         assert spec["state_grid"] == (20, 20) and spec["control_grid"] == (21, 21)

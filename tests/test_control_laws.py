@@ -15,6 +15,7 @@ from cpfsim.param_design import SpeedLimits, design_coordination_set
 from cpfsim.verification import sample_s1
 
 from conftest import CHI_AT_SPACING, SPACING, V_MIN_REF
+from oracles import comparison_system_trajectory as comparison_reference
 
 
 def pure(params):
@@ -435,6 +436,32 @@ class TestComparisonTrajectory:
         up = comparison_system_trajectory(PathError(0.0, math.pi / 2.0), params, "S21")
         down = comparison_system_trajectory(PathError(0.0, -math.pi / 2.0), params, "S23")
         assert down == pytest.approx(-up, abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["S21", "S23"])
+    def test_flat_rk4_equals_reference(self, params, which):
+        # starts of the suite's candidate distribution; starts on and beside
+        # psi = +-pi/2, where the heading rate switches branch; headings
+        # already across the axis; starts that leave the universe.  Most
+        # starts take steps longer than the default 0.01 s, which keeps the
+        # long trajectories affordable.
+        sign = 1.0 if which == "S21" else -1.0
+        rng = np.random.default_rng(21 if which == "S21" else 23)
+        n, r2 = 2000, params.rho_universe
+        rho = rng.uniform(-r2, r2, n)
+        psi = rng.uniform(1.0e-4, math.pi - 1.0e-4, n)
+        edge = math.pi / 2.0
+        psi[:500] = edge + rng.choice([0.0, 1.0e-15, -1.0e-15, 1.0e-9, -1.0e-9, 0.01, -0.01], 500)
+        psi[500:510] = [np.nextafter(edge, 0.0), np.nextafter(edge, 4.0), 0.0, -0.0, -1.0e-9,
+                        -0.5, -edge, -math.pi, 1.0e-300, math.pi]
+        rho[510:700] = sign * rng.uniform(0.9 * r2, r2, 190)
+        psi *= sign
+        dts = rng.choice([0.01, 0.05, 0.1, 0.25], n, p=[0.1, 0.3, 0.3, 0.3])
+        crossings = []
+        for r, p, dt in zip(rho.tolist(), psi.tolist(), dts.tolist()):
+            got = comparison_system_trajectory(PathError(r, p), params, which, dt=dt)
+            assert got == comparison_reference(PathError(r, p), params, which, dt=dt), (r, p, dt)
+            crossings.append(got)
+        assert 200 < crossings.count(None) < n - 200
 
     def test_inadmissible_returns_none(self, params):
         out = comparison_system_trajectory(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cpfsim.coordination import (chain_coordination, compute_zeta,
-                                 detect_overtaking, update_pre_neighbors)
+from cpfsim.coordination import (ZERO_CROSS_EPS, batch_overtake_counts, batch_relation,
+                                 chain_coordination, compute_zeta, detect_overtaking,
+                                 update_pre_neighbors)
 from cpfsim.paths import LinePath
 
 from conftest import SPACING
@@ -125,3 +126,82 @@ class TestOvertaking:
         after = update_pre_neighbors([(1, 0.0, 0.0), (2, 900.0, 0.0)], circle, SPACING)
         events = detect_overtaking(before, after)
         assert [ev.uav_id for ev in events] == [1]
+
+
+class TestBatchRelation:
+    """``batch_relation`` and ``batch_overtake_counts`` against the scalar relation.
+
+    Fleets random-walk on a coarse arc grid, so equal arc positions are
+    common; some UAVs sit half a closed path apart, so the wrapped gap jumps
+    sign; lateral errors hop across the uniqueness radius.  Runs leave the
+    batch at random steps, as they do in the no-overtaking suite.
+    """
+
+    @staticmethod
+    def walk(path, n_runs, n_uavs, n_steps, seed):
+        rng = np.random.default_rng(seed)
+        r0, half = path.r0, 0.5 * path.total_length
+        base = rng.choice(np.arange(-6.0, 6.5, 0.5), (n_runs, n_uavs))
+        s = base + rng.choice([0.0, 0.0, half, -half, 2.0 * half], (n_runs, n_uavs))
+        rho_grid = np.array([0.0, 10.0, -0.5 * r0, np.nextafter(r0, 0.0), -r0, r0, 2.0 * r0])
+        for _ in range(n_steps):
+            rho = rng.choice(rho_grid, (n_runs, n_uavs), p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05])
+            yield s, rho
+            s = s + rng.choice([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0], (n_runs, n_uavs))
+
+    @pytest.mark.parametrize("n_uavs", [1, 2, 3, 6])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_equals_scalar_relation(self, circle, closed, n_uavs):
+        path = circle if closed else LinePath((0.0, 0.0), 0.0)
+        n_runs = 12
+        rng = np.random.default_rng(n_uavs)
+        runs = np.arange(n_runs)
+        prev = scalar_prev = None
+        events = np.zeros(n_runs, dtype=int)
+        scalar_events = [0] * n_runs
+        kinds, ties = set(), 0
+        for s_all, rho_all in self.walk(path, n_runs, n_uavs, 400, seed=10 + n_uavs):
+            if runs.size > 1 and rng.random() < 0.02:
+                keep = np.ones(runs.size, dtype=bool)
+                keep[rng.integers(runs.size)] = False
+                runs, prev = runs[keep], tuple(x[keep] for x in prev)
+            s, rho = s_all[runs], rho_all[runs]
+            pre, zeta, gap = batch_relation(s, rho, path, SPACING)
+            if prev is not None:
+                events[runs] += batch_overtake_counts(*prev, pre, gap, path)
+            prev = pre, gap
+            coords = {}
+            for k, run in enumerate(runs.tolist()):
+                coord = update_pre_neighbors(
+                    [(i, float(s[k, i]), float(rho[k, i])) for i in range(n_uavs)],
+                    path, SPACING)
+                assert pre[k].tolist() == [-1 if coord.pre_neighbor[i] is None
+                                           else coord.pre_neighbor[i] for i in range(n_uavs)]
+                assert zeta[k].tolist() == [compute_zeta(coord, i) for i in range(n_uavs)]
+                if scalar_prev is not None:
+                    evs = detect_overtaking(scalar_prev[run], coord)
+                    scalar_events[run] += len(evs)
+                    kinds |= {ev.kind for ev in evs}
+                coords[run] = coord
+                elig = s[k][np.abs(rho[k]) < path.r0]
+                ties += len(path.wrap_s(elig)) - len(set(path.wrap_s(elig).tolist()))
+            scalar_prev = coords
+            assert events.tolist() == scalar_events
+        assert runs.size < n_runs
+        if n_uavs > 1:
+            # the pre-neighbor is the successor in arc order, so only the
+            # wrap of a closed path can turn its gap negative
+            assert ties > 0
+            assert kinds == ({"pre_neighbor_change", "zeta_zero_cross"} if closed
+                             else {"pre_neighbor_change"})
+
+    def test_jump_guard_and_eps(self, circle):
+        # a half-length sign flip of the wrapped gap is no crossing; a move
+        # within ZERO_CROSS_EPS of zero is none either
+        half = 0.5 * circle.total_length
+        rho = np.zeros((3, 2))
+        before = np.array([[0.0, half - 0.5], [0.0, 2.0], [0.0, 0.5 * ZERO_CROSS_EPS]])
+        after = np.array([[0.0, half + 0.5], [0.0, -2.0], [0.0, -2.0]])
+        b = batch_relation(before, rho, circle, SPACING)
+        a = batch_relation(after, rho, circle, SPACING)
+        assert batch_overtake_counts(b[0], b[2], a[0], a[2], circle).tolist() == [0, 2, 0]

@@ -53,6 +53,30 @@ def _build_record(path):
             "tail": list(path._tail)}
 
 
+def test_parallel4_warm_start_agrees_with_global_projection(parallel4_run):
+    # at every 50th step of each UAV: Newton started from the projection one
+    # step earlier lands where the global search does, and so did the
+    # simulator's own warm-started projection (its rho is in the trace)
+    scenario, trace, _ = parallel4_run
+    paths = {u.id: scenario.paths[u.path_index] for u in scenario.uavs}
+    history = {}
+    for row in trace.rows:
+        history.setdefault(row[1], []).append(row)
+    checked = 0
+    for uav_id, rows in history.items():
+        path = paths[uav_id]
+        for k in range(50, len(rows), 50):
+            hint = path._global_project(rows[k - 1][2], rows[k - 1][3]).s
+            x, y, rho = rows[k][2], rows[k][3], rows[k][5]
+            warm = path.project((x, y), hint)
+            ref = path._global_project(x, y)
+            assert abs(warm.s - ref.s) <= 1.0e-6 and abs(warm.rho - ref.rho) <= 1.0e-6, (
+                uav_id, k, warm, ref)
+            assert abs(rho - ref.rho) <= 1.0e-6, (uav_id, k, rho, ref)
+            checked += 1
+    assert checked == 4 * 300
+
+
 # Waypoints on a coarse lattice repeat often (coincident knots); free floats
 # cover the generic case.  Runs of repeats make empty knot spans.
 _waypoint = (st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
@@ -169,6 +193,15 @@ class TestSpline:
         with pytest.raises(DegenerateSpline):
             SplinePath([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (100.0, 0.0)],
                        kappa_bound=0.002)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 1), (6, 0)])
+    def test_non_finite_waypoint_is_degenerate(self, bad, where):
+        # was a bare ValueError from the build grids
+        wps = [list(w) for w in HIL_WAYPOINTS]
+        wps[where[0]][where[1]] = bad
+        with pytest.raises(DegenerateSpline, match="non-finite"):
+            SplinePath(wps, kappa_bound=0.002)
 
     def test_tangent_consistent_with_points(self, hil_spline):
         h = 0.05
