@@ -20,9 +20,7 @@ Library layout:
 from .control_laws import (ChiFunction, ControlCommand, CoordinationChi, LinearChi,
                            build_chi, comparison_admissible,
                            comparison_system_trajectory, coord_control,
-                           hybrid_supervisor, near_optimal_control_s22,
-                           near_optimal_control_s24, reset_value,
-                           robust_control_s21_s23, sat)
+                           hybrid_supervisor, reset_value, sat)
 from .coordination import (CoordinationState, OvertakeEvent, chain_coordination,
                            compute_zeta, detect_overtaking, update_pre_neighbors)
 from .error_frame import (PathError, Region, classify, compute_error,

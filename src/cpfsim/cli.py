@@ -154,7 +154,8 @@ def cmd_verify(args) -> int:
         raw = _env("suite")
         names = [raw] if raw else None
     seed = _resolve(args, "seed", int) or 0
-    results = run_suites(scenario.params, scenario.paths[0], names=names, seed=seed)
+    results = run_suites(scenario.params, scenario.paths[0], names=names, seed=seed,
+                         chi=scenario.chi())
     all_ok = True
     for r in results:
         print(r.summary())

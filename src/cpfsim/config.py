@@ -216,6 +216,10 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
     if chi_kind not in ("coordination", "linear"):
         raise ConfigError(f"chi.kind must be 'coordination' or 'linear', got {chi_kind!r}")
     chi_slope = _num(chi, "slope", "chi", default=None)
+    if chi_slope is not None and chi_kind != "linear":
+        raise ConfigError(f"chi.slope: only kind 'linear' takes a slope, not {chi_kind!r}")
+    if chi_slope is not None and chi_slope <= 0.0:
+        raise ConfigError(f"chi.slope: expected a positive number, got {chi_slope!r}")
 
     uavs_block = cfg.get("uavs")
     if not isinstance(uavs_block, list) or not uavs_block:

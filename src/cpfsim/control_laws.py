@@ -6,6 +6,9 @@ reset step trims the forward speed where the boundary margin inequalities
 would otherwise fail.  Outside the set, greedy near-time-optimal laws
 (outer box subsets) and constant robust laws (remaining outer subsets)
 drive the error back.  All commands respect the actuation box exactly.
+
+The scalar law (``hybrid_supervisor``) and its lane-by-lane form
+(``batch_hybrid_law``) read each per-region decision from one table.
 """
 
 from __future__ import annotations
@@ -118,6 +121,8 @@ class LinearChi(ChiFunction):
     def __call__(self, zeta):
         return self.floor + self.slope * zeta
 
+    many = __call__
+
 
 def build_chi(params: CoordParams, kind: str = "coordination",
               slope: float | None = None) -> ChiFunction:
@@ -157,14 +162,6 @@ def _coord_law(err, zeta, params, chi, region):
     return ControlCommand(v, omega, region, resetvalue_applied=v != v1)
 
 
-def _margin_q1q3(v, omega, rho, psi, kappa, params, sign):
-    """Boundary inequality value in quadrants 1/3 (<= 0 resp. >= 0 when satisfied)."""
-    a, r1 = params.psi_max, params.rho_max
-    denom = 1.0 - kappa * rho
-    return (v * (a * math.sin(psi) - r1 * kappa * math.cos(psi) / denom)
-            + r1 * omega + sign * r1 * params.alpha)
-
-
 def reset_value(cmd: ControlCommand, err: PathError, params: CoordParams) -> float:
     """Forward-speed reset of the coordinated law.
 
@@ -175,115 +172,77 @@ def reset_value(cmd: ControlCommand, err: PathError, params: CoordParams) -> flo
     the speed (a raise there can only come from the smoothed switching
     term near the surface, where the inequality is not load-bearing).
     """
+    if not cmd.region.in_s1:
+        raise WrongRegion(f"reset called in {cmd.region.value}")
     return _reset(cmd.v, cmd.omega, cmd.region, err, params)
+
+
+# by S1 code: the sign that turns the subset's margin test x > 0 or x < 0
+# into sign * x > 0 and its reset's omega +- alpha into omega + sign * alpha
+# (both exact), and whether a reset may only lower the speed (else it may
+# raise it up to v_max)
+_RESET_SIGN = (1.0, 1.0, -1.0, -1.0, -1.0, 1.0)
+_LOWER_ONLY = (True, True, True, True, False, False)
 
 
 def _reset(v, omega, region, err, params):
     rho, psi, kappa = err.rho, err.psi, err.kappa
     a, r1, alpha = params.psi_max, params.rho_max, params.alpha
+    sign = _RESET_SIGN[region.code]
     denom = 1.0 - kappa * rho
     kc = kappa * math.cos(psi)
-
-    if region in (Region.S1_1, Region.S1_3):
-        sign = 1.0 if region is Region.S1_1 else -1.0
-        margin = _margin_q1q3(v, omega, rho, psi, kappa, params, sign)
-        violated = margin > 0.0 if region is Region.S1_1 else margin < 0.0
-        if violated:
-            bracket = a * math.sin(psi) - r1 * kc / denom
-            if bracket != 0.0:
-                cand = -r1 * (omega + sign * alpha) / bracket
-                if params.v_min <= cand < v:
-                    return cand
+    if region is Region.S1_1 or region is Region.S1_3:
+        margin = (v * (a * math.sin(psi) - r1 * kappa * math.cos(psi) / denom)
+                  + r1 * omega + sign * r1 * alpha)
+        bracket = a * math.sin(psi) - r1 * kc / denom
+        if not (sign * margin > 0.0 and bracket != 0.0):
+            return v
+        cand = -r1 * (omega + sign * alpha) / bracket
+    elif sign * (omega - kc * v / denom + sign * alpha) > 0.0 and kc != 0.0:
+        cand = denom / kc * (omega + sign * alpha)
+    else:
         return v
-
-    psi_dot_ff = omega - kc * v / denom
-    if region is Region.S1_2:
-        if psi_dot_ff + alpha > 0.0 and kc != 0.0:
-            cand = denom / kc * (omega + alpha)
-            if params.v_min <= cand < v:
-                return cand
-        return v
-    if region is Region.S1_4:
-        if psi_dot_ff - alpha < 0.0 and kc != 0.0:
-            cand = denom / kc * (omega - alpha)
-            if params.v_min <= cand < v:
-                return cand
-        return v
-    if region is Region.S1_5:
-        if psi_dot_ff - alpha < 0.0 and kc != 0.0:
-            cand = denom / kc * (omega - alpha)
-            if params.v_min <= cand <= params.v_max:
-                return cand
-        return v
-    if region is Region.S1_6:
-        if psi_dot_ff + alpha > 0.0 and kc != 0.0:
-            cand = denom / kc * (omega + alpha)
-            if params.v_min <= cand <= params.v_max:
-                return cand
-        return v
-    raise WrongRegion(f"reset called in {region.value}")
+    below = cand < v if _LOWER_ONLY[region.code] else cand <= params.v_max
+    return cand if params.v_min <= cand and below else v
 
 
-# -- near-time-optimal outer laws --------------------------------------------
+# -- single-agent outer laws ---------------------------------------------------
 
 
-def near_optimal_control_s24(err: PathError, params: CoordParams) -> ControlCommand:
-    """Greedy descent toward the set from the lower-right outer box.
+# by region code: the outer laws' turn direction, and whether the region is
+# an outer box subset (near-time-optimal law) rather than a robust subset
+_TURN = tuple(-1.0 if r in (Region.S2_1, Region.S2_4) else 1.0 for r in REGIONS)
+_BOX = tuple(r in (Region.S2_2, Region.S2_4) for r in REGIONS)
 
-    Full speed with maximal right turn until the heading nears the box
-    floor, then the constrained minimizer that keeps the heading error
-    from drifting below it.
+
+def _outer_law(err, params, region):
+    """Single-agent law of an outer subset.
+
+    S2_4 (lower-right outer box): greedy descent toward the set.  Full
+    speed with maximal right turn until the heading nears the box floor,
+    then the constrained minimizer that keeps the heading error from
+    drifting below it.  S2_2 is its mirror under (rho, psi, omega, kappa)
+    -> negation.  S2_1 and S2_3: constant laws minimizing the
+    heading-to-lateral drift ratio.
+
+    With the turn t = -1 (S2_4) the tests read as S2_4's own, exactly:
+    ``t * psi <= psi_max - eps_switch`` is ``psi >= -psi_max + eps_switch``,
+    ``om_max + t * feed`` is ``om_max - feed`` and ``feed if t * feed <
+    om_max else t * om_max`` is ``max(-om_max, feed)``; t = +1 gives S2_2's.
     """
-    region = classify(err, params)
-    if region is not Region.S2_4:
-        raise WrongRegion(f"S2_4 law called in {region.value}")
-    return _s24_law(err, params)
-
-
-def _s24_law(err, params):
-    region = Region.S2_4
-    if err.psi >= -params.psi_max + params.eps_switch:
-        return ControlCommand(params.v_max, -params.omega_max, region)
+    om_max = params.omega_max
+    turn = _TURN[region.code]
+    turn_om = turn * om_max
+    if not _BOX[region.code]:
+        return ControlCommand(params.v_min, turn_om, region)
+    if turn * err.psi <= params.psi_max - params.eps_switch:
+        return ControlCommand(params.v_max, turn_om, region)
     denom = 1.0 - err.kappa * err.rho
     feed = err.kappa * params.v_max * math.cos(err.psi) / denom
-    if params.omega_max - feed >= 0.0:
-        return ControlCommand(params.v_max, max(-params.omega_max, feed), region)
-    v = params.omega_max * denom / (err.kappa * math.cos(err.psi))
-    return ControlCommand(v, params.omega_max, region)
-
-
-def near_optimal_control_s22(err: PathError, params: CoordParams) -> ControlCommand:
-    """Mirror of the S2_4 law under (rho, psi, omega, kappa) -> negation."""
-    region = classify(err, params)
-    if region is not Region.S2_2:
-        raise WrongRegion(f"S2_2 law called in {region.value}")
-    return _s22_law(err, params)
-
-
-def _s22_law(err, params):
-    region = Region.S2_2
-    if err.psi <= params.psi_max - params.eps_switch:
-        return ControlCommand(params.v_max, params.omega_max, region)
-    denom = 1.0 - err.kappa * err.rho
-    feed = err.kappa * params.v_max * math.cos(err.psi) / denom
-    if params.omega_max + feed >= 0.0:
-        return ControlCommand(params.v_max, min(params.omega_max, feed), region)
-    v = -params.omega_max * denom / (err.kappa * math.cos(err.psi))
-    return ControlCommand(v, -params.omega_max, region)
-
-
-def robust_control_s21_s23(err: PathError, params: CoordParams) -> ControlCommand:
-    """Constant laws minimizing the heading-to-lateral drift ratio."""
-    region = classify(err, params)
-    if region is not Region.S2_1 and region is not Region.S2_3:
-        raise WrongRegion(f"robust law called in {region.value}")
-    return _robust_law(params, region)
-
-
-def _robust_law(params, region):
-    if region is Region.S2_1:
-        return ControlCommand(params.v_min, -params.omega_max, region)
-    return ControlCommand(params.v_min, params.omega_max, region)
+    turn_feed = turn * feed
+    if om_max + turn_feed >= 0.0:
+        return ControlCommand(params.v_max, feed if turn_feed < om_max else turn_om, region)
+    return ControlCommand(-turn_om * denom / (err.kappa * math.cos(err.psi)), -turn_om, region)
 
 
 def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
@@ -291,18 +250,14 @@ def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
     """Dispatch to the unique law owning the error's region.
 
     Classifies once and hands the region to the law bodies; the public
-    per-region laws classify again only to guard direct callers.
+    coordinated law classifies again only to guard direct callers.
     """
     region = classify(err, params)
     if region is Region.OUTSIDE:
         raise outside_universe(err.rho, params)
     if region.in_s1:
         return _coord_law(err, zeta, params, chi, region)
-    if region is Region.S2_4:
-        return _s24_law(err, params)
-    if region is Region.S2_2:
-        return _s22_law(err, params)
-    return _robust_law(params, region)
+    return _outer_law(err, params, region)
 
 
 def outside_universe(rho: float, params: CoordParams) -> OutsideUniverse:
@@ -312,6 +267,10 @@ def outside_universe(rho: float, params: CoordParams) -> OutsideUniverse:
 
 
 # -- batched hybrid law -------------------------------------------------------
+
+# the region tables as arrays, indexed by the lanes' codes
+_RESET_SIGN_ARR, _LOWER_ONLY_ARR, _TURN_ARR, _BOX_ARR = (
+    np.array(table) for table in (_RESET_SIGN, _LOWER_ONLY, _TURN, _BOX))
 
 
 def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams, chi: ChiFunction,
@@ -360,61 +319,38 @@ def _batch_coord_law(rho, psi, kappa, chi_z, params, code):
     return _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params), omega
 
 
-# by S1 code: the sign of the subset's margin inequality, and whether a
-# reset may only lower the speed (else it may raise it up to v_max)
-_RESET_SIGN = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
-_LOWER_ONLY = np.array([True, True, True, True, False, False])
-
-
 def _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params):
-    """``_reset`` lane by lane; see ``reset_value`` for the rule.
-
-    Multiplying by the lane's sign is exact, so ``sign * x > 0`` is the
-    scalar ``x > 0`` or ``x < 0`` and ``omega + sign * alpha`` its
-    ``omega +- alpha``.
-    """
+    """``_reset`` lane by lane; see ``reset_value`` for the rule."""
     a, r1, alpha = params.psi_max, params.rho_max, params.alpha
-    sign = _RESET_SIGN[code]
+    sign = _RESET_SIGN_ARR[code]
     kc = kappa * cos_psi
     quad = (code == Region.S1_1.code) | (code == Region.S1_3.code)
+    lower_only = _LOWER_ONLY_ARR[code]
+
+    def admissible(cand):
+        return (params.v_min <= cand) & np.where(lower_only, cand < v1, cand <= params.v_max)
+
     v = v1
     if quad.any():
         margin = (v1 * (a * sin_psi - r1 * kappa * cos_psi / denom) + r1 * omega
                   + sign * r1 * alpha)
         bracket = a * sin_psi - r1 * kc / denom
         cand = -r1 * (omega + sign * alpha) / bracket
-        take = (quad & (sign * margin > 0.0) & (bracket != 0.0)
-                & (params.v_min <= cand) & (cand < v1))
+        take = quad & (sign * margin > 0.0) & (bracket != 0.0) & admissible(cand)
         v = np.where(take, cand, v)
     if not quad.all():
         shifted = omega - kc * v1 / denom + sign * alpha
         cand = denom / kc * (omega + sign * alpha)
-        below = np.where(_LOWER_ONLY[code], cand < v1, cand <= params.v_max)
-        take = (~quad & (sign * shifted > 0.0) & (kc != 0.0)
-                & (params.v_min <= cand) & below)
+        take = ~quad & (sign * shifted > 0.0) & (kc != 0.0) & admissible(cand)
         v = np.where(take, cand, v)
     return v
 
 
-# by region code: the outer laws' turn direction, and whether the region is
-# an outer box subset (near-time-optimal law) rather than a robust subset
-_TURN = np.array([-1.0 if r in (Region.S2_1, Region.S2_4) else 1.0 for r in REGIONS])
-_BOX = np.array([r in (Region.S2_2, Region.S2_4) for r in REGIONS])
-
-
 def _batch_outer_law(rho, psi, kappa, params, code):
-    """``_s24_law``, ``_s22_law`` and ``_robust_law`` lane by lane, in one pass.
-
-    The S2_2 law is the S2_4 law with (psi, feed, omega) negated, so with the
-    lane's turn t = -1 (S2_4) or +1 (S2_2) each test reads as the scalar
-    one: ``t * psi <= psi_max - eps_switch`` is ``psi >= -psi_max +
-    eps_switch`` for t = -1, ``om_max + t * feed`` is ``om_max - feed``.
-    Multiplying by +-1 and negating are exact, so every command equals the
-    scalar one.
-    """
+    """``_outer_law`` lane by lane, in one pass over all outer subsets."""
     om_max = params.omega_max
-    turn = _TURN[code]
-    box = _BOX[code]
+    turn = _TURN_ARR[code]
+    box = _BOX_ARR[code]
     turn_om = turn * om_max
     if not box.any():
         return np.full(rho.shape, params.v_min), turn_om

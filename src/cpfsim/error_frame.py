@@ -108,12 +108,6 @@ def batch_error_step(rho, psi, v, omega, kappa, dt: float, wrap: bool = True):
     return rho, psi
 
 
-def in_coordination_set(rho: float, psi: float, params) -> bool:
-    a, r1 = params.psi_max, params.rho_max
-    return (abs(rho) <= r1 and abs(psi) <= a
-            and abs(a * rho + r1 * psi) <= a * r1)
-
-
 def _s1_subset(rho: float, psi: float, th: float) -> Region:
     """Subset of the coordination set from the signs of rho, psi and theta."""
     if rho > 0.0 and psi >= 0.0 and th > 0.0:
@@ -139,7 +133,7 @@ def classify(err: PathError, params) -> Region:
     """
     rho, psi = err.rho, err.psi
     a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
-    if in_coordination_set(rho, psi, params):
+    if abs(rho) <= r1 and abs(psi) <= a and abs(a * rho + r1 * psi) <= a * r1:
         return _s1_subset(rho, psi, switching_value(rho, psi, params))
     if abs(rho) > r2:
         return Region.OUTSIDE

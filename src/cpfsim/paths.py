@@ -203,7 +203,7 @@ class SplinePath(Path):
 
     Raises ``DegenerateSpline`` on non-finite waypoints or when the spline
     speed vanishes anywhere, and ``CurvatureBoundExceeded`` when the densely
-    sampled curvature reaches ``kappa_bound``.
+    sampled curvature reaches ``kappa_bound``; a NaN in a grid fails its gate.
     """
 
     kind = "bspline"
@@ -315,7 +315,7 @@ class SplinePath(Path):
             speed = np.hypot(*self._eval_vec(ub, 1))
             slowest = np.minimum(slowest, speed.min())
             s[a + 1:a + len(ub)] = 0.5 * (speed[1:] + speed[:-1]) * np.diff(ub)
-        if slowest < 1.0e-9:
+        if not slowest >= 1.0e-9:
             raise DegenerateSpline("spline speed vanishes")
         np.cumsum(s, out=s)
         self.total_length = float(s[-1])
@@ -336,7 +336,7 @@ class SplinePath(Path):
             speed = np.hypot(dx, dy)
             kappa_max = np.maximum(kappa_max, np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
         kappa_max = float(kappa_max)
-        if kappa_max >= self.kappa_bound:
+        if not kappa_max < self.kappa_bound:
             raise CurvatureBoundExceeded(
                 f"spline curvature {kappa_max:g} >= bound {self.kappa_bound:g}")
 

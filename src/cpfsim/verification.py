@@ -14,7 +14,8 @@ its pre-neighbor relation and overtake detection across runs
 (``batch_relation``, ``batch_overtake_counts``), which equal the
 simulator's scalar relation run by run.  A run's clock is shared by all
 lanes and accumulated as ``t += dt``, and the first counterexample is that of
-the lowest-index failing state or run.
+the lowest-index failing state or run.  Each suite's law uses the speed
+assignment ``chi`` it is given, by default ``build_chi(params)``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control_laws import (batch_hybrid_law, batch_sat, build_chi, comparison_admissible,
-                           outside_universe)
+from .control_laws import (ChiFunction, batch_hybrid_law, batch_sat, build_chi,
+                           comparison_admissible, outside_universe)
 from .coordination import batch_overtake_counts, batch_relation
 from .error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, batch_error_rates,
                           batch_error_step, classify)
@@ -90,7 +91,8 @@ def _first(messages: dict[int, str]) -> str | None:
 
 def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 200.0,
                      dt: float = 0.01, seed: int = 0, one_step_slack: float = 1.0e-4,
-                     resident_slack: float = 1.0e-9) -> SuiteResult:
+                     resident_slack: float = 1.0e-9, chi: ChiFunction | None = None
+                     ) -> SuiteResult:
     """Coordination-set forward invariance under the coordinated law.
 
     Runs the closed-loop error dynamics from random in-set states with a
@@ -99,7 +101,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     anything larger or longer fails, and the run leaves the batch.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params)
+    chi = build_chi(params) if chi is None else chi
     a, r1 = params.psi_max, params.rho_max
     n_steps = int(duration / dt)
     rho0, psi0 = _sample_s1_arrays(rng, params, n_runs)
@@ -160,11 +162,12 @@ def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int, chi):
     return rho, psi, kappa, zeta, code, v, omega
 
 
-def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0) -> SuiteResult:
+def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0,
+                      chi: ChiFunction | None = None) -> SuiteResult:
     """Reset bound: a changed speed lands in [v_coord, v_before); box always exact."""
     pure = replace(params, sign_eps=0.0)
     rng = np.random.default_rng(seed)
-    chi = build_chi(pure)
+    chi = build_chi(pure) if chi is None else chi
     rho, psi, kappa, zeta, _, v, omega = _coord_states(rng, pure, n, chi)
     v_before = batch_sat((1.0 - kappa * rho) / np.cos(psi) * chi.many(zeta),
                          pure.v_min, pure.v_max)
@@ -186,11 +189,11 @@ def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0) -> S
 
 
 def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
-                  tol: float = 1.0e-9) -> SuiteResult:
+                       tol: float = 1.0e-9, chi: ChiFunction | None = None) -> SuiteResult:
     """Switching-surface drive and the lateral/heading drift-ratio bound."""
     pure = replace(params, sign_eps=0.0)
     rng = np.random.default_rng(seed)
-    chi = build_chi(pure)
+    chi = build_chi(pure) if chi is None else chi
     a_over_r1 = pure.psi_max / pure.rho_max
     rho, psi, kappa, _, code, v, omega = _coord_states(rng, pure, n, chi)
     rho_dot, psi_dot = batch_error_rates(rho, psi, v, omega, kappa)
@@ -267,8 +270,8 @@ def _run_to_s1(params: CoordParams, chi, rho, psi, kappa, dt: float, limit):
 
 
 def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                    seed: int = 0, margin: float = 0.10,
-                    psi_min_sample: float = 0.05) -> SuiteResult:
+                    seed: int = 0, margin: float = 0.10, psi_min_sample: float = 0.05,
+                    chi: ChiFunction | None = None) -> SuiteResult:
     """Entry into the coordination set from the outer box subsets.
 
     Start headings are kept away from zero so the analytic entry-time bound
@@ -276,7 +279,7 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
     that leaves the universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params)
+    chi = build_chi(params) if chi is None else chi
     a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
     starts = []
     for label, sign in (("S2_4", -1.0), ("S2_2", 1.0)):
@@ -304,8 +307,8 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
 
 
 def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                       seed: int = 0, margin: float = 0.10,
-                       settle_horizon: float = 600.0) -> SuiteResult:
+                       seed: int = 0, margin: float = 0.10, settle_horizon: float = 600.0,
+                       chi: ChiFunction | None = None) -> SuiteResult:
     """Exit of the robust outer subsets within the turn-budget time bound.
 
     Only starts whose worst-case comparison trajectory re-crosses the axis
@@ -314,7 +317,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
     reach the coordination set within the settle horizon.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params)
+    chi = build_chi(params) if chi is None else chi
     r2 = params.rho_universe
     alpha1 = params.omega_max - params.kappa_bound * params.v_min / (
         1.0 - params.kappa_bound * r2)
@@ -355,8 +358,8 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
 
 
 def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int = 5,
-                        duration: float = 100.0, dt: float = 0.01,
-                        seed: int = 0) -> SuiteResult:
+                        duration: float = 100.0, dt: float = 0.01, seed: int = 0,
+                        chi: ChiFunction | None = None) -> SuiteResult:
     """Fixed ordering once the whole fleet is inside the coordination set.
 
     Random in-set errors are planted at distinct arc positions on the path;
@@ -367,7 +370,7 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
     universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params)
+    chi = build_chi(params) if chi is None else chi
     n_steps = int(duration / dt)
     starts = []
     for _ in range(n_runs):
@@ -419,7 +422,8 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
 
 
 def run_suites(params: CoordParams, path, names: list[str] | None = None,
-               seed: int = 0, sizes: dict | None = None) -> list[SuiteResult]:
+               seed: int = 0, sizes: dict | None = None,
+               chi: ChiFunction | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default); results ordered by name."""
     wanted = sorted(set(names) if names else SUITE_NAMES)
     unknown = [n for n in wanted if n not in SUITE_NAMES]
@@ -432,5 +436,5 @@ def run_suites(params: CoordParams, path, names: list[str] | None = None,
         args = (params, path) if name == "no_overtaking" else (params,)
         if name in sizes:
             args += (sizes[name],)
-        results.append(globals()[f"suite_{name}"](*args, seed=seed))
+        results.append(globals()[f"suite_{name}"](*args, seed=seed, chi=chi))
     return results

@@ -10,8 +10,9 @@ import math
 import numpy as np
 from scipy.interpolate import BSpline, PPoly
 
-from cpfsim.error_frame import PathError
-from cpfsim.exceptions import DegenerateSpline
+from cpfsim.control_laws import ControlCommand, outside_universe, sat, smoothed_sign
+from cpfsim.error_frame import PathError, Region, classify, switching_value
+from cpfsim.exceptions import DegenerateSpline, WrongRegion
 from cpfsim.param_design import CoordParams
 from cpfsim.paths import Projection
 
@@ -295,3 +296,118 @@ def bspline_kappa_max(waypoints, total_length):
     ddx, ddy = splx(u, 2), sply(u, 2)
     speed = np.hypot(dx, dy)
     return float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
+
+
+# -- hybrid law pre-change reference ------------------------------------------
+# The coordinated law's reset and the outer-law bodies as they were before
+# they read the per-region tables, kept verbatim, and the supervisor's
+# dispatch over them, so the table-driven law can be held to them with ``==``.
+
+def _coord_law(err, zeta, params, chi, region):
+    rho, psi, kappa = err.rho, err.psi, err.kappa
+    denom = 1.0 - kappa * rho
+    v1 = sat(denom / math.cos(psi) * chi(zeta), params.v_min, params.v_max)
+    th = switching_value(rho, psi, params)
+    omega_d = (v1 * (-params.k1 * th / params.k2 + kappa * math.cos(psi) / denom)
+               - params.alpha * smoothed_sign(th, params.sign_eps))
+    omega = sat(omega_d, -params.omega_max, params.omega_max)
+    v = _reset(v1, omega, region, err, params)
+    return ControlCommand(v, omega, region, resetvalue_applied=v != v1)
+
+
+def _margin_q1q3(v, omega, rho, psi, kappa, params, sign):
+    """Boundary inequality value in quadrants 1/3 (<= 0 resp. >= 0 when satisfied)."""
+    a, r1 = params.psi_max, params.rho_max
+    denom = 1.0 - kappa * rho
+    return (v * (a * math.sin(psi) - r1 * kappa * math.cos(psi) / denom)
+            + r1 * omega + sign * r1 * params.alpha)
+
+
+def _reset(v, omega, region, err, params):
+    rho, psi, kappa = err.rho, err.psi, err.kappa
+    a, r1, alpha = params.psi_max, params.rho_max, params.alpha
+    denom = 1.0 - kappa * rho
+    kc = kappa * math.cos(psi)
+
+    if region in (Region.S1_1, Region.S1_3):
+        sign = 1.0 if region is Region.S1_1 else -1.0
+        margin = _margin_q1q3(v, omega, rho, psi, kappa, params, sign)
+        violated = margin > 0.0 if region is Region.S1_1 else margin < 0.0
+        if violated:
+            bracket = a * math.sin(psi) - r1 * kc / denom
+            if bracket != 0.0:
+                cand = -r1 * (omega + sign * alpha) / bracket
+                if params.v_min <= cand < v:
+                    return cand
+        return v
+
+    psi_dot_ff = omega - kc * v / denom
+    if region is Region.S1_2:
+        if psi_dot_ff + alpha > 0.0 and kc != 0.0:
+            cand = denom / kc * (omega + alpha)
+            if params.v_min <= cand < v:
+                return cand
+        return v
+    if region is Region.S1_4:
+        if psi_dot_ff - alpha < 0.0 and kc != 0.0:
+            cand = denom / kc * (omega - alpha)
+            if params.v_min <= cand < v:
+                return cand
+        return v
+    if region is Region.S1_5:
+        if psi_dot_ff - alpha < 0.0 and kc != 0.0:
+            cand = denom / kc * (omega - alpha)
+            if params.v_min <= cand <= params.v_max:
+                return cand
+        return v
+    if region is Region.S1_6:
+        if psi_dot_ff + alpha > 0.0 and kc != 0.0:
+            cand = denom / kc * (omega + alpha)
+            if params.v_min <= cand <= params.v_max:
+                return cand
+        return v
+    raise WrongRegion(f"reset called in {region.value}")
+
+
+def _s24_law(err, params):
+    region = Region.S2_4
+    if err.psi >= -params.psi_max + params.eps_switch:
+        return ControlCommand(params.v_max, -params.omega_max, region)
+    denom = 1.0 - err.kappa * err.rho
+    feed = err.kappa * params.v_max * math.cos(err.psi) / denom
+    if params.omega_max - feed >= 0.0:
+        return ControlCommand(params.v_max, max(-params.omega_max, feed), region)
+    v = params.omega_max * denom / (err.kappa * math.cos(err.psi))
+    return ControlCommand(v, params.omega_max, region)
+
+
+def _s22_law(err, params):
+    region = Region.S2_2
+    if err.psi <= params.psi_max - params.eps_switch:
+        return ControlCommand(params.v_max, params.omega_max, region)
+    denom = 1.0 - err.kappa * err.rho
+    feed = err.kappa * params.v_max * math.cos(err.psi) / denom
+    if params.omega_max + feed >= 0.0:
+        return ControlCommand(params.v_max, min(params.omega_max, feed), region)
+    v = -params.omega_max * denom / (err.kappa * math.cos(err.psi))
+    return ControlCommand(v, -params.omega_max, region)
+
+
+def _robust_law(params, region):
+    if region is Region.S2_1:
+        return ControlCommand(params.v_min, -params.omega_max, region)
+    return ControlCommand(params.v_min, params.omega_max, region)
+
+
+def hybrid_supervisor(err, zeta, params, chi):
+    """The supervisor's dispatch over the law bodies above."""
+    region = classify(err, params)
+    if region is Region.OUTSIDE:
+        raise outside_universe(err.rho, params)
+    if region.in_s1:
+        return _coord_law(err, zeta, params, chi, region)
+    if region is Region.S2_4:
+        return _s24_law(err, params)
+    if region is Region.S2_2:
+        return _s22_law(err, params)
+    return _robust_law(params, region)

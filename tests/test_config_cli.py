@@ -263,6 +263,28 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         out = capsys.readouterr().out
         assert "reset_bound" in out and "PASS" in out
 
+    def test_verify_uses_the_scenario_chi(self, capsys):
+        # parallel4's linear chi: the default coordination chi needs a spacing > 0
+        cfg = bundled_config_path("parallel4")
+        rc = main(["verify", "--config", str(cfg), "--suite", "reset_bound",
+                   "--suite", "switch_drive"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.count("PASS") == 2
+
+    @pytest.mark.parametrize("chi", ["{kind: coordination, slope: 0.3}",
+                                     "{slope: 0.3}",
+                                     "{kind: linear, slope: 0.0}",
+                                     "{kind: linear, slope: -0.475}"])
+    def test_chi_slope_accepted_only_when_used(self, tmp_path, capsys, chi):
+        # a coordination chi ignored the slope; a non-positive one failed
+        # without naming the key
+        cfg = write_config(tmp_path, MINIMAL + f"chi: {chi}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: chi.slope: " in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_verify_unknown_suite(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["verify", "--config", str(cfg), "--suite", "nope"]) == 1

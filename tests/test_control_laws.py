@@ -4,22 +4,32 @@ import math
 import numpy as np
 import pytest
 
-from cpfsim.control_laws import (CoordinationChi, LinearChi, build_chi,
+from cpfsim.control_laws import (ControlCommand, CoordinationChi, LinearChi, build_chi,
                                  comparison_system_trajectory, coord_control,
-                                 hybrid_supervisor, near_optimal_control_s22,
-                                 near_optimal_control_s24, reset_value,
-                                 robust_control_s21_s23, sat)
-from cpfsim.error_frame import PathError, Region, classify, error_dynamics, switching_value
+                                 hybrid_supervisor, reset_value, sat)
+from cpfsim.error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, classify,
+                                error_dynamics, switching_value)
 from cpfsim.exceptions import OutsideUniverse, WrongRegion
 from cpfsim.param_design import SpeedLimits, design_coordination_set
 from cpfsim.verification import sample_s1
 
 from conftest import CHI_AT_SPACING, SPACING, V_MIN_REF
+from oracles import _reset as reset_reference
+from oracles import _s24_law as s24_reference
 from oracles import comparison_system_trajectory as comparison_reference
+from oracles import hybrid_supervisor as supervisor_reference
+from test_batch import random_states
 
 
 def pure(params):
     return dataclasses.replace(params, sign_eps=0.0)
+
+
+def outer_law(err, params, region):
+    """The supervisor's command for a state of the outer subset ``region``."""
+    cmd = hybrid_supervisor(err, SPACING, params, build_chi(params))
+    assert cmd.region is region
+    return cmd
 
 
 def test_sat():
@@ -61,6 +71,7 @@ class TestChi:
         chi = LinearChi(params, 0.475)
         assert chi(0.0) == pytest.approx(V_MIN_REF)
         assert chi(100.0) == pytest.approx(V_MIN_REF + 47.5)
+        assert chi.many(np.array([0.0, 100.0])).tolist() == [chi(0.0), chi(100.0)]
 
     def test_build_chi_validation(self, params):
         with pytest.raises(ValueError):
@@ -223,14 +234,14 @@ class TestResetValue:
 
 class TestNearOptimalLaws:
     def test_s24_full_speed_branch(self, params):
-        cmd = near_optimal_control_s24(PathError(200.0, -0.3, 0.0, 0.001), params)
+        cmd = outer_law(PathError(200.0, -0.3, 0.0, 0.001), params, Region.S2_4)
         assert (cmd.v, cmd.omega) == (25.0, -0.2)
 
     def test_s24_band_unconstrained(self, params):
         psi = -params.psi_max + 0.01
         kappa = -0.0019
         err = PathError(200.0, psi, 0.0, kappa)
-        cmd = near_optimal_control_s24(err, params)
+        cmd = outer_law(err, params, Region.S2_4)
         feed = kappa * 25.0 * math.cos(psi) / (1.0 - kappa * 200.0)
         assert 0.2 - feed >= 0.0
         assert cmd.v == 25.0
@@ -238,7 +249,7 @@ class TestNearOptimalLaws:
 
     def test_s24_band_straight(self, params):
         err = PathError(200.0, -params.psi_max + 0.01, 0.0, 0.0)
-        cmd = near_optimal_control_s24(err, params)
+        cmd = outer_law(err, params, Region.S2_4)
         assert (cmd.v, cmd.omega) == (25.0, 0.0)
 
     def test_s24_band_keeps_heading_inside(self, params):
@@ -248,19 +259,19 @@ class TestNearOptimalLaws:
             rho = rng.uniform(params.rho_max * 1.001, params.rho_universe)
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
             err = PathError(rho, psi, 0.0, kappa)
-            cmd = near_optimal_control_s24(err, params)
+            cmd = outer_law(err, params, Region.S2_4)
             _, psi_dot = error_dynamics(err, cmd)
             assert psi_dot >= -1e-12
             assert params.v_min <= cmd.v <= params.v_max
             assert abs(cmd.omega) <= params.omega_max
 
     def test_s22_full_speed_branch(self, params):
-        cmd = near_optimal_control_s22(PathError(-200.0, 0.3, 0.0, 0.0), params)
+        cmd = outer_law(PathError(-200.0, 0.3, 0.0, 0.0), params, Region.S2_2)
         assert (cmd.v, cmd.omega) == (25.0, 0.2)
 
     def test_s22_band_straight(self, params):
         err = PathError(-200.0, params.psi_max - 0.01, 0.0, 0.0)
-        cmd = near_optimal_control_s22(err, params)
+        cmd = outer_law(err, params, Region.S2_2)
         assert (cmd.v, cmd.omega) == (25.0, 0.0)
 
     def test_s22_band_keeps_heading_inside(self, params):
@@ -270,7 +281,7 @@ class TestNearOptimalLaws:
             rho = rng.uniform(-params.rho_universe, -params.rho_max * 1.001)
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
             err = PathError(rho, psi, 0.0, kappa)
-            cmd = near_optimal_control_s22(err, params)
+            cmd = outer_law(err, params, Region.S2_2)
             _, psi_dot = error_dynamics(err, cmd)
             assert psi_dot <= 1e-12
 
@@ -280,23 +291,17 @@ class TestNearOptimalLaws:
             psi = rng.uniform(-params.psi_max, -1e-6)
             rho = rng.uniform(params.rho_max * 1.001, params.rho_universe)
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
-            c24 = near_optimal_control_s24(PathError(rho, psi, 0.0, kappa), params)
-            c22 = near_optimal_control_s22(PathError(-rho, -psi, 0.0, -kappa), params)
+            c24 = outer_law(PathError(rho, psi, 0.0, kappa), params, Region.S2_4)
+            c22 = outer_law(PathError(-rho, -psi, 0.0, -kappa), params, Region.S2_2)
             assert c22.v == pytest.approx(c24.v, abs=1e-12)
             assert c22.omega == pytest.approx(-c24.omega, abs=1e-12)
-
-    def test_wrong_region(self, params):
-        with pytest.raises(WrongRegion):
-            near_optimal_control_s24(PathError(0.0, 0.0), params)
-        with pytest.raises(WrongRegion):
-            near_optimal_control_s22(PathError(200.0, -0.3), params)
 
 
 class TestRobustLaws:
     def test_constant_commands(self, params):
-        c1 = robust_control_s21_s23(PathError(0.0, 2.0), params)
+        c1 = outer_law(PathError(0.0, 2.0), params, Region.S2_1)
         assert (c1.v, c1.omega) == (10.0, -0.2)
-        c3 = robust_control_s21_s23(PathError(0.0, -2.0), params)
+        c3 = outer_law(PathError(0.0, -2.0), params, Region.S2_3)
         assert (c3.v, c3.omega) == (10.0, 0.2)
 
     def test_symmetry(self, params):
@@ -304,13 +309,9 @@ class TestRobustLaws:
         for _ in range(200):
             rho = rng.uniform(-params.rho_universe, params.rho_universe)
             psi = rng.uniform(0.7, math.pi - 1e-6)
-            a = robust_control_s21_s23(PathError(rho, psi), params)
-            b = robust_control_s21_s23(PathError(-rho, -psi), params)
+            a = outer_law(PathError(rho, psi), params, Region.S2_1)
+            b = outer_law(PathError(-rho, -psi), params, Region.S2_3)
             assert (b.v, b.omega) == (a.v, -a.omega)
-
-    def test_wrong_region(self, params):
-        with pytest.raises(WrongRegion):
-            robust_control_s21_s23(PathError(0.0, 0.0), params)
 
 
 class TestSupervisor:
@@ -321,8 +322,7 @@ class TestSupervisor:
         assert hybrid_supervisor(err, SPACING, params, chi) == \
             coord_control(err, SPACING, params, chi)
         err = PathError(200.0, -0.3, 0.0, 0.001)
-        assert hybrid_supervisor(err, SPACING, params, chi) == \
-            near_optimal_control_s24(err, params)
+        assert hybrid_supervisor(err, SPACING, params, chi) == s24_reference(err, params)
 
     def test_outside_universe(self, params):
         chi = build_chi(params)
@@ -340,74 +340,88 @@ class TestSupervisor:
         assert cmd.region is Region.S2_3
 
 
-def _random_states(params, n, seed):
-    """(error, zeta) pairs covering every region: half drawn from the
-    coordination set, half from the whole universe, plus the set's corners."""
+def _s1_box_states(params, n, seed):
+    """Arrays (rho, psi, kappa, code) of n states in each coordination subset.
+
+    Drawn in the set's bounding box, with a share of exact edge values; a
+    fifth of the curvatures are zero.
+    """
     rng = np.random.default_rng(seed)
-    r2 = params.rho_universe
-    states = sample_s1(rng, params, n // 2)
-    states += [(rng.uniform(-r2, r2), rng.uniform(-math.pi, math.pi))
-               for _ in range(n - len(states))]
-    states += [(rho, psi) for rho in (-r2, -params.rho_max, 0.0, params.rho_max, r2)
-               for psi in (-params.psi_max, 0.0, params.psi_max)]
-    out = []
-    for rho, psi in states:
-        kappa = rng.uniform(-0.999 * params.kappa_bound, 0.999 * params.kappa_bound)
-        out.append((PathError(rho, psi, 0.0, kappa), rng.uniform(0.0, 2.0 * SPACING)))
-    return out
-
-
-def _public_law_command(region, err, zeta, p, chi):
-    if region.in_s1:
-        return coord_control(err, zeta, p, chi)
-    if region is Region.S2_4:
-        return near_optimal_control_s24(err, p)
-    if region is Region.S2_2:
-        return near_optimal_control_s22(err, p)
-    return robust_control_s21_s23(err, p)
+    a, r1, m = params.psi_max, params.rho_max, 200_000
+    rho, psi, code = np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
+    while np.bincount(code, minlength=N_S1)[:N_S1].min() < n:
+        r, s = rng.uniform(-r1, r1, m), rng.uniform(-a, a, m)
+        edge = rng.random(m) < 0.05
+        r[edge] = rng.choice([0.0, -0.0, r1, -r1, 0.5 * r1, -0.5 * r1], edge.sum())
+        s[edge] = rng.choice([0.0, -0.0, a, -a, 0.5 * a, -0.5 * a], edge.sum())
+        rho, psi = np.concatenate([rho, r]), np.concatenate([psi, s])
+        code = np.concatenate([code, batch_classify(r, s, params)])
+    pick = np.concatenate([np.flatnonzero(code == c)[:n] for c in range(N_S1)])
+    kappa = rng.uniform(-params.kappa_bound, params.kappa_bound, pick.size)
+    kappa[rng.random(pick.size) < 0.2] = 0.0
+    return rho[pick], psi[pick], kappa, code[pick]
 
 
 class TestSupervisorMatchesPublicLaws:
-    """The supervisor's single classify gives what the public laws give."""
+    """The table-driven law gives what the pre-change law bodies (tests/oracles.py) gave."""
 
     @pytest.mark.parametrize("sign_eps", [1.0e-3, 0.0])
     def test_command_equality_on_random_states(self, params, sign_eps):
         p = dataclasses.replace(params, sign_eps=sign_eps)
         chi = build_chi(p)
         seen = set()
-        for err, zeta in _random_states(p, 10_000, seed=97):
+        for r, s, k, z in zip(*(x.tolist() for x in random_states(p, 100_000, seed=11))):
+            err = PathError(r, s, 0.0, k)
             region = classify(err, p)
             seen.add(region)
-            cmd = hybrid_supervisor(err, zeta, p, chi)
-            assert cmd == _public_law_command(region, err, zeta, p, chi), (err, zeta)
+            if region is Region.OUTSIDE:
+                with pytest.raises(OutsideUniverse):
+                    hybrid_supervisor(err, z, p, chi)
+                continue
+            cmd = hybrid_supervisor(err, z, p, chi)
+            assert cmd == supervisor_reference(err, z, p, chi), (err, z)
             assert cmd.region is region
-        assert seen == set(Region) - {Region.OUTSIDE}
+        assert seen == set(Region)
+
+    def test_reset_value_equals_reference(self, params):
+        # arbitrary commands in the box, edges included, so that every
+        # subset's inequality is violated often
+        rng = np.random.default_rng(13)
+        n = 100_000
+        rho, psi, kappa, code = _s1_box_states(params, n, seed=13)
+        v = rng.uniform(params.v_min, params.v_max, rho.size)
+        omega = rng.uniform(-params.omega_max, params.omega_max, rho.size)
+        v[::50], omega[::50] = params.v_max, -params.omega_max
+        v[1::50], omega[1::50] = params.v_min, params.omega_max
+        changed = dict.fromkeys(REGIONS[:N_S1], 0)
+        for r, s, k, vi, wi, c in zip(*(x.tolist() for x in (rho, psi, kappa, v, omega, code))):
+            region = REGIONS[c]
+            err = PathError(r, s, 0.0, k)
+            got = reset_value(ControlCommand(vi, wi, region), err, params)
+            assert got == reset_reference(vi, wi, region, err, params), (region, err, vi, wi)
+            changed[region] += got != vi
+        assert min(changed.values()) > 100, changed
 
     def test_every_public_law_guards_its_region(self, params):
         chi = build_chi(params)
-        laws = {
-            "coord": (lambda e: coord_control(e, SPACING, params, chi),
-                      lambda r: r.in_s1),
-            "s24": (lambda e: near_optimal_control_s24(e, params),
-                    lambda r: r is Region.S2_4),
-            "s22": (lambda e: near_optimal_control_s22(e, params),
-                    lambda r: r is Region.S2_2),
-            "robust": (lambda e: robust_control_s21_s23(e, params),
-                       lambda r: r is Region.S2_1 or r is Region.S2_3),
-        }
-        states = [e for e, _ in _random_states(params, 2_000, seed=5)]
+        rho, psi, kappa, _ = random_states(params, 2_000, seed=5)
+        states = [PathError(r, s, 0.0, k) for r, s, k in zip(rho.tolist(), psi.tolist(),
+                                                             kappa.tolist())]
         states.append(PathError(params.rho_universe + 1.0, 0.0))
-        wrong = {name: 0 for name in laws}
+        wrong = 0
         for err in states:
             region = classify(err, params)
-            for name, (law, owns) in laws.items():
-                if owns(region):
-                    assert law(err).region is region
-                else:
-                    with pytest.raises(WrongRegion):
-                        law(err)
-                    wrong[name] += 1
-        assert all(n > 0 for n in wrong.values())
+            cmd = ControlCommand(params.v_max, 0.0, region)
+            if region.in_s1:
+                assert coord_control(err, SPACING, params, chi).region is region
+                reset_value(cmd, err, params)
+                continue
+            with pytest.raises(WrongRegion):
+                coord_control(err, SPACING, params, chi)
+            with pytest.raises(WrongRegion):
+                reset_value(cmd, err, params)
+            wrong += 1
+        assert wrong > 0
 
 
 class TestComparisonTrajectory:

@@ -316,7 +316,7 @@ class TestSpline:
             _build_record(hil_spline)
 
     # The gates compare the min speed and the max curvature of a whole grid;
-    # a NaN anywhere makes those NaN and the comparison false.  The grids are
+    # a NaN anywhere makes those NaN, and a NaN fails the gate.  The grids are
     # evaluated in blocks, and a NaN and a failing value in different blocks
     # must decide as in one call, in either order.
 
@@ -345,9 +345,12 @@ class TestSpline:
         self._spoil(monkeypatch, 1, 0.0, False, bad_first)
         with pytest.raises(DegenerateSpline):
             SplinePath(VALLEY_WAYPOINTS, kappa_bound=1.0)
-        # the NaN passes the gate and reaches the arc length
         self._spoil(monkeypatch, 1, 0.0, True, bad_first)
-        with pytest.raises(ValueError, match="arange"):
+        with pytest.raises(DegenerateSpline):
+            SplinePath(VALLEY_WAYPOINTS, kappa_bound=1.0)
+        # the NaN alone, beside an admissible speed
+        self._spoil(monkeypatch, 1, 1.0, True, bad_first)
+        with pytest.raises(DegenerateSpline):
             SplinePath(VALLEY_WAYPOINTS, kappa_bound=1.0)
 
     @pytest.mark.parametrize("bad_first", [True, False])
@@ -356,7 +359,12 @@ class TestSpline:
         with pytest.raises(CurvatureBoundExceeded):
             SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
         self._spoil(monkeypatch, 2, 1.0e6, True, bad_first)
-        SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
+        with pytest.raises(CurvatureBoundExceeded):
+            SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
+        # the NaN alone, beside a straight stretch
+        self._spoil(monkeypatch, 2, 0.0, True, bad_first)
+        with pytest.raises(CurvatureBoundExceeded):
+            SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
 
     @pytest.mark.parametrize("waypoints", [HIL_WAYPOINTS, VALLEY_WAYPOINTS],
                              ids=["hil", "valley"])
