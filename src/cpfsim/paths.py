@@ -24,8 +24,8 @@ from .exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbi
 
 TWO_PI = 2.0 * math.pi
 
-# Spline parameters per _eval_vec call when SplinePath samples its dense
-# build grids (about 340k points for a 17 km path); bounds the temporaries.
+# Spline parameters per block when SplinePath samples its dense build grids
+# (about 340k points for a 17 km path); bounds the temporaries.
 _BUILD_BLOCK = 16384
 
 # Mean Earth radius for the equirectangular lon/lat conversion (m).
@@ -35,6 +35,21 @@ EARTH_RADIUS = 6371008.8
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to the half-open interval [-pi, pi)."""
     return (angle + math.pi) % TWO_PI - math.pi
+
+
+def _grid_blocks(stop, n, share=0):
+    """``np.linspace(0.0, stop, n)`` in blocks of ``_BUILD_BLOCK`` points.
+
+    The floats are linspace's: ``arange * (stop / (n - 1)) + 0.0``, with the
+    last point set to ``stop``.  Each block begins with the last ``share``
+    points of the block before.
+    """
+    step = stop / (n - 1)
+    for a in range(0, n - share, _BUILD_BLOCK):
+        u = np.arange(a, min(a + _BUILD_BLOCK + share, n), dtype=float) * step + 0.0
+        if a + len(u) == n:
+            u[-1] = stop
+        yield u
 
 
 @dataclass(frozen=True)
@@ -83,6 +98,10 @@ class Path:
     def curvature_at(self, s: float) -> float:
         raise NotImplementedError
 
+    def curvature_many(self, s) -> np.ndarray:
+        """``curvature_at`` at each arc length of the array ``s``."""
+        return np.array([self.curvature_at(x) for x in np.asarray(s).tolist()], dtype=float)
+
     def project(self, point: tuple[float, float], hint_s: float | None = None) -> Projection:
         raise NotImplementedError
 
@@ -130,6 +149,9 @@ class CirclePath(Path):
     def curvature_at(self, s):
         return 1.0 / self.radius if self.ccw else -1.0 / self.radius
 
+    def curvature_many(self, s):
+        return np.full(np.shape(s), self.curvature_at(0.0))
+
     def project(self, point, hint_s=None):
         dx = point[0] - self.center[0]
         dy = point[1] - self.center[1]
@@ -171,6 +193,9 @@ class LinePath(Path):
 
     def curvature_at(self, s):
         return 0.0
+
+    def curvature_many(self, s):
+        return np.full(np.shape(s), 0.0)
 
     def project(self, point, hint_s=None):
         dx = point[0] - self.origin[0]
@@ -302,61 +327,76 @@ class SplinePath(Path):
         return h
 
     def _build_lut(self, lut_step):
-        # Fine trapezoid integration of spline speed, then a uniform s -> u table.
-        # The speed is sampled in blocks; neighbouring blocks share one point.
-        # np.minimum keeps a NaN, as one min over the whole grid does.
+        # Trapezoid integration of spline speed on a fine grid, then a uniform
+        # s -> u table, one block of the grid at a time.  A block shares its
+        # first point with the block before, carries the running arc length
+        # into its cumsum and appends the table entries in its arc-length
+        # range.  A block whose min speed fails raises (a NaN fails too), so
+        # the gate decides as one min over the whole grid.
         n_fine = max(2000, int(self._u_end / 0.05) + 1)
-        u = np.linspace(0.0, self._u_end, n_fine)
-        s = np.empty(n_fine)
-        s[0] = 0.0
-        slowest = np.inf
-        for a in range(0, n_fine - 1, _BUILD_BLOCK):
-            ub = u[a:a + _BUILD_BLOCK + 1]
-            speed = np.hypot(*self._eval_vec(ub, 1))
-            slowest = np.minimum(slowest, speed.min())
-            s[a + 1:a + len(ub)] = 0.5 * (speed[1:] + speed[:-1]) * np.diff(ub)
-        if not slowest >= 1.0e-9:
-            raise DegenerateSpline("spline speed vanishes")
-        np.cumsum(s, out=s)
+        self._lut_step = step = float(lut_step)
+        lut = array("d")
+        s = np.zeros(1)
+        for u in _grid_blocks(self._u_end, n_fine, share=1):
+            speed = np.hypot(*self._eval_vec(u, 1))
+            if not speed.min() >= 1.0e-9:
+                raise DegenerateSpline("spline speed vanishes")
+            s = np.concatenate((s[-1:], 0.5 * (speed[1:] + speed[:-1]) * np.diff(u)))
+            np.cumsum(s, out=s)
+            # np.arange's table floats j * step + 0.0, picked by s[0] <= g < s[-1];
+            # the division only bounds the candidates
+            g = np.arange(len(lut), int(s[-1] / step) + 3, dtype=float) * step + 0.0
+            lut.frombytes(np.interp(g[:np.searchsorted(g, s[-1])], s, u).tobytes())
         self.total_length = float(s[-1])
-        self._lut_step = float(lut_step)
-        s_grid = np.arange(0.0, self.total_length + lut_step, lut_step)
-        u_of_s = np.interp(s_grid, s, u)
-        u_of_s[-1] = self._u_end
-        self._u_of_s = array("d", u_of_s.tobytes())
+        # the rest of len(np.arange(0.0, total_length + lut_step, lut_step))
+        # lies at or past the end
+        n_lut = math.ceil((self.total_length + step) / step)
+        lut.extend([self._u_end] * (n_lut - len(lut)))
+        lut[-1] = self._u_end
+        self._u_of_s = lut
 
     def _check_shape(self):
+        # Densely sampled curvature, one block at a time; a block whose max
+        # fails raises (a NaN fails too), so the gate decides as one max over
+        # the whole grid and reports the first failing block's max.
         n = max(4000, int(self.total_length / 0.1) + 1)
-        u = np.linspace(0.0, self._u_end, n)
-        kappa_max = 0.0  # np.maximum keeps a NaN, as one max over the whole grid does
-        for a in range(0, n, _BUILD_BLOCK):
-            ub = u[a:a + _BUILD_BLOCK]
-            dx, dy = self._eval_vec(ub, 1)
-            ddx, ddy = self._eval_vec(ub, 2)
+        for u in _grid_blocks(self._u_end, n):
+            dx, dy = self._eval_vec(u, 1)
+            ddx, ddy = self._eval_vec(u, 2)
             speed = np.hypot(dx, dy)
-            kappa_max = np.maximum(kappa_max, np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
-        kappa_max = float(kappa_max)
-        if not kappa_max < self.kappa_bound:
-            raise CurvatureBoundExceeded(
-                f"spline curvature {kappa_max:g} >= bound {self.kappa_bound:g}")
+            kappa_max = float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
+            if not kappa_max < self.kappa_bound:
+                raise CurvatureBoundExceeded(
+                    f"spline curvature {kappa_max:g} >= bound {self.kappa_bound:g}")
 
     def _eval_vec(self, u, deriv):
-        """Derivative ``deriv`` (0, 1 or 2) of x and y at an array of spline parameters.
+        """Derivative ``deriv`` (0, 1 or 2) of x and y at a sorted array of spline parameters.
 
-        Returns ``(x, y)`` arrays.  The expressions are ``_frame``'s, so both
-        evaluators give the same floats at the same u.
+        ``u`` must be non-decreasing (``ValueError`` otherwise): one
+        ``searchsorted`` of the breaks cuts it into one slice per span, and
+        each slice is evaluated with its span's coefficients.  ``u`` below the
+        first break belongs to the first span, at or past the last break to
+        the last.  Returns ``(x, y)`` arrays.  The expressions are
+        ``_frame``'s, so both evaluators give the same floats at the same u.
         """
-        idx = np.clip(np.searchsorted(self._breaks, u, side="right") - 1, 0, len(self._cx) - 1)
-        du = u - np.asarray(self._breaks)[idx]
-        c0, c1, c2, c3 = np.asarray(self._cx)[idx].T
-        d0, d1, d2, d3 = np.asarray(self._cy)[idx].T
+        if (u[1:] < u[:-1]).any():
+            raise ValueError("spline parameters must be non-decreasing")
+        cuts = [0] + np.searchsorted(u, self._breaks[1:], side="left").tolist() + [len(u)]
+        x, y = np.empty(len(u)), np.empty(len(u))
+        for b, cx, cy, lo, hi in zip(self._breaks, self._cx, self._cy, cuts, cuts[1:]):
+            du = u[lo:hi] - b
+            x[lo:hi] = self._poly(cx, du, deriv)
+            y[lo:hi] = self._poly(cy, du, deriv)
+        return x, y
+
+    @staticmethod
+    def _poly(c, du, deriv):
+        c0, c1, c2, c3 = c
         if deriv == 0:
-            return (((c0 * du + c1) * du + c2) * du + c3,
-                    ((d0 * du + d1) * du + d2) * du + d3)
+            return ((c0 * du + c1) * du + c2) * du + c3
         if deriv == 1:
-            return ((3.0 * c0 * du + 2.0 * c1) * du + c2,
-                    (3.0 * d0 * du + 2.0 * d1) * du + d2)
-        return (6.0 * c0 * du + 2.0 * c1, 6.0 * d0 * du + 2.0 * d1)
+            return (3.0 * c0 * du + 2.0 * c1) * du + c2
+        return 6.0 * c0 * du + 2.0 * c1
 
     def _u_at(self, s):
         # Uniform LUT: direct index + linear interpolation.

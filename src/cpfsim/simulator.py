@@ -79,6 +79,10 @@ class Scenario:
         for u in self.uavs:
             if not 0 <= u.path_index < len(self.paths):
                 raise ConfigError(f"UAV {u.id}: path index {u.path_index} out of range")
+            # a UAV spawning after the run ends would be missing from the metrics
+            if not 0.0 <= u.spawn_time <= self.duration:
+                raise ConfigError(f"UAV {u.id}: spawn_time {u.spawn_time!r} outside "
+                                  f"[0, duration={self.duration!r}]")
         if self.topology == "cyclic" and len({u.path_index for u in self.uavs}) > 1:
             raise ConfigError("cyclic topology requires all UAVs on the same path")
         if self.topology == "tree":

@@ -395,7 +395,7 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
         if prev is not None:
             events[runs] += batch_overtake_counts(*prev, pre, gap, path)
         zeta = zeta.ravel()
-        kappa = np.array([path.curvature_at(x) for x in s.tolist()])
+        kappa = path.curvature_many(s)
         code = batch_classify(rho, psi, params)
         out = code == Region.OUTSIDE.code
         if out.any():

@@ -258,6 +258,44 @@ def spline_projection_at(path, s, px, py):
     return Projection(s, x, y, ta, spline_curvature_at(path, s), rho)
 
 
+def spline_eval_gather(path, u, deriv):
+    """SplinePath._eval_vec before it went span by span: a per-point span
+    index and a gather of the coefficient columns, for any order of ``u``."""
+    idx = np.clip(np.searchsorted(path._breaks, u, side="right") - 1, 0, len(path._cx) - 1)
+    du = u - np.asarray(path._breaks)[idx]
+    c0, c1, c2, c3 = np.asarray(path._cx)[idx].T
+    d0, d1, d2, d3 = np.asarray(path._cy)[idx].T
+    if deriv == 0:
+        return (((c0 * du + c1) * du + c2) * du + c3,
+                ((d0 * du + d1) * du + d2) * du + d3)
+    if deriv == 1:
+        return ((3.0 * c0 * du + 2.0 * c1) * du + c2,
+                (3.0 * d0 * du + 2.0 * d1) * du + d2)
+    return (6.0 * c0 * du + 2.0 * c1, 6.0 * d0 * du + 2.0 * d1)
+
+
+def spline_lut_whole_grid(path, lut_step):
+    """``(total_length, s -> u table)`` of SplinePath's build on whole grids.
+
+    The build before it ran block by block: one ``np.linspace`` fine grid,
+    one ``np.cumsum`` of the trapezoids, one ``np.interp`` at
+    ``np.arange(0.0, total + lut_step, lut_step)``.  ``None`` where the
+    speed gate fails.
+    """
+    n_fine = max(2000, int(path._u_end / 0.05) + 1)
+    u = np.linspace(0.0, path._u_end, n_fine)
+    speed = np.hypot(*spline_eval_gather(path, u, 1))
+    if not speed.min() >= 1.0e-9:
+        return None
+    s = np.empty(n_fine)
+    s[0] = 0.0
+    s[1:] = 0.5 * (speed[1:] + speed[:-1]) * np.diff(u)
+    np.cumsum(s, out=s)
+    u_of_s = np.interp(np.arange(0.0, float(s[-1]) + lut_step, lut_step), s, u)
+    u_of_s[-1] = path._u_end
+    return float(s[-1]), u_of_s.tolist()
+
+
 def clamped_knots(waypoints):
     """Waypoints as an (n, 2) array and SplinePath's clamped chord-length cubic knots."""
     k = 3

@@ -120,6 +120,26 @@ class TestSchema:
         assert rc == 1
         assert f"{flag[2:]} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spawn_time", [50.0, 40.01, -1.0])
+    def test_spawn_time_outside_the_run_rejected(self, spawn_time):
+        # a UAV spawning after the end was left out of metrics.json, and
+        # all_in_s1_time read as if the whole fleet had converged
+        cfg = load_config(bundled_config_path("circle6"))
+        cfg["uavs"][2]["spawn_time"] = spawn_time
+        with pytest.raises(ConfigError, match=r"UAV 3: spawn_time .* outside \[0, duration=40\.0\]"):
+            build_scenario(cfg, duration=40.0)
+        cfg["uavs"][2]["spawn_time"] = 40.0
+        assert build_scenario(cfg, duration=40.0).uavs[2].spawn_time == 40.0
+
+    def test_spawn_time_past_a_cli_duration_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL.replace("theta: 1.5707963267948966}",
+                                                     "theta: 1.5707963267948966, spawn_time: 0.5}"))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--duration", "0.25"])
+        assert rc == 1
+        assert "error: UAV 1: spawn_time 0.5 outside [0, duration=0.25]" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
     def test_escape_grid_defaults(self, tmp_path):
         spec = escape_spec(load_config(write_config(tmp_path, MINIMAL)))
         assert spec["state_grid"] == (20, 20) and spec["control_grid"] == (21, 21)

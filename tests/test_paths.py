@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 from cpfsim import paths as paths_mod
 from cpfsim.config import build_limits, build_paths, bundled_config_path, load_config
 from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
-from cpfsim.paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat, wrap_angle
+from cpfsim.paths import (CirclePath, LinePath, SplinePath, _grid_blocks, waypoints_from_lonlat,
+                          wrap_angle)
 
 from conftest import HIL_LONLAT, HIL_WAYPOINTS
 from oracles import (brute_force_projection, bspline_kappa_max, clamped_knots,
                      ppoly_power_coefficients, spline_curvature_at, spline_ends, spline_eval,
-                     spline_point_at, spline_projection_at, spline_tangent_angle_at)
+                     spline_lut_whole_grid, spline_point_at, spline_projection_at,
+                     spline_tangent_angle_at)
 
 VALLEY_WAYPOINTS = [(0.0, 2000.0), (1000.0, 600.0), (2000.0, 0.0),
                     (3000.0, 600.0), (4000.0, 2000.0)]
@@ -88,6 +91,32 @@ _waypoint = (st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
 def _waypoint_sets(draw):
     pts = draw(st.lists(st.tuples(_waypoint, st.integers(1, 4)), min_size=4, max_size=29))
     return [p for p, repeat in pts for _ in range(repeat)][:29]
+
+
+def _bare_spline(waypoints):
+    """A SplinePath with its power coefficients and no build (no gates, no table)."""
+    pts, knots = clamped_knots(waypoints)
+    path = object.__new__(SplinePath)
+    path._breaks, path._cx = SplinePath._power_coefficients(knots, pts[:, 0])
+    _, path._cy = SplinePath._power_coefficients(knots, pts[:, 1])
+    path._u_end = float(knots[-1])
+    return path
+
+
+def _sorted_parameters(path):
+    """Every break, the float just below each, points beyond both ends and a
+    uniform grid, in ascending order."""
+    u_end = path._u_end
+    u = list(path._breaks) + [float(np.nextafter(b, -np.inf)) for b in path._breaks]
+    u += [-50.0, -1.0e-9, u_end, float(np.nextafter(u_end, np.inf)), u_end + 1.0e-9, u_end + 50.0]
+    u += np.linspace(0.0, u_end, 2001).tolist()
+    return np.sort(u)
+
+
+def _assert_eval_vec_matches_oracle(path, u):
+    for deriv in (0, 1, 2):
+        want = np.array([spline_eval(path, v, deriv) for v in u.tolist()]).T
+        assert np.array(path._eval_vec(u, deriv)).tobytes() == want.tobytes(), deriv
 
 
 def test_wrap_angle_half_open():
@@ -266,7 +295,8 @@ class TestSpline:
             assert hil_spline.point_at(s) == (x, y), s
             assert hil_spline.tangent_angle_at(s) == ta, s
             assert hil_spline.curvature_at(s) == kappa, s
-        u = np.array([hil_spline._u_at(s) for s in grid])
+        # _eval_vec takes sorted parameters; the same points, in order
+        u = np.sort([hil_spline._u_at(s) for s in grid])
         for deriv in (0, 1, 2):
             ref = np.array([spline_eval(hil_spline, v, deriv) for v in u.tolist()]).T
             assert np.array_equal(np.array(hil_spline._eval_vec(u, deriv)), ref), deriv
@@ -314,6 +344,70 @@ class TestSpline:
         monkeypatch.setattr(paths_mod, "_BUILD_BLOCK", 997)
         assert _build_record(SplinePath(HIL_WAYPOINTS, kappa_bound=0.002)) == \
             _build_record(hil_spline)
+
+    def test_eval_vec_matches_oracle_at_breaks_and_beyond_ends(self, bundled_splines):
+        for path in bundled_splines.values():
+            _assert_eval_vec_matches_oracle(path, _sorted_parameters(path))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(waypoints=_waypoint_sets())
+    def test_eval_vec_matches_oracle_with_many_spans(self, waypoints):
+        _, knots = clamped_knots(waypoints)
+        if not knots[-1] > 0.0:
+            return  # all waypoints coincide: the constructor raises DegenerateSpline
+        path = _bare_spline(waypoints)
+        _assert_eval_vec_matches_oracle(path, _sorted_parameters(path))
+
+    def test_eval_vec_rejects_decreasing_parameters(self, hil_spline):
+        for deriv in (0, 1, 2):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                hil_spline._eval_vec(np.array([0.0, 10.0, 10.0, 9.0]), deriv)
+        x, y = hil_spline._eval_vec(np.empty(0), 0)
+        assert x.shape == y.shape == (0,)
+
+    @pytest.mark.parametrize("block", [997, 16384])
+    @pytest.mark.parametrize("lut_step", [0.1, 0.07, 0.5, 3.0])
+    def test_build_equals_whole_grid_build(self, monkeypatch, block, lut_step):
+        monkeypatch.setattr(paths_mod, "_BUILD_BLOCK", block)
+        path = SplinePath(HIL_WAYPOINTS, kappa_bound=0.002, lut_step=lut_step)
+        assert _same_floats((path.total_length, list(path._u_of_s)),
+                            spline_lut_whole_grid(path, lut_step))
+        assert len(path._u_of_s) == len(np.arange(0.0, path.total_length + lut_step, lut_step))
+
+    # waypoints within 500 m keep the fine grids below about 200k points; runs
+    # of repeats would make most speeds vanish, so only the lattice repeats
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(waypoints=st.lists(_waypoint, min_size=4, max_size=29).map(
+               lambda w: [(x / 20.0, y / 20.0) for x, y in w]),
+           lut_step=st.sampled_from([0.1, 0.07, 0.5]))
+    def test_build_equals_whole_grid_build_with_many_spans(self, waypoints, lut_step):
+        _, knots = clamped_knots(waypoints)
+        if not knots[-1] > 0.0:
+            return
+        # near-coincident knots give infinite coefficients, and inf * 0 is NaN
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(paths_mod, "_BUILD_BLOCK", 997)
+            try:
+                path = SplinePath(waypoints, kappa_bound=math.inf, lut_step=lut_step)
+            except DegenerateSpline:
+                assert spline_lut_whole_grid(_bare_spline(waypoints), lut_step) is None
+                return
+            except CurvatureBoundExceeded:
+                return  # an infinite or NaN curvature; the table was built
+        assert _same_floats((path.total_length, list(path._u_of_s)),
+                            spline_lut_whole_grid(path, lut_step))
+
+    def test_build_peak_memory(self, bundled_splines):
+        # the dense grids are built and reduced block by block; the whole
+        # grids took about 10 MB
+        ref = bundled_splines["parallel4[0]"]
+        tracemalloc.start()
+        try:
+            SplinePath(ref.waypoints, kappa_bound=ref.kappa_bound, lut_step=ref._lut_step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0e6, peak
 
     # The gates compare the min speed and the max curvature of a whole grid;
     # a NaN anywhere makes those NaN, and a NaN fails the gate.  The grids are
@@ -400,6 +494,31 @@ class TestSpline:
         assert hil_spline.curvature_at(-1.0) == 0.0
         pr = hil_spline.project(hil_spline.point_at(hil_spline.total_length + 40.0))
         assert pr.s == pytest.approx(hil_spline.total_length + 40.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("block", [997, 16384])
+def test_grid_blocks_equal_linspace(monkeypatch, block):
+    monkeypatch.setattr(paths_mod, "_BUILD_BLOCK", block)
+    for stop in (1.0, 12345.678, 16987.39162):
+        for n in (2, 3, 996, 997, 998, 1994, 1995, 1996, 4000, 16384, 16385, 16386, 339_745):
+            want = np.linspace(0.0, stop, n).tobytes()
+            assert np.concatenate(list(_grid_blocks(stop, n))).tobytes() == want, (stop, n)
+            shared = list(_grid_blocks(stop, n, share=1))
+            assert all(a[-1] == b[0] for a, b in zip(shared, shared[1:])), (stop, n)
+            joined = np.concatenate([shared[0]] + [b[1:] for b in shared[1:]])
+            assert joined.tobytes() == want, (stop, n)
+
+
+def test_curvature_many_equals_curvature_at(circle, hil_spline):
+    paths = [circle, CirclePath((5.0, -3.0), 800.0, "cw", 0.002),
+             LinePath((1.0, 2.0), 0.3), hil_spline]
+    for path in paths:
+        s = np.random.default_rng(5).uniform(-100.0, path.total_length + 100.0, 500)
+        s = np.concatenate([[-10.0, 0.0, path.total_length], s])
+        got = path.curvature_many(s)
+        assert got.dtype == np.float64 and got.shape == s.shape, path.kind
+        assert _same_floats(got.tolist(), [path.curvature_at(x) for x in s.tolist()]), path.kind
+        assert path.curvature_many(np.empty(0)).shape == (0,), path.kind
 
 
 def test_lonlat_conversion_matches_table():
