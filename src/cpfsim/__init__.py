@@ -21,8 +21,8 @@ from .control_laws import (ChiFunction, ControlCommand, CoordinationChi, LinearC
                            build_chi, comparison_admissible,
                            comparison_system_trajectory, coord_control,
                            hybrid_supervisor, reset_value, sat)
-from .coordination import (CoordinationState, OvertakeEvent, chain_coordination,
-                           compute_zeta, detect_overtaking, update_pre_neighbors)
+from .coordination import (OvertakeEvent, chain_coordination, detect_overtaking,
+                           update_pre_neighbors)
 from .error_frame import (PathError, Region, classify, compute_error,
                           error_dynamics, in_escape_set, switching_value)
 from .exceptions import (ConfigError, CpfsimError, CurvatureBoundExceeded,

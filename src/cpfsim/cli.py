@@ -116,6 +116,7 @@ def cmd_design_params(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    spec = cfgmod.output_spec(cfg)
     scenario = cfgmod.build_scenario(
         cfg,
         duration=_resolve(args, "duration", float),
@@ -123,10 +124,9 @@ def cmd_simulate(args) -> int:
     trace, metrics = run_scenario(scenario)
 
     out = _out_dir(args, cfg)
-    spec = cfgmod.output_spec(cfg)
     trace.write_csv(out / spec["trace"])
     trace.write_events_csv(out / spec["events"])
-    trace.write_long_csv(out / spec["long"], every=int(spec["long_every"]))
+    trace.write_long_csv(out / spec["long"], every=spec["long_every"])
     with open(out / spec["metrics"], "w", encoding="utf-8") as fh:
         json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

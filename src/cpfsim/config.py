@@ -13,7 +13,7 @@ from pathlib import Path as FsPath
 import yaml
 
 from .exceptions import ConfigError
-from .param_design import CoordParams, SpeedLimits, design_coordination_set
+from .param_design import CoordParams, SpeedLimits, derived_defaults, design_coordination_set
 from .paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat
 from .simulator import Scenario, UavSpec
 
@@ -137,9 +137,7 @@ def resolve_params(cfg: dict) -> CoordParams:
         if key not in e:
             raise ConfigError(f"params.explicit: missing required key '{key}'")
     fields = {k: _num(e, k, "params.explicit") for k in e}
-    r0 = 1.0 / limits.kappa_bound
-    fields.setdefault("rho_universe", 0.9 * (r0 - limits.v_min / limits.omega_max))
-    fields.setdefault("k2", fields["rho_max"] / fields["psi_max"] + 1.0)
+    fields = {**derived_defaults(limits, fields["psi_max"], fields["rho_max"]), **fields}
     params = CoordParams(v_min=limits.v_min, v_max=limits.v_max,
                          omega_max=limits.omega_max, kappa_bound=limits.kappa_bound,
                          spacing=spacing, **fields)
@@ -253,11 +251,17 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
 
 
 def output_spec(cfg: dict) -> dict:
-    out = dict(OUTPUT_DEFAULTS)
     block = cfg.get("output", {})
+    if not isinstance(block, dict):
+        raise ConfigError("output: expected a mapping")
     _check_keys(block, set(OUTPUT_DEFAULTS), "output")
-    out.update(block)
-    return out
+    for key, v in block.items():
+        if key == "long_every":
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
+                raise ConfigError(f"output.long_every: expected a positive integer, got {v!r}")
+        elif not isinstance(v, str) or not v:
+            raise ConfigError(f"output.{key}: expected a non-empty string, got {v!r}")
+    return {**OUTPUT_DEFAULTS, **block}
 
 
 def escape_spec(cfg: dict) -> dict:

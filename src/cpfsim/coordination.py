@@ -10,15 +10,17 @@ Two topologies are supported: the projection ordering above (cyclic on a
 closed path, a chain on an open one) and a fixed chain for fleets flying
 translated copies of one path, where arc positions correspond 1:1.
 
-The scalar functions are the simulator's relation.  ``batch_relation`` and
-``batch_overtake_counts`` compute the projection ordering and its events for
-many independent fleets at once (runs x UAVs arrays) and equal the scalar
-functions run by run.
+Both give one record per UAV, ``{uav_id: (pre, zeta, gap)}``: the
+pre-neighbor (None for none), zeta, and the signed gap to the pre-neighbor,
+wrapped to +-half length on a closed path (None without a pre-neighbor).
+These scalar functions are the simulator's relation; ``batch_relation`` and
+``batch_overtake_counts`` give the same records and event counts for many
+independent fleets at once (runs x UAVs arrays).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,59 +28,39 @@ from .paths import Path
 
 ZERO_CROSS_EPS = 1.0e-6
 
+Relation = dict[int, tuple[int | None, float, float | None]]
+
 
 @dataclass(frozen=True)
 class OvertakeEvent:
+    t: float
     uav_id: int
     kind: str  # "pre_neighbor_change" | "zeta_zero_cross"
     detail: str = ""
 
 
-@dataclass
-class CoordinationState:
-    """Snapshot of the relation: single writer per step, frozen between steps."""
-
-    spacing: float
-    path_closed: bool
-    path_length: float
-    arc_pos: dict[int, float] = field(default_factory=dict)
-    rho: dict[int, float] = field(default_factory=dict)
-    pre_neighbor: dict[int, int | None] = field(default_factory=dict)
-
-
 def update_pre_neighbors(projections: list[tuple[int, float, float]], path: Path,
-                         spacing: float) -> CoordinationState:
-    """Build the relation from current projections (uav_id, s_proj, rho).
+                         spacing: float) -> Relation:
+    """The relation of the current projections (uav_id, s_proj, rho).
 
     Eligible UAVs (|rho| < uniqueness radius) are ordered by arc position,
     ties broken by ascending id; each one's pre-neighbor is its successor
     in that order (wrapping on closed paths).  The head of an open-path
     chain, and every ineligible UAV, has none.
     """
-    state = CoordinationState(spacing, path.closed, path.total_length)
     r0 = path.r0
-    eligible = []
-    for uav_id, s_proj, rho in projections:
-        state.arc_pos[uav_id] = s_proj
-        state.rho[uav_id] = rho
-        state.pre_neighbor[uav_id] = None
-        if abs(rho) < r0:
-            eligible.append((path.wrap_s(s_proj), uav_id))
-    eligible.sort()
-    m = len(eligible)
-    if m < 2:
-        return state
-    for i, (_, uav_id) in enumerate(eligible):
-        if path.closed:
-            state.pre_neighbor[uav_id] = eligible[(i + 1) % m][1]
-        elif i + 1 < m:
-            state.pre_neighbor[uav_id] = eligible[i + 1][1]
-    return state
+    order = sorted((path.wrap_s(s_proj), uav_id)
+                   for uav_id, s_proj, rho in projections if abs(rho) < r0)
+    ids = [uav_id for _, uav_id in order]
+    pre = dict.fromkeys(uav_id for uav_id, _, _ in projections)
+    if len(ids) >= 2:
+        pre.update(zip(ids, ids[1:] + ids[:1] if path.closed else ids[1:]))
+    return _relation(projections, pre, path, spacing)
 
 
 def chain_coordination(projections: list[tuple[int, float, float]],
                        parents: dict[int, int | None], path: Path,
-                       spacing: float) -> CoordinationState:
+                       spacing: float) -> Relation:
     """Fixed-chain relation for translated parallel paths.
 
     ``parents`` maps each UAV to its configured pre-neighbor (None for the
@@ -86,71 +68,54 @@ def chain_coordination(projections: list[tuple[int, float, float]],
     edge; arc positions are comparable across paths because the paths are
     translates of each other.
     """
-    state = CoordinationState(spacing, path.closed, path.total_length)
     r0 = path.r0
-    for uav_id, s_proj, rho in projections:
-        state.arc_pos[uav_id] = s_proj
-        state.rho[uav_id] = rho
-    for uav_id, _, rho in projections:
+    near = {uav_id: abs(rho) < r0 for uav_id, _, rho in projections}
+    pre = {}
+    for uav_id, ok in near.items():
         parent = parents.get(uav_id)
-        if (parent is not None and parent in state.arc_pos
-                and abs(rho) < r0 and abs(state.rho[parent]) < r0):
-            state.pre_neighbor[uav_id] = parent
+        pre[uav_id] = parent if ok and near.get(parent, False) else None
+    return _relation(projections, pre, path, spacing)
+
+
+def _relation(projections, pre: dict[int, int | None], path: Path, spacing: float) -> Relation:
+    """(pre, zeta, gap) per UAV from its pre-neighbor: one arc difference each."""
+    s = {uav_id: s_proj for uav_id, s_proj, _ in projections}
+    length = path.total_length
+    out = {}
+    for uav_id, p in pre.items():
+        if p is None:
+            out[uav_id] = (None, spacing, None)
+        elif path.closed:
+            d = (s[p] - s[uav_id]) % length
+            out[uav_id] = (p, d, d - length if d > 0.5 * length else d)
         else:
-            state.pre_neighbor[uav_id] = None
-    return state
+            d = s[p] - s[uav_id]
+            out[uav_id] = (p, d, d)
+    return out
 
 
-def compute_zeta(state: CoordinationState, uav_id: int) -> float:
-    """Forward arc distance to the pre-neighbor, or the desired spacing."""
-    pre = state.pre_neighbor.get(uav_id)
-    if pre is None:
-        return state.spacing
-    d = state.arc_pos[pre] - state.arc_pos[uav_id]
-    if state.path_closed:
-        d %= state.path_length
-    return d
-
-
-def _wrapped_gap(state: CoordinationState, uav_id: int) -> float | None:
-    """Signed gap to the pre-neighbor, wrapped to +-half length when closed."""
-    pre = state.pre_neighbor.get(uav_id)
-    if pre is None or pre not in state.arc_pos or uav_id not in state.arc_pos:
-        return None
-    d = state.arc_pos[pre] - state.arc_pos[uav_id]
-    if state.path_closed:
-        c = state.path_length
-        d %= c
-        if d > 0.5 * c:
-            d -= c
-    return d
-
-
-def detect_overtaking(prev: CoordinationState, curr: CoordinationState) -> list[OvertakeEvent]:
-    """Events between two consecutive snapshots.
+def detect_overtaking(prev: Relation, curr: Relation, path: Path,
+                      t: float) -> list[OvertakeEvent]:
+    """Events at time t between two consecutive relations on ``path``.
 
     Fires when a UAV's pre-neighbor changed, and when its signed gap to an
     unchanged pre-neighbor crossed zero (the spacing collapsing to zero
     means it is being overtaken or overtaking).
     """
     events = []
-    for uav_id, pre_now in curr.pre_neighbor.items():
-        if uav_id not in prev.pre_neighbor:
+    for uav_id, (pre_now, _, g1) in curr.items():
+        if uav_id not in prev:
             continue
-        pre_before = prev.pre_neighbor[uav_id]
+        pre_before, _, g0 = prev[uav_id]
         if pre_before != pre_now:
             events.append(OvertakeEvent(
-                uav_id, "pre_neighbor_change", f"{pre_before} -> {pre_now}"))
-            continue
-        g0 = _wrapped_gap(prev, uav_id)
-        g1 = _wrapped_gap(curr, uav_id)
-        if g0 is None or g1 is None:
-            continue
-        jump_ok = abs(g1 - g0) < 0.25 * curr.path_length if curr.path_closed else True
-        if jump_ok and ((g0 > ZERO_CROSS_EPS and g1 < -ZERO_CROSS_EPS)
-                        or (g0 < -ZERO_CROSS_EPS and g1 > ZERO_CROSS_EPS)):
-            events.append(OvertakeEvent(
-                uav_id, "zeta_zero_cross", f"{g0:.6f} -> {g1:.6f}"))
+                t, uav_id, "pre_neighbor_change", f"{pre_before} -> {pre_now}"))
+        elif pre_now is not None:
+            jump_ok = abs(g1 - g0) < 0.25 * path.total_length if path.closed else True
+            if jump_ok and ((g0 > ZERO_CROSS_EPS and g1 < -ZERO_CROSS_EPS)
+                            or (g0 < -ZERO_CROSS_EPS and g1 > ZERO_CROSS_EPS)):
+                events.append(OvertakeEvent(
+                    t, uav_id, "zeta_zero_cross", f"{g0:.6f} -> {g1:.6f}"))
     return events
 
 
@@ -158,13 +123,13 @@ def detect_overtaking(prev: CoordinationState, curr: CoordinationState) -> list[
 
 
 def batch_relation(s, rho, path: Path, spacing: float):
-    """``update_pre_neighbors`` and ``compute_zeta`` for runs x UAVs arrays.
+    """``update_pre_neighbors`` for runs x UAVs arrays.
 
     Row r holds one fleet; a UAV's id is its column.  Ineligible UAVs sort
     last (key inf) and a stable sort keeps equal arc positions in id order,
-    as the scalar tuple sort does.  Returns ``(pre, zeta, gap)``: the
-    pre-neighbor's column (-1 for none), the spacing, and the signed gap of
-    ``_wrapped_gap`` (meaningful only where ``pre >= 0``).
+    as the scalar tuple sort does.  Returns ``(pre, zeta, gap)`` as the
+    scalar relation does, with -1 for no pre-neighbor; ``gap`` is
+    meaningful only where ``pre >= 0``.
     """
     runs, n = s.shape
     eligible = np.abs(rho) < path.r0

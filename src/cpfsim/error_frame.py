@@ -32,7 +32,7 @@ class PathError:
 class Region(str, Enum):
     """Tags partitioning the error plane; values appear verbatim in traces.
 
-    ``in_s1`` / ``in_s2`` are plain member attributes, set once per member;
+    ``in_s1`` is a plain member attribute, set once per member;
     ``code`` is the member's index in ``REGIONS``, the integer tag of the
     batched kernels.
     """
@@ -51,7 +51,6 @@ class Region(str, Enum):
 
     def __init__(self, tag: str):
         self.in_s1 = tag.startswith("S1")
-        self.in_s2 = tag.startswith("S2")
 
 
 REGIONS = tuple(Region)

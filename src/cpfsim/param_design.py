@@ -176,6 +176,13 @@ def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
     return best
 
 
+def derived_defaults(limits: SpeedLimits, psi_max: float, rho_max: float) -> dict[str, float]:
+    """rho_universe at 90% of its admissible bound, and the gain k2 = rho_max/psi_max + 1."""
+    r0 = 1.0 / limits.kappa_bound
+    return {"rho_universe": 0.9 * (r0 - limits.v_min / limits.omega_max),
+            "k2": rho_max / psi_max + 1.0}
+
+
 def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
                             alpha: float = 0.01, *, spacing: float = 0.0,
                             **overrides) -> CoordParams:
@@ -186,8 +193,8 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
     is set to the largest feasible value (it loosens the speed budget and
     speeds up coordination).  Deterministic; ties break lexicographically.
 
-    Remaining fields are defaulted (gains k1=1, k2=rho_max/psi_max+1, k3=1;
-    rho_universe at 90% of its admissible bound) unless overridden.
+    Remaining fields are defaulted (gains k1=1, k3=1 and ``derived_defaults``)
+    unless overridden.
     """
     limits.validate()
     if speed_margin <= 0.0:
@@ -221,11 +228,10 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
     v_coord = float(hi)
     defaults = dict(
         psi_max=a, rho_max=r1, v_coord=v_coord,
-        rho_universe=0.9 * (r0 - limits.v_min / limits.omega_max),
         v_min=limits.v_min, v_max=limits.v_max,
         omega_max=limits.omega_max, kappa_bound=limits.kappa_bound,
         alpha=alpha, speed_margin=speed_margin,
-        k1=1.0, k2=r1 / a + 1.0, k3=1.0, spacing=spacing,
+        k1=1.0, k3=1.0, spacing=spacing, **derived_defaults(limits, a, r1),
     )
     defaults.update(overrides)
     params = CoordParams(**defaults)

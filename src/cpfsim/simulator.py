@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control_laws import ChiFunction, build_chi, hybrid_supervisor
-from .coordination import (CoordinationState, chain_coordination, compute_zeta,
-                           detect_overtaking, update_pre_neighbors)
+from .coordination import (OvertakeEvent, Relation, chain_coordination, detect_overtaking,
+                           update_pre_neighbors)
 from .error_frame import PathError, batch_error_step, compute_error, in_escape_set
 from .exceptions import ConfigError, OutsideUniverse
 from .param_design import CoordParams
@@ -96,20 +96,12 @@ class Scenario:
         return build_chi(self.params, self.chi_kind, self.chi_slope)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    t: float
-    uav_id: int
-    kind: str
-    detail: str = ""
-
-
 class Trace:
     """Per-step per-UAV rows plus coordination events, CSV-serializable."""
 
     def __init__(self):
         self.rows: list[tuple] = []
-        self.events: list[TraceEvent] = []
+        self.events: list[OvertakeEvent] = []
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -198,7 +190,7 @@ class _Runner:
         self.active: list[UavState] = []
         self.hints: dict[int, float | None] = {}
         self.pending = sorted(scenario.uavs, key=lambda u: (u.spawn_time, u.id))
-        self.coord_prev: CoordinationState | None = None
+        self.coord_prev: Relation = {}
         self.trace = Trace()
 
     def _spawn_due(self):
@@ -212,21 +204,17 @@ class _Runner:
         """Errors, coordination and commands from the frozen current state."""
         paths = self.sc.paths
         errs = [compute_error(u, paths[u.path_index], self.hints[u.id]) for u in self.active]
-        for u, e in zip(self.active, errs):
-            self.hints[u.id] = e.s_proj
         projections = [(u.id, e.s_proj, e.rho) for u, e in zip(self.active, errs)]
+        self.hints.update((uav_id, s) for uav_id, s, _ in projections)
         ref = self.sc.paths[0]
         if self.sc.topology == "tree":
             coord = chain_coordination(projections, self.sc.parents, ref, self.spacing)
         else:
             coord = update_pre_neighbors(projections, ref, self.spacing)
-        if self.coord_prev is not None:
-            for ev in detect_overtaking(self.coord_prev, coord):
-                self.trace.events.append(TraceEvent(self.t, ev.uav_id, ev.kind, ev.detail))
+        self.trace.events += detect_overtaking(self.coord_prev, coord, ref, self.t)
         self.coord_prev = coord
-        zetas = [compute_zeta(coord, u.id) for u in self.active]
-        cmds = [self._command(u, e, z) for u, e, z in zip(self.active, errs, zetas)]
-        return errs, coord, zetas, cmds
+        cmds = [self._command(u, e, coord[u.id][1]) for u, e in zip(self.active, errs)]
+        return errs, coord, cmds
 
     def _command(self, u, e, z):
         try:
@@ -236,12 +224,12 @@ class _Runner:
                 f"t={self.t:.3f}s UAV {u.id} at ({u.x:.2f}, {u.y:.2f}, "
                 f"{u.theta:.4f}): {exc}") from exc
 
-    def record(self, errs, coord, zetas, cmds):
-        for u, e, z, c in zip(self.active, errs, zetas, cmds):
+    def record(self, errs, coord, cmds):
+        for u, e, c in zip(self.active, errs, cmds):
+            pre, zeta, _ = coord[u.id]
             self.trace.rows.append((
                 self.t, u.id, u.x, u.y, u.theta, e.rho, e.psi, c.region.value,
-                c.v, c.omega, z, coord.pre_neighbor.get(u.id),
-                1 if c.resetvalue_applied else 0))
+                c.v, c.omega, zeta, pre, 1 if c.resetvalue_applied else 0))
 
     def integrate(self, cmds):
         dt = self.sc.dt
@@ -260,8 +248,8 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
     for k in range(n_steps + 1):
         runner.t = k * scenario.dt
         runner._spawn_due()
-        errs, coord, zetas, cmds = runner.evaluate()
-        runner.record(errs, coord, zetas, cmds)
+        errs, coord, cmds = runner.evaluate()
+        runner.record(errs, coord, cmds)
         if k < n_steps:
             runner.integrate(cmds)
     return runner.trace, compute_metrics(runner.trace, scenario)
@@ -294,14 +282,9 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
         )
         entries.append(entry)
     all_in = None if any(e is None for e in entries) else max(entries)
-    before = after = 0
-    for ev in trace.events:
-        if all_in is not None and ev.t > all_in:
-            after += 1
-        else:
-            before += 1
+    after = sum(1 for ev in trace.events if all_in is not None and ev.t > all_in)
     return Metrics(duration, dt, int(round(duration / dt)), all_in,
-                   before, after, per_uav)
+                   len(trace.events) - after, after, per_uav)
 
 
 # -- escape-set demonstration -------------------------------------------------

@@ -11,11 +11,13 @@ runs then advance together as lanes of the batched law
 (``batch_classify``, ``batch_hybrid_law``, ``batch_error_step``), which
 equal the scalar law and RK4 lane by lane.  ``no_overtaking`` also batches
 its pre-neighbor relation and overtake detection across runs
-(``batch_relation``, ``batch_overtake_counts``), which equal the
-simulator's scalar relation run by run.  A run's clock is shared by all
-lanes and accumulated as ``t += dt``, and the first counterexample is that of
-the lowest-index failing state or run.  Each suite's law uses the speed
-assignment ``chi`` it is given, by default ``build_chi(params)``.
+(``batch_relation``, ``batch_overtake_counts``), which give the
+``(pre, zeta, gap)`` records and event counts of the simulator's
+``update_pre_neighbors`` and ``detect_overtaking`` run by run.  A run's
+clock is shared by all lanes and accumulated as ``t += dt``, and the first
+counterexample is that of the lowest-index failing state or run.  Each
+suite's law uses the speed assignment ``chi`` it is given, by default
+``build_chi(params)``.
 """
 
 from __future__ import annotations

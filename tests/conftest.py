@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -66,3 +67,20 @@ def parallel4_run():
     """(scenario, trace, metrics) of the bundled parallel4 scenario at full length."""
     scenario = build_scenario(load_config(bundled_config_path("parallel4")))
     return (scenario, *run_scenario(scenario))
+
+
+@pytest.fixture(scope="session")
+def circle6_cfg():
+    return load_config(bundled_config_path("circle6"))
+
+
+@pytest.fixture(scope="session")
+def circle6_run(circle6_cfg, tmp_path_factory):
+    """(scenario, trace, metrics, wall s, trace.csv bytes) of the bundled circle6 scenario."""
+    scenario = build_scenario(circle6_cfg)
+    t0 = time.time()
+    trace, metrics = run_scenario(scenario)
+    wall = time.time() - t0
+    out = tmp_path_factory.mktemp("circle6") / "trace.csv"
+    trace.write_csv(out)
+    return scenario, trace, metrics, wall, out.read_bytes()

@@ -8,9 +8,7 @@ import hashlib
 import math
 import time
 
-import pytest
-
-from cpfsim.config import build_scenario, bundled_config_path, load_config
+from cpfsim.config import build_scenario
 from cpfsim.param_design import design_coordination_set
 from cpfsim.simulator import escape_demo, run_scenario
 from cpfsim.verification import (suite_invariance, suite_reset_bound, suite_reach_box,
@@ -28,22 +26,6 @@ PARALLEL4_TRACE_BYTES = 15_687_365
 def report(name, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-@pytest.fixture(scope="session")
-def circle6_cfg():
-    return load_config(bundled_config_path("circle6"))
-
-
-@pytest.fixture(scope="session")
-def circle6_run(circle6_cfg, tmp_path_factory):
-    scenario = build_scenario(circle6_cfg)
-    t0 = time.time()
-    trace, metrics = run_scenario(scenario)
-    wall = time.time() - t0
-    out = tmp_path_factory.mktemp("circle6") / "trace.csv"
-    trace.write_csv(out)
-    return scenario, trace, metrics, wall, out.read_bytes()
 
 
 def test_criterion_1_parameter_design(limits):

@@ -140,6 +140,30 @@ class TestSchema:
         assert not (tmp_path / "trace.csv").exists()
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("block, where", [
+        # both crashed with a TypeError traceback
+        ("{trace: 5}", "output.trace"),
+        ("{dir: [a]}", "output.dir"),
+        # each was accepted and read as 1, 1, 2 and 1
+        ("{long_every: 0}", "output.long_every"),
+        ("{long_every: -3}", "output.long_every"),
+        ("{long_every: 2.5}", "output.long_every"),
+        ("{long_every: true}", "output.long_every"),
+    ])
+    def test_bad_output_section_rejected_at_the_cli(self, tmp_path, capsys, block, where):
+        cfg = write_config(tmp_path, MINIMAL + f"output: {block}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {where}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_output_section_names_the_files(self, tmp_path):
+        cfg = write_config(tmp_path, MINIMAL + "output: {trace: t.csv, long_every: 50}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "t.csv").exists() and not (tmp_path / "trace.csv").exists()
+        # 101 steps of one UAV, every 50th step, five series each
+        assert len((tmp_path / "long.csv").read_text().splitlines()) == 1 + 3 * 5
+
     def test_escape_grid_defaults(self, tmp_path):
         spec = escape_spec(load_config(write_config(tmp_path, MINIMAL)))
         assert spec["state_grid"] == (20, 20) and spec["control_grid"] == (21, 21)

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
 from cpfsim.config import build_scenario, bundled_config_path, load_config
+from cpfsim.coordination import OvertakeEvent
 from cpfsim.error_frame import PathError
 from cpfsim.exceptions import OutsideUniverse
 from cpfsim.paths import CirclePath
@@ -10,6 +12,9 @@ from cpfsim.simulator import (Scenario, UavSpec, escape_demo, rk4_unicycle,
                               run_scenario)
 
 from oracles import integrate_unicycle
+
+CIRCLE6_EVENTS_SHA256 = "9eaf1410b37298fd9bc38df7d81f8622744366592233f4f970e49e16f6e9a29f"
+CIRCLE6_EVENTS_BYTES = 222
 
 
 def circle_scenario(params, uavs, duration, dt=0.01, **kw):
@@ -113,6 +118,17 @@ class TestRunScenario:
         assert lines[0] == "t,uav,x,y,theta,rho,psi,region,v,omega,zeta,pre_neighbor,reset"
         assert len(lines) == 1 + len(trace.rows)
         assert all(len(line.split(",")) == 13 for line in lines[1:])
+
+    def test_circle6_events_csv_golden(self, circle6_run, tmp_path):
+        # the bundled circle6 run's overtake events, recorded before the
+        # relation took its (pre, zeta, gap) shape
+        _, trace, _, _, _ = circle6_run
+        assert {type(ev) for ev in trace.events} == {OvertakeEvent}
+        out = tmp_path / "events.csv"
+        trace.write_events_csv(out)
+        blob = out.read_bytes()
+        assert len(blob) == CIRCLE6_EVENTS_BYTES
+        assert hashlib.sha256(blob).hexdigest() == CIRCLE6_EVENTS_SHA256
 
     @pytest.mark.xfail(strict=True, reason=(
         "SplinePath._global_project returns a NumPy-scalar s, and the fleet state "
