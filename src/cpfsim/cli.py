@@ -82,8 +82,8 @@ def _load(args):
     return cfgmod.load_config(path)
 
 
-def _out_dir(args, cfg) -> FsPath:
-    out = _resolve(args, "out") or cfgmod.output_spec(cfg)["dir"]
+def _out_dir(args, spec) -> FsPath:
+    out = _resolve(args, "out") or spec["dir"]
     path = FsPath(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -107,7 +107,7 @@ def cmd_design_params(args) -> int:
     for name, value in rows:
         print(f"  {name:<{width}}  {value:.9g}")
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args, cfgmod.output_spec(cfg))
     fragment = out / "params_fragment.yaml"
     fragment.write_text(cfgmod.params_fragment(params), encoding="utf-8")
     print(f"wrote {fragment}")
@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
         dt=_resolve(args, "dt", float))
     trace, metrics = run_scenario(scenario)
 
-    out = _out_dir(args, cfg)
+    out = _out_dir(args, spec)
     trace.write_csv(out / spec["trace"])
     trace.write_events_csv(out / spec["events"])
     trace.write_long_csv(out / spec["long"], every=spec["long_every"])
@@ -171,7 +171,7 @@ def cmd_demo_escape(args) -> int:
                          control_grid=spec["control_grid"], kappa=spec["kappa"],
                          dt=spec["dt"])
     print(report.summary())
-    out = _out_dir(args, cfg)
+    out = _out_dir(args, cfgmod.output_spec(cfg))
     with open(out / "escape_report.json", "w", encoding="utf-8") as fh:
         json.dump(vars(report), fh, indent=2, sort_keys=True)
         fh.write("\n")

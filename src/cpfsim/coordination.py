@@ -55,7 +55,7 @@ def update_pre_neighbors(projections: list[tuple[int, float, float]], path: Path
     pre = dict.fromkeys(uav_id for uav_id, _, _ in projections)
     if len(ids) >= 2:
         pre.update(zip(ids, ids[1:] + ids[:1] if path.closed else ids[1:]))
-    return _relation(projections, pre, path, spacing)
+    return compute_zeta(projections, pre, path, spacing)
 
 
 def chain_coordination(projections: list[tuple[int, float, float]],
@@ -74,10 +74,11 @@ def chain_coordination(projections: list[tuple[int, float, float]],
     for uav_id, ok in near.items():
         parent = parents.get(uav_id)
         pre[uav_id] = parent if ok and near.get(parent, False) else None
-    return _relation(projections, pre, path, spacing)
+    return compute_zeta(projections, pre, path, spacing)
 
 
-def _relation(projections, pre: dict[int, int | None], path: Path, spacing: float) -> Relation:
+def compute_zeta(projections, pre: dict[int, int | None], path: Path,
+                 spacing: float) -> Relation:
     """(pre, zeta, gap) per UAV from its pre-neighbor: one arc difference each."""
     s = {uav_id: s_proj for uav_id, s_proj, _ in projections}
     length = path.total_length

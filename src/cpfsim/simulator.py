@@ -204,8 +204,9 @@ class _Runner:
         """Errors, coordination and commands from the frozen current state."""
         paths = self.sc.paths
         errs = [compute_error(u, paths[u.path_index], self.hints[u.id]) for u in self.active]
+        for u, e in zip(self.active, errs):
+            self.hints[u.id] = e.s_proj
         projections = [(u.id, e.s_proj, e.rho) for u, e in zip(self.active, errs)]
-        self.hints.update((uav_id, s) for uav_id, s, _ in projections)
         ref = self.sc.paths[0]
         if self.sc.topology == "tree":
             coord = chain_coordination(projections, self.sc.parents, ref, self.spacing)
@@ -282,9 +283,14 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
         )
         entries.append(entry)
     all_in = None if any(e is None for e in entries) else max(entries)
-    after = sum(1 for ev in trace.events if all_in is not None and ev.t > all_in)
+    before = after = 0
+    for ev in trace.events:
+        if all_in is not None and ev.t > all_in:
+            after += 1
+        else:
+            before += 1
     return Metrics(duration, dt, int(round(duration / dt)), all_in,
-                   len(trace.events) - after, after, per_uav)
+                   before, after, per_uav)
 
 
 # -- escape-set demonstration -------------------------------------------------

@@ -128,16 +128,7 @@ class TestOvertaking:
         events = detect_overtaking(before, after, circle, 1.5)
         assert OvertakeEvent(1.5, 1, "pre_neighbor_change", "3 -> 2") in events
 
-    def test_zero_cross_event(self, circle):
-        before = update_pre_neighbors([(1, 100.0, 0.0), (2, 100.5, 0.0)],
-                                      circle, SPACING)
-        after_positions = [(1, 101.0, 0.0), (2, 100.6, 0.0)]
-        after = update_pre_neighbors(after_positions, circle, SPACING)
-        events = detect_overtaking(before, after, circle, 0.0)
-        assert events
-        assert {ev.kind for ev in events} <= {"pre_neighbor_change", "zeta_zero_cross"}
-
-    def test_zero_cross_detail(self, circle, tmp_path):
+    def test_zero_cross_event(self, circle, tmp_path):
         # the two UAVs swap places along the arc without a pre-neighbor
         # change; the detail is each one's signed gap before and after
         before = update_pre_neighbors([(1, 100.0, 0.0), (2, 100.5, 0.0)], circle, SPACING)
