@@ -137,6 +137,9 @@ def resolve_params(cfg: dict) -> CoordParams:
         if key not in e:
             raise ConfigError(f"params.explicit: missing required key '{key}'")
     fields = {k: _num(e, k, "params.explicit") for k in e}
+    if not 0.0 < fields["psi_max"] < math.pi / 2.0:   # derived_defaults divides by it
+        raise ConfigError(f"params.explicit.psi_max: need 0 < psi_max < pi/2, "
+                          f"got {fields['psi_max']!r}")
     fields = {**derived_defaults(limits, fields["psi_max"], fields["rho_max"]), **fields}
     params = CoordParams(v_min=limits.v_min, v_max=limits.v_max,
                          omega_max=limits.omega_max, kappa_bound=limits.kappa_bound,

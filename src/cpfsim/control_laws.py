@@ -373,8 +373,7 @@ def _batch_outer_law(rho, psi, kappa, params, code):
 
 
 def comparison_system_trajectory(err0: PathError, params: CoordParams,
-                                 which: str, dt: float = 0.01,
-                                 max_time: float | None = None) -> float | None:
+                                 which: str, dt: float = 0.01) -> float | None:
     """Axis crossing of the worst-case comparison system, or None.
 
     Integrates the bounding system matching the robust law in the given
@@ -418,7 +417,7 @@ def comparison_system_trajectory(err0: PathError, params: CoordParams,
     rho, psi = err0.rho, err0.psi
     if turn * psi >= 0.0:
         return rho
-    horizon = max_time if max_time is not None else 3.0 * math.pi / om
+    horizon = 3.0 * math.pi / om
     steps = int(horizon / dt) + 1
     for _ in range(steps):
         rho_n, psi_n = rk4(rho, psi, dt)

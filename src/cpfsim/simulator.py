@@ -8,7 +8,9 @@ zero-order-hold controls.  Identical scenarios produce bit-identical traces.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,13 +28,14 @@ TRACE_COLUMNS = ("t", "uav", "x", "y", "theta", "rho", "psi", "region",
 
 @dataclass
 class UavState:
-    """Configuration of one UAV bound to one path."""
+    """Configuration of one UAV bound to one path, plus its projection warm start."""
 
     id: int
     x: float
     y: float
     theta: float
     path_index: int = 0
+    s_hint: float | None = None
 
 
 @dataclass(frozen=True)
@@ -177,83 +180,51 @@ def rk4_unicycle(x: float, y: float, theta: float, v: float, omega: float,
     return x, y, wrap_angle(theta + dt * omega)
 
 
-class _Runner:
-    """Mutable per-run state; step() advances the whole fleet by dt."""
-
-    def __init__(self, scenario: Scenario):
-        scenario.validate()
-        self.sc = scenario
-        self.params = scenario.params
-        self.chi = scenario.chi()
-        self.spacing = self.params.spacing
-        self.t = 0.0
-        self.active: list[UavState] = []
-        self.hints: dict[int, float | None] = {}
-        self.pending = sorted(scenario.uavs, key=lambda u: (u.spawn_time, u.id))
-        self.coord_prev: Relation = {}
-        self.trace = Trace()
-
-    def _spawn_due(self):
-        while self.pending and self.pending[0].spawn_time <= self.t + 1.0e-12:
-            u = self.pending.pop(0)
-            self.active.append(UavState(u.id, u.x, u.y, u.theta, u.path_index))
-            self.hints[u.id] = None
-        self.active.sort(key=lambda s: s.id)
-
-    def evaluate(self):
-        """Errors, coordination and commands from the frozen current state."""
-        paths = self.sc.paths
-        errs = [compute_error(u, paths[u.path_index], self.hints[u.id]) for u in self.active]
-        for u, e in zip(self.active, errs):
-            self.hints[u.id] = e.s_proj
-        projections = [(u.id, e.s_proj, e.rho) for u, e in zip(self.active, errs)]
-        ref = self.sc.paths[0]
-        if self.sc.topology == "tree":
-            coord = chain_coordination(projections, self.sc.parents, ref, self.spacing)
-        else:
-            coord = update_pre_neighbors(projections, ref, self.spacing)
-        self.trace.events += detect_overtaking(self.coord_prev, coord, ref, self.t)
-        self.coord_prev = coord
-        cmds = [self._command(u, e, coord[u.id][1]) for u, e in zip(self.active, errs)]
-        return errs, coord, cmds
-
-    def _command(self, u, e, z):
-        try:
-            return hybrid_supervisor(e, z, self.params, self.chi)
-        except OutsideUniverse as exc:
-            raise OutsideUniverse(
-                f"t={self.t:.3f}s UAV {u.id} at ({u.x:.2f}, {u.y:.2f}, "
-                f"{u.theta:.4f}): {exc}") from exc
-
-    def record(self, errs, coord, cmds):
-        for u, e, c in zip(self.active, errs, cmds):
-            pre, zeta, _ = coord[u.id]
-            self.trace.rows.append((
-                self.t, u.id, u.x, u.y, u.theta, e.rho, e.psi, c.region.value,
-                c.v, c.omega, zeta, pre, 1 if c.resetvalue_applied else 0))
-
-    def integrate(self, cmds):
-        dt = self.sc.dt
-        for u, c in zip(self.active, cmds):
-            u.x, u.y, u.theta = rk4_unicycle(u.x, u.y, u.theta, c.v, c.omega, dt)
-
-
 def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
     """Run to the configured duration and compute convergence metrics.
 
-    Aborts with OutsideUniverse (UAV and state identified) when any error
-    leaves the supervised universe, including at t = 0.
+    Aborts with OutsideUniverse (time, UAV and pose identified) when any error
+    leaves the supervised universe, including at t = 0; that step records no row.
     """
-    runner = _Runner(scenario)
-    n_steps = int(round(scenario.duration / scenario.dt))
+    scenario.validate()
+    params, paths, dt = scenario.params, scenario.paths, scenario.dt
+    ref, chi = paths[0], scenario.chi()
+    pending = sorted(scenario.uavs, key=lambda u: (u.spawn_time, u.id))
+    active: list[UavState] = []
+    coord_prev: Relation = {}
+    trace = Trace()
+    n_steps = int(round(scenario.duration / dt))
     for k in range(n_steps + 1):
-        runner.t = k * scenario.dt
-        runner._spawn_due()
-        errs, coord, cmds = runner.evaluate()
-        runner.record(errs, coord, cmds)
-        if k < n_steps:
-            runner.integrate(cmds)
-    return runner.trace, compute_metrics(runner.trace, scenario)
+        t = k * dt
+        while pending and pending[0].spawn_time <= t + 1.0e-12:
+            u = pending.pop(0)
+            insort(active, UavState(u.id, u.x, u.y, u.theta, u.path_index), key=attrgetter("id"))
+        errs = [compute_error(u, paths[u.path_index], u.s_hint) for u in active]
+        projections = []
+        for u, e in zip(active, errs):
+            u.s_hint = e.s_proj
+            projections.append((u.id, e.s_proj, e.rho))
+        if scenario.topology == "tree":
+            coord = chain_coordination(projections, scenario.parents, ref, params.spacing)
+        else:
+            coord = update_pre_neighbors(projections, ref, params.spacing)
+        trace.events += detect_overtaking(coord_prev, coord, ref, t)
+        coord_prev = coord
+        cmds = []
+        for u, e in zip(active, errs):
+            try:
+                cmds.append(hybrid_supervisor(e, coord[u.id][1], params, chi))
+            except OutsideUniverse as exc:
+                raise OutsideUniverse(
+                    f"t={t:.3f}s UAV {u.id} at ({u.x:.2f}, {u.y:.2f}, "
+                    f"{u.theta:.4f}): {exc}") from exc
+        for u, e, c in zip(active, errs, cmds):
+            pre, zeta, _ = coord[u.id]
+            trace.rows.append((t, u.id, u.x, u.y, u.theta, e.rho, e.psi, c.region.value,
+                               c.v, c.omega, zeta, pre, 1 if c.resetvalue_applied else 0))
+            if k < n_steps:
+                u.x, u.y, u.theta = rk4_unicycle(u.x, u.y, u.theta, c.v, c.omega, dt)
+    return trace, compute_metrics(trace, scenario)
 
 
 def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:

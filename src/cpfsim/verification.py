@@ -37,6 +37,13 @@ from .param_design import CoordParams
 
 # Largest number of states whose draws or commands are evaluated at once.
 _BLOCK = 2048
+_ONE_STEP_SLACK = 1.0e-4  # invariance: a one-step graze this far out is tolerated (sliding)
+_RESIDENT_SLACK = 1.0e-9  # invariance: two steps this far out in a row fail the run
+_DRIVE_TOL = 1.0e-9       # switch_drive: rounding allowance on each inequality
+_BOUND_MARGIN = 0.10      # reach_box, reach_robust: relative margin on the analytic time bound
+_PSI_MIN_SAMPLE = 0.05    # reach_box: smallest start |psi|; keeps the entry-time bound finite
+_SETTLE_HORIZON = 600.0   # reach_robust: time (s) a start has to reach the coordination set
+_N_UAVS = 5               # no_overtaking: UAVs per run
 
 SUITE_NAMES = ("invariance", "reset_bound", "no_overtaking", "reach_box",
                "reach_robust", "switch_drive")
@@ -92,14 +99,13 @@ def _first(messages: dict[int, str]) -> str | None:
 
 
 def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 200.0,
-                     dt: float = 0.01, seed: int = 0, one_step_slack: float = 1.0e-4,
-                     resident_slack: float = 1.0e-9, chi: ChiFunction | None = None
+                     dt: float = 0.01, seed: int = 0, chi: ChiFunction | None = None
                      ) -> SuiteResult:
     """Coordination-set forward invariance under the coordinated law.
 
     Runs the closed-loop error dynamics from random in-set states with a
     per-run constant curvature inside the bound.  A single-step boundary
-    graze below ``one_step_slack`` is tolerated (discretized sliding);
+    graze below ``_ONE_STEP_SLACK`` is tolerated (discretized sliding);
     anything larger or longer fails, and the run leaves the batch.
     """
     rng = np.random.default_rng(seed)
@@ -125,8 +131,8 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
         slack = np.maximum(np.maximum(np.abs(rho) - r1, np.abs(psi) - a),
                            np.abs(a * rho + r1 * psi) - a * r1)
         slack[outside] = math.inf
-        consecutive = np.where(slack > resident_slack, consecutive + 1, 0)
-        dead = (slack > one_step_slack) | (consecutive > 1)
+        consecutive = np.where(slack > _RESIDENT_SLACK, consecutive + 1, 0)
+        dead = (slack > _ONE_STEP_SLACK) | (consecutive > 1)
         if dead.any():
             for j in np.flatnonzero(dead).tolist():
                 run = int(lanes[j])
@@ -191,7 +197,7 @@ def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0,
 
 
 def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
-                       tol: float = 1.0e-9, chi: ChiFunction | None = None) -> SuiteResult:
+                       chi: ChiFunction | None = None) -> SuiteResult:
     """Switching-surface drive and the lateral/heading drift-ratio bound."""
     pure = replace(params, sign_eps=0.0)
     rng = np.random.default_rng(seed)
@@ -202,11 +208,11 @@ def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
     th = pure.k1 * rho + pure.k2 * psi + pure.k3 * np.sin(psi)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = psi_dot / rho_dot
-    up = (th > 0.0) & (psi_dot > -pure.alpha + tol)
-    down = ~up & (th < 0.0) & (psi_dot < pure.alpha - tol)
+    up = (th > 0.0) & (psi_dot > -pure.alpha + _DRIVE_TOL)
+    down = ~up & (th < 0.0) & (psi_dot < pure.alpha - _DRIVE_TOL)
     drift = (~up & ~down
              & ((code == Region.S1_1.code) | (code == Region.S1_3.code))
-             & (np.abs(np.sin(psi)) > 1.0e-12) & (ratio > -a_over_r1 + tol))
+             & (np.abs(np.sin(psi)) > 1.0e-12) & (ratio > -a_over_r1 + _DRIVE_TOL))
     bad = np.flatnonzero(up | down | drift)
     first = None
     if bad.size:
@@ -272,8 +278,7 @@ def _run_to_s1(params: CoordParams, chi, rho, psi, kappa, dt: float, limit):
 
 
 def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                    seed: int = 0, margin: float = 0.10, psi_min_sample: float = 0.05,
-                    chi: ChiFunction | None = None) -> SuiteResult:
+                    seed: int = 0, chi: ChiFunction | None = None) -> SuiteResult:
     """Entry into the coordination set from the outer box subsets.
 
     Start headings are kept away from zero so the analytic entry-time bound
@@ -287,10 +292,10 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
     for label, sign in (("S2_4", -1.0), ("S2_2", 1.0)):
         for run in range(n_per_class):
             rho0 = rng.uniform(r1 + 1.0e-6, r2) * -sign
-            psi0 = sign * rng.uniform(psi_min_sample, a)
+            psi0 = sign * rng.uniform(_PSI_MIN_SAMPLE, a)
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
             bound = (-sign * r1 - rho0) / (params.v_min * math.sin(psi0))
-            starts.append((label, run, rho0, psi0, kappa, bound, bound * (1.0 + margin)))
+            starts.append((label, run, rho0, psi0, kappa, bound, bound * (1.0 + _BOUND_MARGIN)))
     rho0s, psi0s, kappas, deadlines = (np.array([st[c] for st in starts], dtype=float)
                                        for c in (2, 3, 4, 6))
     entered, _, outside = _run_to_s1(params, chi, rho0s, psi0s, kappas, dt,
@@ -309,21 +314,21 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
 
 
 def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                       seed: int = 0, margin: float = 0.10, settle_horizon: float = 600.0,
-                       chi: ChiFunction | None = None) -> SuiteResult:
+                       seed: int = 0, chi: ChiFunction | None = None) -> SuiteResult:
     """Exit of the robust outer subsets within the turn-budget time bound.
 
     Only starts whose worst-case comparison trajectory re-crosses the axis
     inside the universe are admissible.  Each must leave its subset for the
-    box subsets or the coordination set within pi/alpha1 (plus margin) and
-    reach the coordination set within the settle horizon.
+    box subsets or the coordination set within pi/alpha1 (plus
+    ``_BOUND_MARGIN``) and reach the coordination set within
+    ``_SETTLE_HORIZON``.
     """
     rng = np.random.default_rng(seed)
     chi = build_chi(params) if chi is None else chi
     r2 = params.rho_universe
     alpha1 = params.omega_max - params.kappa_bound * params.v_min / (
         1.0 - params.kappa_bound * r2)
-    phase_bound = math.pi / alpha1 * (1.0 + margin)
+    phase_bound = math.pi / alpha1 * (1.0 + _BOUND_MARGIN)
     starts = []
     for label, region, which in (("S2_1", Region.S2_1, "S21"), ("S2_3", Region.S2_3, "S23")):
         found = 0
@@ -345,7 +350,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
     rho0s, psi0s, kappas = (np.array([st[c] for st in starts], dtype=float)
                             for c in (1, 2, 3))
     entered, left, outside = _run_to_s1(params, chi, rho0s, psi0s, kappas, dt,
-                                        settle_horizon)
+                                        _SETTLE_HORIZON)
     failed = {}
     for i, (label, rho0, psi0, kappa) in enumerate(starts):
         if outside[i] is not None:
@@ -359,8 +364,8 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
                        info={"phase_bound_s": phase_bound})
 
 
-def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int = 5,
-                        duration: float = 100.0, dt: float = 0.01, seed: int = 0,
+def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: float = 100.0,
+                        dt: float = 0.01, seed: int = 0,
                         chi: ChiFunction | None = None) -> SuiteResult:
     """Fixed ordering once the whole fleet is inside the coordination set.
 
@@ -377,11 +382,11 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
     starts = []
     for _ in range(n_runs):
         while True:
-            arc = np.sort(rng.uniform(0.0, path.total_length, n_uavs))
+            arc = np.sort(rng.uniform(0.0, path.total_length, _N_UAVS))
             gaps = np.diff(np.concatenate([arc, [arc[0] + path.total_length]]))
             if gaps.min() > 1.0:
                 break
-        for i in range(n_uavs):
+        for i in range(_N_UAVS):
             rho, psi = sample_s1(rng, params, 1)[0]
             starts.append((float(arc[i]), 0.6 * rho, 0.6 * psi))
     s, rho, psi = np.array(starts, dtype=float).reshape(-1, 3).T
@@ -392,7 +397,7 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
     for _ in range(n_steps):
         if not runs.size:
             break
-        pre, zeta, gap = batch_relation(s.reshape(-1, n_uavs), rho.reshape(-1, n_uavs),
+        pre, zeta, gap = batch_relation(s.reshape(-1, _N_UAVS), rho.reshape(-1, _N_UAVS),
                                         path, params.spacing)
         if prev is not None:
             events[runs] += batch_overtake_counts(*prev, pre, gap, path)
@@ -403,10 +408,10 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
         if out.any():
             # the run stops at its first UAV outside the universe
             for j in np.flatnonzero(out).tolist():
-                outside.setdefault(int(runs[j // n_uavs]), float(rho[j]))
-            keep = ~out.reshape(-1, n_uavs).any(axis=1)
+                outside.setdefault(int(runs[j // _N_UAVS]), float(rho[j]))
+            keep = ~out.reshape(-1, _N_UAVS).any(axis=1)
             runs, pre, gap = runs[keep], pre[keep], gap[keep]
-            lane_keep = np.repeat(keep, n_uavs)
+            lane_keep = np.repeat(keep, _N_UAVS)
             s, rho, psi, kappa, code, zeta = (
                 x[lane_keep] for x in (s, rho, psi, kappa, code, zeta))
             if not runs.size:
@@ -424,19 +429,15 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, n_uavs: int
 
 
 def run_suites(params: CoordParams, path, names: list[str] | None = None,
-               seed: int = 0, sizes: dict | None = None,
-               chi: ChiFunction | None = None) -> list[SuiteResult]:
+               seed: int = 0, chi: ChiFunction | None = None) -> list[SuiteResult]:
     """Run the requested suites (all by default); results ordered by name."""
     wanted = sorted(set(names) if names else SUITE_NAMES)
     unknown = [n for n in wanted if n not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"available: {', '.join(SUITE_NAMES)}")
-    sizes = sizes or {}
     results = []
     for name in wanted:
         args = (params, path) if name == "no_overtaking" else (params,)
-        if name in sizes:
-            args += (sizes[name],)
         results.append(globals()[f"suite_{name}"](*args, seed=seed, chi=chi))
     return results

@@ -84,6 +84,16 @@ class TestSchema:
         assert rc == 1
         assert "params.explicit.psi_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.5"])
+    def test_non_positive_psi_max_is_a_config_error_at_the_cli(self, tmp_path, capsys, value):
+        # psi_max: 0 ended in a ZeroDivisionError traceback from the k2 default
+        text = MINIMAL.replace("psi_max: 0.6303", f"psi_max: {value}")
+        rc = main(["simulate", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: params.explicit.psi_max: need 0 < psi_max < pi/2" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("key", ["state_grid", "control_grid"])
     @pytest.mark.parametrize("value", ["5", "[5]", "[5, 5, 5]", "[5, 0]", "[5.0, 5]",
                                        "[true, 5]", '"5x5"'])

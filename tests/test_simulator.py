@@ -15,6 +15,9 @@ from oracles import integrate_unicycle
 
 CIRCLE6_EVENTS_SHA256 = "9eaf1410b37298fd9bc38df7d81f8622744366592233f4f970e49e16f6e9a29f"
 CIRCLE6_EVENTS_BYTES = 222
+# golden trace.csv of the bundled circle6 scenario (also in perfbench/golden.json)
+CIRCLE6_TRACE_SHA256 = "7ee9c6a696f390b9936d83964e2f9de370dfa514eb3248178f41ce7dfb4a0617"
+CIRCLE6_TRACE_BYTES = 41_935_659
 
 
 def circle_scenario(params, uavs, duration, dt=0.01, **kw):
@@ -74,7 +77,9 @@ class TestRunScenario:
     def test_initial_state_outside_universe_aborts(self, params):
         bad = UavSpec(7, 1000.0 - params.rho_universe - 10.0, 0.0, math.pi / 2.0)
         sc = circle_scenario(params, [bad], 10.0)
-        with pytest.raises(OutsideUniverse, match="UAV 7"):
+        # the abort names the time, the UAV and its pose
+        pose = r"t=0\.000s UAV 7 at \(\d+\.\d\d, 0\.00, 1\.5708\)"
+        with pytest.raises(OutsideUniverse, match=pose):
             run_scenario(sc)
 
     def test_determinism_repeated_runs(self, params):
@@ -101,6 +106,35 @@ class TestRunScenario:
         pre_after = {r[11] for r in trace.rows if r[0] > 10.0}
         assert 4 in pre_after
         assert any(ev.t >= 10.0 for ev in trace.events)
+
+    def test_lower_id_joiner_takes_its_id_place(self, params):
+        path = CirclePath((0.0, 0.0), 1000.0, "ccw", 0.002)
+        uavs = [on_path_spec(1, path, 3000.0, rho=15.0, spawn_time=5.0),
+                on_path_spec(2, path, 0.0), on_path_spec(3, path, 2000.0),
+                on_path_spec(4, path, 4000.0, psi=0.1)]
+        trace, _ = run_scenario(circle_scenario(params, uavs, 10.0))
+        ids_at = {}
+        for r in trace.rows:
+            ids_at.setdefault(r[0], []).append(r[1])
+        assert all(ids == ([1, 2, 3, 4] if t >= 5.0 else [2, 3, 4])
+                   for t, ids in ids_at.items())
+        for order in (uavs[::-1], uavs[1:] + uavs[:1]):
+            again, _ = run_scenario(circle_scenario(params, order, 10.0))
+            assert again.rows == trace.rows
+            assert again.events == trace.events
+
+    def test_spline_joiner_starts_from_global_projection(self, params, hil_spline):
+        # the joiner has no warm start: its first error is the global projection's
+        # (a warm start from its pre-neighbor's arc position gives other low bits)
+        uavs = [on_path_spec(1, hil_spline, 3100.0), on_path_spec(2, hil_spline, 2800.0),
+                on_path_spec(3, hil_spline, 2500.0, rho=80.0, psi=0.2, spawn_time=1.0)]
+        sc = Scenario(params=params, paths=[hil_spline], uavs=uavs, duration=2.0,
+                      topology="tree", parents={2: 1, 3: 2})
+        trace, _ = run_scenario(sc)
+        first = next(r for r in trace.rows if r[1] == 3)
+        assert first[0] == pytest.approx(1.0)
+        assert first[5] == hil_spline.project((uavs[2].x, uavs[2].y)).rho
+        assert abs(first[5] - 80.0) < 1e-6
 
     def test_metrics_final_windows(self, params):
         sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2.0)], 10.0)
@@ -129,6 +163,11 @@ class TestRunScenario:
         blob = out.read_bytes()
         assert len(blob) == CIRCLE6_EVENTS_BYTES
         assert hashlib.sha256(blob).hexdigest() == CIRCLE6_EVENTS_SHA256
+
+    def test_circle6_trace_csv_golden(self, circle6_run):
+        _, _, _, _, blob = circle6_run
+        assert len(blob) == CIRCLE6_TRACE_BYTES
+        assert hashlib.sha256(blob).hexdigest() == CIRCLE6_TRACE_SHA256
 
     @pytest.mark.xfail(strict=True, reason=(
         "SplinePath._global_project returns a NumPy-scalar s, and the fleet state "
