@@ -103,8 +103,7 @@ def build_limits(cfg: dict) -> SpeedLimits:
     return limits
 
 _PARAM_FIELDS = {"psi_max", "rho_max", "v_coord", "rho_universe", "alpha",
-                 "speed_margin", "k1", "k2", "k3", "eps_switch", "chi_blend",
-                 "chi_delta1", "sign_eps"}
+                 "k1", "k2", "k3", "eps_switch", "chi_blend", "chi_delta1", "sign_eps"}
 _DESIGN_KEYS = {"speed_margin", "alpha"} | (_PARAM_FIELDS - {"psi_max", "rho_max", "v_coord"})
 
 
@@ -112,6 +111,8 @@ def resolve_params(cfg: dict) -> CoordParams:
     """Explicit parameter block, or run the designer on a design directive."""
     limits = build_limits(cfg)
     spacing = _num(cfg.get("coordination", {}), "spacing", "coordination", default=0.0)
+    if spacing < 0.0:
+        raise ConfigError(f"coordination.spacing: expected a number >= 0, got {spacing!r}")
     block = cfg.get("params")
     if not isinstance(block, dict):
         raise ConfigError("missing 'params' section ('design' or 'explicit')")
@@ -200,25 +201,19 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
     paths = build_paths(cfg, params.kappa_bound)
 
     coord = cfg.get("coordination", {})
-    _check_keys(coord, {"spacing", "topology", "parents"}, "coordination")
-    topology = coord.get("topology", "cyclic")
-    parents = {}
-    if "parents" in coord:
-        if not isinstance(coord["parents"], dict):
-            raise ConfigError("coordination.parents must be a mapping")
-        for k, v in coord["parents"].items():
-            if not isinstance(k, int) or not (v is None or isinstance(v, int)):
-                raise ConfigError("coordination.parents must map int ids to int ids")
-            parents[k] = v
+    _check_keys(coord, {"spacing", "parents"}, "coordination")
+    parents = coord.get("parents", {})
+    if not isinstance(parents, dict):
+        raise ConfigError("coordination.parents must be a mapping")
+    for k, v in parents.items():
+        if not isinstance(k, int) or not (v is None or isinstance(v, int)):
+            raise ConfigError("coordination.parents must map int ids to int ids")
 
-    chi = cfg.get("chi", {"kind": "coordination"})
-    _check_keys(chi, {"kind", "slope"}, "chi")
-    chi_kind = chi.get("kind", "coordination")
-    if chi_kind not in ("coordination", "linear"):
-        raise ConfigError(f"chi.kind must be 'coordination' or 'linear', got {chi_kind!r}")
+    chi = cfg.get("chi", {})
+    _check_keys(chi, {"slope"}, "chi")
     chi_slope = _num(chi, "slope", "chi", default=None)
-    if chi_slope is not None and chi_kind != "linear":
-        raise ConfigError(f"chi.slope: only kind 'linear' takes a slope, not {chi_kind!r}")
+    if chi_slope is not None and params.spacing > 0.0:
+        raise ConfigError("chi.slope: only a zero coordination.spacing (linear chi) takes a slope")
     if chi_slope is not None and chi_slope <= 0.0:
         raise ConfigError(f"chi.slope: expected a positive number, got {chi_slope!r}")
 
@@ -247,8 +242,7 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
         params=params, paths=paths, uavs=uavs,
         duration=_num(run, "duration", "run", default=100.0) if duration is None else duration,
         dt=_num(run, "dt", "run", default=0.01) if dt is None else dt,
-        topology=topology, parents=parents,
-        chi_kind=chi_kind, chi_slope=chi_slope)
+        parents=parents, chi_slope=chi_slope)
     scenario.validate()
     return scenario
 

@@ -81,9 +81,7 @@ class CoordinationChi(ChiFunction):
     """
 
     def __init__(self, params: CoordParams):
-        if params.spacing <= 0.0:
-            raise ValueError("coordination chi needs a positive desired spacing")
-        if not 0.0 < params.chi_delta1 < params.spacing:
+        if not 0.0 < params.chi_delta1 < params.spacing:   # so the spacing is positive
             raise ValueError("need 0 < chi_delta1 < spacing")
         self.spacing = params.spacing
         self.delta1 = params.chi_delta1
@@ -124,13 +122,12 @@ class LinearChi(ChiFunction):
     many = __call__
 
 
-def build_chi(params: CoordParams, kind: str = "coordination",
-              slope: float | None = None) -> ChiFunction:
-    if kind == "coordination":
+def build_chi(params: CoordParams, slope: float | None = None) -> ChiFunction:
+    """The speed assignment the desired spacing calls for: piecewise for L > 0,
+    linear (``slope``, default 0.475) for L = 0."""
+    if params.spacing > 0.0:
         return CoordinationChi(params)
-    if kind == "linear":
-        return LinearChi(params, 0.475 if slope is None else slope)
-    raise ValueError(f"unknown chi kind {kind!r}")
+    return LinearChi(params, 0.475 if slope is None else slope)
 
 
 # -- coordinated law ---------------------------------------------------------

@@ -6,9 +6,10 @@ UAVs whose lateral error is inside the projection-uniqueness radius.  The
 spacing zeta of a UAV is the forward arc distance to its pre-neighbor's
 projection, or the desired spacing when it has none.
 
-Two topologies are supported: the projection ordering above (cyclic on a
-closed path, a chain on an open one) and a fixed chain for fleets flying
-translated copies of one path, where arc positions correspond 1:1.
+Two relations are supported: the projection ordering above (cyclic on a
+closed path, a chain on an open one) and, for a scenario that gives
+``parents``, a fixed chain for fleets flying translated copies of one path,
+where arc positions correspond 1:1.
 
 Both give one record per UAV, ``{uav_id: (pre, zeta, gap)}``: the
 pre-neighbor (None for none), zeta, and the signed gap to the pre-neighbor,

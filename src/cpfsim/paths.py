@@ -356,18 +356,26 @@ class SplinePath(Path):
         self._u_of_s = lut
 
     def _check_shape(self):
-        # Densely sampled curvature, one block at a time; a block whose max
-        # fails raises (a NaN fails too), so the gate decides as one max over
-        # the whole grid and reports the first failing block's max.
+        # Densely sampled curvature, one block at a time.  The speed can vanish
+        # on this grid and not the table's (curvature 0/0): a block whose min
+        # speed fails raises DegenerateSpline at once.  The first block whose
+        # max curvature fails (a NaN fails too) raises after the last block,
+        # so both gates decide as on the whole grid, speed first.
         n = max(4000, int(self.total_length / 0.1) + 1)
+        kappa_fail = None
         for u in _grid_blocks(self._u_end, n):
             dx, dy = self._eval_vec(u, 1)
-            ddx, ddy = self._eval_vec(u, 2)
             speed = np.hypot(dx, dy)
-            kappa_max = float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
-            if not kappa_max < self.kappa_bound:
-                raise CurvatureBoundExceeded(
-                    f"spline curvature {kappa_max:g} >= bound {self.kappa_bound:g}")
+            if not speed.min() >= 1.0e-9:
+                raise DegenerateSpline("spline speed vanishes on the curvature grid")
+            if kappa_fail is None:
+                ddx, ddy = self._eval_vec(u, 2)
+                kappa_max = float(np.abs((dx * ddy - dy * ddx) / speed ** 3).max())
+                if not kappa_max < self.kappa_bound:
+                    kappa_fail = kappa_max
+        if kappa_fail is not None:
+            raise CurvatureBoundExceeded(
+                f"spline curvature {kappa_fail:g} >= bound {self.kappa_bound:g}")
 
     def _eval_vec(self, u, deriv):
         """Derivative ``deriv`` (0, 1 or 2) of x and y at a sorted array of spline parameters.

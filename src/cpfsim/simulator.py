@@ -59,9 +59,9 @@ class Scenario:
     uavs: list[UavSpec]
     duration: float
     dt: float = 0.01
-    topology: str = "cyclic"
+    # the fixed chain (pre-neighbor by id, None for a leader); without it the
+    # projection ordering on one path
     parents: dict[int, int | None] = field(default_factory=dict)
-    chi_kind: str = "coordination"
     chi_slope: float | None = None
 
     def validate(self) -> None:
@@ -77,8 +77,6 @@ class Scenario:
         ids = [u.id for u in self.uavs]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate UAV ids")
-        if self.topology not in ("cyclic", "tree"):
-            raise ConfigError("topology must be 'cyclic' or 'tree'")
         for u in self.uavs:
             if not 0 <= u.path_index < len(self.paths):
                 raise ConfigError(f"UAV {u.id}: path index {u.path_index} out of range")
@@ -86,17 +84,19 @@ class Scenario:
             if not 0.0 <= u.spawn_time <= self.duration:
                 raise ConfigError(f"UAV {u.id}: spawn_time {u.spawn_time!r} outside "
                                   f"[0, duration={self.duration!r}]")
-        if self.topology == "cyclic" and len({u.path_index for u in self.uavs}) > 1:
-            raise ConfigError("cyclic topology requires all UAVs on the same path")
-        if self.topology == "tree":
-            for u in self.uavs:
-                parent = self.parents.get(u.id)
-                if parent is not None and parent not in ids:
-                    raise ConfigError(f"UAV {u.id}: unknown parent {parent}")
+        if not self.parents and len({u.path_index for u in self.uavs}) > 1:
+            raise ConfigError("without coordination.parents all UAVs must share one path "
+                              "(the cyclic projection ordering)")
+        for uav_id, parent in self.parents.items():
+            if uav_id not in ids or not (parent is None or parent in ids):
+                raise ConfigError(f"coordination.parents: {uav_id}: {parent} names no UAV "
+                                  f"of the scenario")
+            if parent == uav_id:
+                raise ConfigError(f"coordination.parents: UAV {uav_id} is its own parent")
         self.params.validate_basic()
 
     def chi(self) -> ChiFunction:
-        return build_chi(self.params, self.chi_kind, self.chi_slope)
+        return build_chi(self.params, self.chi_slope)
 
 
 class Trace:
@@ -204,7 +204,7 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
         for u, e in zip(active, errs):
             u.s_hint = e.s_proj
             projections.append((u.id, e.s_proj, e.rho))
-        if scenario.topology == "tree":
+        if scenario.parents:
             coord = chain_coordination(projections, scenario.parents, ref, params.spacing)
         else:
             coord = update_pre_neighbors(projections, ref, params.spacing)

@@ -66,20 +66,15 @@ class SuiteResult:
         return line
 
 
-def sample_s1(rng: np.random.Generator, params: CoordParams, n: int) -> list[tuple[float, float]]:
-    """Uniform samples of the coordination set (rejection in its bounding box)."""
-    rho, psi = _sample_s1_arrays(rng, params, n)
-    return list(zip(rho.tolist(), psi.tolist()))
+def sample_s1(rng: np.random.Generator, params: CoordParams,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n uniform samples of the coordination set as two arrays (rho, psi).
 
-
-def _sample_s1_arrays(rng: np.random.Generator, params: CoordParams,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sample_s1`` as two arrays (rho, psi).
-
-    Draws (rho, psi) per attempt in the order of a one-at-a-time rejection
-    loop.  Each attempt yields at most one sample, so a round of at most
-    n - found attempts never draws past the attempt that completes the n
-    samples.  Rounds hold at most ``_BLOCK`` attempts.
+    Rejection in the set's bounding box.  Draws (rho, psi) per attempt in the
+    order of a one-at-a-time rejection loop.  Each attempt yields at most one
+    sample, so a round of at most n - found attempts never draws past the
+    attempt that completes the n samples.  Rounds hold at most ``_BLOCK``
+    attempts.
     """
     a, r1 = params.psi_max, params.rho_max
     rhos, psis, found = [np.empty(0)], [np.empty(0)], 0
@@ -112,7 +107,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     chi = build_chi(params) if chi is None else chi
     a, r1 = params.psi_max, params.rho_max
     n_steps = int(duration / dt)
-    rho0, psi0 = _sample_s1_arrays(rng, params, n_runs)
+    rho0, psi0 = sample_s1(rng, params, n_runs)
     kappas = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, n_runs)
     lanes = np.arange(n_runs)
     rho, psi, kappa = rho0, psi0, kappas
@@ -150,13 +145,16 @@ def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int, chi):
     """n in-set states with a curvature and a spacing each, and their commands.
 
     The curvature and spacing of each state are drawn in turn after all
-    states (an array draw gives the values of one-at-a-time draws).  Draws
-    and the law run on blocks of ``_BLOCK`` states, which bounds their
-    temporaries.
+    states (an array draw gives the values of one-at-a-time draws).  The
+    spacing lies in [0, 2 L), or for L = 0 (the linear chi) in [0, z) where
+    chi(z) = v_max.  Draws and the law run on blocks of ``_BLOCK`` states,
+    which bounds their temporaries.
     Returns the arrays (rho, psi, kappa, zeta, code, v, omega).
     """
-    rho, psi = _sample_s1_arrays(rng, pure, n)
-    lo, hi = [-0.999 * pure.kappa_bound, 0.0], [0.999 * pure.kappa_bound, 2.0 * pure.spacing]
+    rho, psi = sample_s1(rng, pure, n)
+    zeta_hi = (2.0 * pure.spacing if pure.spacing > 0.0
+               else (pure.v_max - chi(0.0)) / chi.slope)
+    lo, hi = [-0.999 * pure.kappa_bound, 0.0], [0.999 * pure.kappa_bound, zeta_hi]
     kappa, zeta, v, omega = (np.empty(n) for _ in range(4))
     code = np.empty(n, dtype=np.intp)
     for start in range(0, n, _BLOCK):
@@ -379,17 +377,16 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
     rng = np.random.default_rng(seed)
     chi = build_chi(params) if chi is None else chi
     n_steps = int(duration / dt)
-    starts = []
-    for _ in range(n_runs):
+    starts = np.empty((3, n_runs, _N_UAVS))
+    for run in range(n_runs):
         while True:
             arc = np.sort(rng.uniform(0.0, path.total_length, _N_UAVS))
             gaps = np.diff(np.concatenate([arc, [arc[0] + path.total_length]]))
             if gaps.min() > 1.0:
                 break
-        for i in range(_N_UAVS):
-            rho, psi = sample_s1(rng, params, 1)[0]
-            starts.append((float(arc[i]), 0.6 * rho, 0.6 * psi))
-    s, rho, psi = np.array(starts, dtype=float).reshape(-1, 3).T
+        rho, psi = sample_s1(rng, params, _N_UAVS)
+        starts[:, run] = arc, 0.6 * rho, 0.6 * psi
+    s, rho, psi = starts.reshape(3, -1)
     runs = np.arange(n_runs)            # runs still in the batch, in lane order
     events = np.zeros(n_runs, dtype=int)
     prev = None

@@ -178,6 +178,7 @@ def test_batch_closed_loop_equals_scalar_loop(params):
 @pytest.mark.parametrize("n", [1, 7, 5000])  # 5000: rounds of at most _BLOCK attempts
 def test_sample_s1_unchanged(params, seed, n):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert sample_s1(rng, params, n) == sample_s1_one_at_a_time(ref_rng, params, n)
+    rho, psi = sample_s1(rng, params, n)
+    assert list(zip(rho.tolist(), psi.tolist())) == sample_s1_one_at_a_time(ref_rng, params, n)
     # the generator is left where the one-at-a-time loop leaves it
     assert rng.random() == ref_rng.random()

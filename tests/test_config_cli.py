@@ -7,6 +7,7 @@ from cpfsim.cli import build_parser, main
 from cpfsim.config import (build_scenario, bundled_config_path, escape_spec, load_config,
                            params_fragment, resolve_params)
 from cpfsim.exceptions import ConfigError
+from cpfsim.simulator import run_scenario
 
 MINIMAL = """
 limits: {v_min: 10.0, v_max: 25.0, omega_max: 0.2, kappa_bound: 0.002}
@@ -114,6 +115,8 @@ class TestSchema:
         ("center: [0.0, 0.0]", "center: [.nan, 0.0]", "paths[0].center"),
         # a bool in a pair was read as 1.0
         ("center: [0.0, 0.0]", "center: [true, 0.0]", "paths[0].center"),
+        # a negative spacing would run the linear chi, which zero spacing selects
+        ("spacing: 1047.1975511965976", "spacing: -5.0", "coordination.spacing"),
     ])
     def test_non_finite_and_bool_numbers_rejected_at_the_cli(self, tmp_path, capsys,
                                                             old, new, where):
@@ -210,13 +213,32 @@ class TestSchema:
         with pytest.raises(ConfigError, match="cyclic"):
             build_scenario(load_config(write_config(tmp_path, text)))
 
+    @pytest.mark.parametrize("parents, why", [({9: 1}, "9: 1 names no UAV"),
+                                              ({2: 9}, "2: 9 names no UAV"),
+                                              ({2: 2}, "UAV 2 is its own parent")],
+                             ids=["unknown-child", "unknown-parent", "own-parent"])
+    def test_parents_name_uavs_of_the_scenario(self, parents, why):
+        # {9: 1} was accepted; {2: 2} ran UAV 2 with zeta = 0 and pre = 2
+        cfg = load_config(bundled_config_path("circle6"))
+        cfg["coordination"]["parents"] = parents
+        with pytest.raises(ConfigError, match=f"coordination.parents: .*{why}"):
+            build_scenario(cfg, duration=1.0)
+
+    def test_parents_fly_the_fixed_chain(self):
+        # beside topology: cyclic these parents were accepted and dropped
+        cfg = load_config(bundled_config_path("circle6"))
+        cfg["coordination"]["parents"] = {2: 1}
+        trace, _ = run_scenario(build_scenario(cfg, duration=1.0))
+        assert {r[11] for r in trace.rows if r[1] == 2} == {1}
+        assert {r[11] for r in trace.rows if r[1] != 2} == {None}
+
     def test_lonlat_spline_config(self, tmp_path):
         text = """
 limits: {v_min: 10.0, v_max: 25.0, omega_max: 0.2, kappa_bound: 0.002}
 params:
   explicit: {psi_max: 0.6303, rho_max: 122.1297, v_coord: 25.0}
-coordination: {spacing: 0.0, topology: tree, parents: {}}
-chi: {kind: linear, slope: 0.475}
+coordination: {spacing: 0.0}
+chi: {slope: 0.475}
 paths:
   - kind: bspline
     lonlat_origin: [113.2167, 28.2029]
@@ -233,6 +255,7 @@ run: {duration: 0.0, dt: 0.01}
     def test_fragment_round_trips(self, params, tmp_path):
         frag = yaml.safe_load(params_fragment(params))
         explicit = frag["params"]["explicit"]
+        assert "speed_margin" not in explicit   # the explicit block rejects it
         block = "  explicit:\n" + "\n".join(
             f"    {k}: {v!r}" for k, v in explicit.items())
         text = MINIMAL.replace(
@@ -326,17 +349,50 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert rc == 0, out
         assert out.count("PASS") == 2
 
-    @pytest.mark.parametrize("chi", ["{kind: coordination, slope: 0.3}",
-                                     "{slope: 0.3}",
-                                     "{kind: linear, slope: 0.0}",
-                                     "{kind: linear, slope: -0.475}"])
+    @pytest.mark.parametrize("chi", ["{slope: 0.3}"])
     def test_chi_slope_accepted_only_when_used(self, tmp_path, capsys, chi):
-        # a coordination chi ignored the slope; a non-positive one failed
-        # without naming the key
+        # a positive spacing runs the piecewise chi, which would ignore the slope
         cfg = write_config(tmp_path, MINIMAL + f"chi: {chi}\n")
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
         assert "error: chi.slope: " in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("slope", ["0.0", "-0.475"])
+    def test_non_positive_chi_slope_rejected(self, tmp_path, capsys, slope):
+        # a non-positive slope failed without naming the key
+        text = MINIMAL.replace("spacing: 1047.1975511965976", "spacing: 0.0")
+        cfg = write_config(tmp_path, text + f"chi: {{slope: {slope}}}\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: chi.slope: expected a positive number" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("chi, slope", [("", 0.475), ("chi: {slope: 0.3}\n", 0.3)],
+                             ids=["no-chi-block", "slope-0.3"])
+    def test_zero_spacing_runs_the_linear_chi(self, tmp_path, chi, slope):
+        # without a chi block a zero spacing exited 1: the default chi kind
+        # was the piecewise one, which needs a positive spacing
+        text = MINIMAL.replace("spacing: 1047.1975511965976", "spacing: 0.0") + chi
+        cfg = write_config(tmp_path, text)
+        assert build_scenario(load_config(cfg)).chi().slope == slope
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("old, new, where, key", [
+        ("spacing: 1047.1975511965976}", "spacing: 1047.1975511965976, topology: cyclic}",
+         "coordination", "topology"),
+        ("run:", "chi: {kind: coordination}\nrun:", "chi", "kind"),
+        ("v_coord: 25.0}", "v_coord: 25.0, speed_margin: 1.0}", "params.explicit",
+         "speed_margin"),
+    ], ids=["coordination.topology", "chi.kind", "params.explicit.speed_margin"])
+    def test_removed_keys_rejected_at_the_cli(self, tmp_path, capsys, old, new, where, key):
+        # the relation follows from parents and the chi from the spacing; the
+        # explicit block's speed_margin was read by no run
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {where}: unknown key(s) ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
     def test_verify_unknown_suite(self, tmp_path):

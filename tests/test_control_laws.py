@@ -74,12 +74,15 @@ class TestChi:
         assert chi.many(np.array([0.0, 100.0])).tolist() == [chi(0.0), chi(100.0)]
 
     def test_build_chi_validation(self, params):
-        with pytest.raises(ValueError):
-            build_chi(params, "nope")
+        # the spacing picks the kind: piecewise for L > 0, linear for L = 0
+        assert type(build_chi(params)) is CoordinationChi
         free = dataclasses.replace(params, spacing=0.0)
+        assert type(build_chi(free)) is LinearChi
+        assert build_chi(free).slope == 0.475 and build_chi(free, 0.3).slope == 0.3
         with pytest.raises(ValueError):
-            build_chi(free, "coordination")
-        assert build_chi(free, "linear", 0.475)(10.0) > 0.0
+            build_chi(free, 0.0)
+        with pytest.raises(ValueError):
+            CoordinationChi(free)
 
 
 class TestCoordControl:
@@ -191,7 +194,7 @@ class TestResetValue:
         chi = build_chi(p)
         rng = np.random.default_rng(31)
         fired = 0
-        for rho, psi in sample_s1(rng, p, 100_000):
+        for rho, psi in zip(*(x.tolist() for x in sample_s1(rng, p, 100_000))):
             kappa = rng.uniform(-0.999 * p.kappa_bound, 0.999 * p.kappa_bound)
             zeta = rng.uniform(0.0, 2.0 * p.spacing)
             err = PathError(rho, psi, 0.0, kappa)

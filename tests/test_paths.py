@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -91,6 +92,11 @@ _waypoint = (st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
 def _waypoint_sets(draw):
     pts = draw(st.lists(st.tuples(_waypoint, st.integers(1, 4)), min_size=4, max_size=29))
     return [p for p, repeat in pts for _ in range(repeat)][:29]
+
+
+# the spline speed vanishes at the middle parameter only
+SPEED_ZERO_OFF_TABLE_GRID = [(0.0, 25.0), (2.569838854429757e-291, -251.2789650284645),
+                             (2.569838854429757e-291, -251.2789650284645), (0.0, 25.0)]
 
 
 def _bare_spline(waypoints):
@@ -222,6 +228,19 @@ class TestSpline:
         with pytest.raises(DegenerateSpline):
             SplinePath([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (100.0, 0.0)],
                        kappa_bound=0.002)
+
+    @pytest.mark.parametrize("kappa_bound", [0.002, math.inf])
+    def test_speed_vanishing_on_the_curvature_grid_is_degenerate(self, kappa_bound):
+        # the speed vanishes at the middle parameter, which the table's grid
+        # misses and the curvature grid holds: the curvature read 0/0 and the
+        # build raised CurvatureBoundExceeded("spline curvature nan") with a
+        # RuntimeWarning
+        wps = SPEED_ZERO_OFF_TABLE_GRID
+        assert spline_lut_whole_grid(_bare_spline(wps), 0.1) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSpline, match="curvature grid"):
+                SplinePath(wps, kappa_bound=kappa_bound)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (3, 1), (6, 0)])
@@ -380,6 +399,7 @@ class TestSpline:
     @given(waypoints=st.lists(_waypoint, min_size=4, max_size=29).map(
                lambda w: [(x / 20.0, y / 20.0) for x, y in w]),
            lut_step=st.sampled_from([0.1, 0.07, 0.5]))
+    @example(waypoints=SPEED_ZERO_OFF_TABLE_GRID, lut_step=0.1)
     def test_build_equals_whole_grid_build_with_many_spans(self, waypoints, lut_step):
         _, knots = clamped_knots(waypoints)
         if not knots[-1] > 0.0:
@@ -389,8 +409,11 @@ class TestSpline:
             mp.setattr(paths_mod, "_BUILD_BLOCK", 997)
             try:
                 path = SplinePath(waypoints, kappa_bound=math.inf, lut_step=lut_step)
-            except DegenerateSpline:
-                assert spline_lut_whole_grid(_bare_spline(waypoints), lut_step) is None
+            except DegenerateSpline as exc:
+                # the table's speed gate fails as on the whole grid; the
+                # curvature grid's fails only after the table was built
+                table = spline_lut_whole_grid(_bare_spline(waypoints), lut_step)
+                assert (table is None) == ("curvature grid" not in str(exc))
                 return
             except CurvatureBoundExceeded:
                 return  # an infinite or NaN curvature; the table was built

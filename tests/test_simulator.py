@@ -129,7 +129,7 @@ class TestRunScenario:
         uavs = [on_path_spec(1, hil_spline, 3100.0), on_path_spec(2, hil_spline, 2800.0),
                 on_path_spec(3, hil_spline, 2500.0, rho=80.0, psi=0.2, spawn_time=1.0)]
         sc = Scenario(params=params, paths=[hil_spline], uavs=uavs, duration=2.0,
-                      topology="tree", parents={2: 1, 3: 2})
+                      parents={2: 1, 3: 2})
         trace, _ = run_scenario(sc)
         first = next(r for r in trace.rows if r[1] == 3)
         assert first[0] == pytest.approx(1.0)
