@@ -91,7 +91,8 @@ def _out_dir(args, spec) -> FsPath:
 
 def cmd_design_params(args) -> int:
     cfg = _load(args)
-    if cfg.get("params", {}).get("design") is None:
+    block = cfg.get("params")
+    if not isinstance(block, dict) or "design" not in block:
         raise ConfigError("design-params needs a params.design section")
     params = cfgmod.resolve_params(cfg)
 

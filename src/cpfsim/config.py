@@ -21,6 +21,9 @@ _NUM = (int, float)
 
 TOP_KEYS = {"limits", "params", "coordination", "chi", "paths", "uavs",
             "run", "output", "escape"}
+# libyaml's parser where PyYAML has it; both loaders build their dicts with
+# the same SafeConstructor.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 OUTPUT_DEFAULTS = {"dir": "out", "trace": "trace.csv", "metrics": "metrics.json",
                    "events": "events.csv", "long": "long.csv", "long_every": 10}
 
@@ -77,7 +80,7 @@ def _grid(d: dict, key: str, where: str, default: tuple[int, int]) -> tuple[int,
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

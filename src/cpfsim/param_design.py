@@ -15,6 +15,9 @@ import numpy as np
 
 from .exceptions import Infeasible
 
+# Grid points per _best_on_grid pass; bounds the temporaries (128 KB each).
+_GRID_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class SpeedLimits:
@@ -161,18 +164,28 @@ def _v_coord_window(a, r1, limits: SpeedLimits, speed_margin, alpha):
 
 
 def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
-    """Feasible point maximizing a*r1 on a rectangular grid, or None."""
+    """Feasible point maximizing a*r1 on a rectangular grid, or None.
+
+    Rows of ``a_grid`` are evaluated as many at a time as fit in
+    ``_GRID_BLOCK`` points (at least one).  Each row's first maximum over its
+    feasible points (infeasible ones count as -inf), visited in row order,
+    gives the floats and the tie-break of a pass per row.
+    """
+    r1_list = r1_grid.tolist()
+    rows = max(1, _GRID_BLOCK // len(r1_list))
     best = None
-    for a in a_grid:
+    for start in range(0, len(a_grid), rows):
+        a = a_grid[start:start + rows, None]
         lo, hi = _v_coord_window(a, r1_grid, limits, speed_margin, alpha)
-        ok = (hi >= lo) & (hi > limits.v_min)
-        if not ok.any():
-            continue
-        r1_ok = r1_grid[ok]
-        j = int(np.argmax(a * r1_ok))
-        cand = (float(a * r1_ok[j]), float(a), float(r1_ok[j]))
-        if best is None or cand > best:
-            best = cand
+        prod = np.where((hi >= lo) & (hi > limits.v_min), a * r1_grid, -np.inf)
+        j = prod.argmax(axis=1)
+        row_max = prod[np.arange(len(j)), j].tolist()
+        for p, a_row, jj in zip(row_max, a[:, 0].tolist(), j.tolist()):
+            if p == -math.inf:
+                continue
+            cand = (p, a_row, r1_list[jj])
+            if best is None or cand > best:
+                best = cand
     return best
 
 

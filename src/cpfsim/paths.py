@@ -254,6 +254,9 @@ class SplinePath(Path):
         self._u_end = float(chord[-1])
         self._breaks, self._cx = self._power_coefficients(knots, pts[:, 0])
         _, self._cy = self._power_coefficients(knots, pts[:, 1])
+        # near-coincident knots overflow the derivative recurrence
+        if not np.isfinite(self._cx + self._cy).all():
+            raise DegenerateSpline("non-finite spline coefficients")
 
         self._build_lut(lut_step)
         self._check_shape()
@@ -417,6 +420,19 @@ class SplinePath(Path):
         f = g - i
         return self._u_of_s[i] * (1.0 - f) + self._u_of_s[i + 1] * f
 
+    def _interp_table(self, s):
+        """``np.interp(s, np.arange(len(table)) * lut_step, table)`` for an array s.
+
+        np.interp reads only the two axis points around each s, so it runs on
+        those alone: the cells around ``s / lut_step``, one wider each side for
+        its rounding.  The same floats, without building the whole axis.
+        """
+        table = np.asarray(self._u_of_s)
+        j = (s / self._lut_step).astype(np.intp)
+        near = np.sort(np.clip(np.concatenate((j - 1, j, j + 1, j + 2)), 0, len(table) - 1))
+        near = near[np.diff(near, prepend=-1) > 0]   # as np.unique, in a tenth of its time
+        return np.interp(s, near * self._lut_step, table[near])
+
     def point_at(self, s):
         if s < 0.0:
             x, y, ux, uy = self._head
@@ -527,9 +543,7 @@ class SplinePath(Path):
         stride = min(10.0, self.r0 / 10.0)
         n = max(2, int(self.total_length / stride) + 1)
         s_grid = np.linspace(0.0, self.total_length, n)
-        u_lut = np.asarray(self._u_of_s)
-        u = np.interp(s_grid, np.arange(len(u_lut)) * self._lut_step, u_lut)
-        x, y = self._eval_vec(u, 0)
+        x, y = self._eval_vec(self._interp_table(s_grid), 0)
         d2 = (x - px) ** 2 + (y - py) ** 2
         best = int(np.argmin(d2))
         lo = max(0.0, s_grid[best] - stride)

@@ -13,7 +13,7 @@ from scipy.interpolate import BSpline, PPoly
 from cpfsim.control_laws import ControlCommand, outside_universe, sat, smoothed_sign
 from cpfsim.error_frame import PathError, Region, classify, switching_value
 from cpfsim.exceptions import DegenerateSpline, WrongRegion
-from cpfsim.param_design import CoordParams
+from cpfsim.param_design import CoordParams, _v_coord_window
 from cpfsim.paths import Projection
 
 
@@ -48,6 +48,27 @@ def grid_design_oracle(limits, speed_margin, alpha,
                 best = area
                 best_point = (float(a), float(r_grid[ok].max()))
     return best, best_point
+
+
+# -- design grid search pre-change reference ---------------------------------
+# _best_on_grid as it was before it evaluated blocks of rows, one numpy pass
+# per psi_max row, kept verbatim so the blocked search can be held to it with
+# ``==``.
+
+def best_on_grid_per_row(a_grid, r1_grid, limits, speed_margin, alpha):
+    """Feasible point maximizing a*r1 on a rectangular grid, or None."""
+    best = None
+    for a in a_grid:
+        lo, hi = _v_coord_window(a, r1_grid, limits, speed_margin, alpha)
+        ok = (hi >= lo) & (hi > limits.v_min)
+        if not ok.any():
+            continue
+        r1_ok = r1_grid[ok]
+        j = int(np.argmax(a * r1_ok))
+        cand = (float(a * r1_ok[j]), float(a), float(r1_ok[j]))
+        if best is None or cand > best:
+            best = cand
+    return best
 
 
 def brute_force_projection(path, point, fine_step=0.01, coarse_step=1.0):

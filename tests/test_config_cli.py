@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from cpfsim import config as cfgmod
 from cpfsim.cli import build_parser, main
 from cpfsim.config import (build_scenario, bundled_config_path, escape_spec, load_config,
                            params_fragment, resolve_params)
@@ -265,6 +266,41 @@ run: {duration: 0.0, dt: 0.01}
         assert sc.params.chi_blend == params.chi_blend
 
 
+BUNDLED = sorted(p.stem for p in bundled_config_path("design").parent.glob("*.yaml"))
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+class TestYamlLoaders:
+    """libyaml's parser, where PyYAML has it, and the pure-Python one give the same configs."""
+
+    def test_libyaml_parses_where_available(self):
+        assert cfgmod._YAML_LOADER is LOADERS[-1]
+
+    @pytest.mark.skipif(len(LOADERS) == 1, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_loaders_agree_on_bundled_configs(self, name, monkeypatch):
+        got = []
+        for loader in LOADERS:
+            monkeypatch.setattr(cfgmod, "_YAML_LOADER", loader)
+            got.append(load_config(bundled_config_path(name)))
+        assert got[0] == got[1]
+        if name == "parallel4":   # merge keys
+            assert got[0]["paths"][1]["offset"] == [0.0, 100.0]
+            assert got[0]["paths"][1]["waypoints"] == got[0]["paths"][0]["waypoints"]
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", ["limits: {v_min: 10.0", "limits:\n\tv_min: 1\n",
+                                      "a: 1\na: [\n", "{x: *undefined}"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, monkeypatch, loader, text):
+        monkeypatch.setattr(cfgmod, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(write_config(tmp_path, text))
+
+    def test_design_yaml_designs_the_pinned_set(self):
+        p = resolve_params(load_config(bundled_config_path("design")))
+        assert (p.psi_max, p.rho_max, p.v_coord) == (0.6990040004295561, 140.99915822080837, 25.0)
+
+
 class TestCli:
     def test_design_params(self, tmp_path, capsys):
         rc = main(["design-params", "--config", str(bundled_config_path("design")),
@@ -273,6 +309,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "psi_max" in out and "slack" in out
         assert (tmp_path / "params_fragment.yaml").exists()
+
+    def test_design_params_rejects_a_params_list(self, tmp_path, capsys):
+        text = "limits: {v_min: 10.0, v_max: 25.0, omega_max: 0.2, kappa_bound: 0.002}\n" \
+               "params: [1, 2]\n"
+        rc = main(["design-params", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_design_params_empty_design_block_takes_the_defaults(self, tmp_path):
+        # design.yaml's margins are the defaults
+        bundled = bundled_config_path("design")
+        text = bundled.read_text(encoding="utf-8")
+        start = text.index("params:")
+        end = text.index("coordination:")
+        empty = write_config(tmp_path, text[:start] + "params: {design: }\n\n" + text[end:])
+        for cfg, out in ((bundled, tmp_path / "bundled"), (empty, tmp_path / "empty")):
+            assert main(["design-params", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (tmp_path / "empty" / "params_fragment.yaml").read_bytes() == \
+            (tmp_path / "bundled" / "params_fragment.yaml").read_bytes()
 
     def test_design_params_infeasible_curvature(self, tmp_path, capsys):
         text = """

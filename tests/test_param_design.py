@@ -3,14 +3,18 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cpfsim import param_design
 from cpfsim.exceptions import Infeasible
 from cpfsim.param_design import (SpeedLimits, check_feasibility_precondition,
                                  coordination_rate_bound, design_coordination_set)
 
 from conftest import SPACING
-from oracles import grid_design_oracle
+from oracles import best_on_grid_per_row, grid_design_oracle
 
 
 class TestFeasibilityPrecondition:
@@ -100,6 +104,59 @@ class TestDesign:
         with pytest.raises(ValueError):
             design_coordination_set(limits, speed_margin=0.0, alpha=0.01,
                                     spacing=SPACING)
+
+
+@st.composite
+def _design_grids(draw):
+    """Limits, margins and a (psi_max, rho_max) grid over the design box or inside it."""
+    v_min, dv = draw(st.floats(1.0, 20.0)), draw(st.floats(0.1, 30.0))
+    omega_max = draw(st.floats(0.05, 1.0))
+    # a factor above 1 fails the curvature precondition
+    kappa_bound = omega_max / (v_min + dv) * draw(st.floats(1.0e-3, 1.2))
+    limits = SpeedLimits(v_min, v_min + dv, omega_max, kappa_bound)
+    a0, a1 = 1.0e-4, math.pi / 2.0 - 1.0e-6
+    r0, r1 = 1.0e-3, 1.0 / limits.kappa_bound * (1.0 - 1.0e-6)
+    if draw(st.booleans()):   # a zoom box
+        a0, a1 = sorted(draw(st.floats(a0, a1)) for _ in range(2))
+        r0, r1 = sorted(draw(st.floats(r0, r1)) for _ in range(2))
+    n_a = draw(st.sampled_from([1, 2, 13, 14, 121, 400]))
+    n_r = draw(st.sampled_from([1, 2, 121, 1200, param_design._GRID_BLOCK + 1]))
+    return (np.linspace(a0, a1, n_a), np.linspace(r0, r1, n_r), limits,
+            draw(st.floats(0.01, 10.0)), draw(st.floats(1.0e-3, 0.05)))
+
+
+_LIMITS = SpeedLimits(10.0, 25.0, 0.2, 0.002)
+
+
+class TestGridSearch:
+    """The blocked grid search against the pass-per-row search it replaced."""
+
+    # the coarse and the zoom grids of the bundled design; all infeasible;
+    # one row and one column; one row wider than a block
+    @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400),
+                   np.linspace(1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), _LIMITS, 1.0, 0.01))
+    @example(grid=(np.linspace(0.69, 0.71, 121), np.linspace(140.0, 142.0, 121),
+                   _LIMITS, 1.0, 0.01))
+    @example(grid=(np.linspace(0.1, 1.5, 50), np.linspace(1.0, 499.0, 300),
+                   _LIMITS, 20.0, 0.01))
+    @example(grid=(np.array([0.7]), np.array([141.0]), _LIMITS, 1.0, 0.01))
+    @example(grid=(np.array([0.7]), np.linspace(1.0e-3, 499.0, 20_000), _LIMITS, 1.0, 0.01))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid=_design_grids())
+    def test_blocked_search_equals_per_row_search(self, grid):
+        best = param_design._best_on_grid(*grid)
+        assert best == best_on_grid_per_row(*grid)
+        assert best is None or all(type(v) is float for v in best)
+
+    def test_bundled_design_takes_35_passes(self, monkeypatch):
+        shapes = []
+        window = param_design._v_coord_window
+        monkeypatch.setattr(param_design, "_v_coord_window",
+                            lambda a, *rest: shapes.append(np.shape(a)) or window(a, *rest))
+        design_coordination_set(_LIMITS, speed_margin=1.0, alpha=0.01)
+        # 13 rows a pass on the 400 x 1,200 coarse grid, one pass per 121 x 121
+        # zoom grid, and the designed point's v_coord
+        assert shapes == [(13, 1)] * 30 + [(10, 1)] + [(121, 1)] * 3 + [()]
 
 
 class TestRateBound:

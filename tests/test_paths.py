@@ -98,6 +98,9 @@ def _waypoint_sets(draw):
 SPEED_ZERO_OFF_TABLE_GRID = [(0.0, 25.0), (2.569838854429757e-291, -251.2789650284645),
                              (2.569838854429757e-291, -251.2789650284645), (0.0, 25.0)]
 
+# the derivative recurrence overflows: infinite power coefficients
+INFINITE_COEFFICIENTS = [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 7.46e-170)]
+
 
 def _bare_spline(waypoints):
     """A SplinePath with its power coefficients and no build (no gates, no table)."""
@@ -242,6 +245,11 @@ class TestSpline:
             with pytest.raises(DegenerateSpline, match="curvature grid"):
                 SplinePath(wps, kappa_bound=kappa_bound)
 
+    def test_infinite_coefficients_are_degenerate_without_a_warning(self):
+        # inf * 0 at the span start warned before the table's speed gate raised
+        with pytest.raises(DegenerateSpline, match="non-finite spline coefficients"):
+            SplinePath(INFINITE_COEFFICIENTS)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (3, 1), (6, 0)])
     def test_non_finite_waypoint_is_degenerate(self, bad, where):
@@ -375,6 +383,8 @@ class TestSpline:
         if not knots[-1] > 0.0:
             return  # all waypoints coincide: the constructor raises DegenerateSpline
         path = _bare_spline(waypoints)
+        if not np.isfinite(path._cx + path._cy).all():
+            return  # the constructor raises DegenerateSpline
         _assert_eval_vec_matches_oracle(path, _sorted_parameters(path))
 
     def test_eval_vec_rejects_decreasing_parameters(self, hil_spline):
@@ -400,25 +410,41 @@ class TestSpline:
                lambda w: [(x / 20.0, y / 20.0) for x, y in w]),
            lut_step=st.sampled_from([0.1, 0.07, 0.5]))
     @example(waypoints=SPEED_ZERO_OFF_TABLE_GRID, lut_step=0.1)
+    @example(waypoints=INFINITE_COEFFICIENTS, lut_step=0.1)
     def test_build_equals_whole_grid_build_with_many_spans(self, waypoints, lut_step):
         _, knots = clamped_knots(waypoints)
         if not knots[-1] > 0.0:
             return
-        # near-coincident knots give infinite coefficients, and inf * 0 is NaN
-        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(paths_mod, "_BUILD_BLOCK", 997)
             try:
                 path = SplinePath(waypoints, kappa_bound=math.inf, lut_step=lut_step)
             except DegenerateSpline as exc:
                 # the table's speed gate fails as on the whole grid; the
-                # curvature grid's fails only after the table was built
-                table = spline_lut_whole_grid(_bare_spline(waypoints), lut_step)
+                # curvature grid's fails only after the table was built.
+                # Near-coincident knots give the oracle infinite coefficients,
+                # and inf * 0 is NaN.
+                with np.errstate(invalid="ignore"):
+                    table = spline_lut_whole_grid(_bare_spline(waypoints), lut_step)
                 assert (table is None) == ("curvature grid" not in str(exc))
                 return
             except CurvatureBoundExceeded:
                 return  # an infinite or NaN curvature; the table was built
         assert _same_floats((path.total_length, list(path._u_of_s)),
                             spline_lut_whole_grid(path, lut_step))
+
+    def test_interp_table_equals_np_interp(self, bundled_splines):
+        # the global projection's scan reads the table without its s axis
+        rng = np.random.default_rng(0)
+        for name, path in bundled_splines.items():
+            table = np.asarray(path._u_of_s)
+            axis = np.arange(len(table)) * path._lut_step
+            s = np.concatenate([
+                rng.uniform(0.0, path.total_length, 20_000),
+                axis[::97], np.nextafter(axis[1::89], 0.0), np.nextafter(axis[::89], np.inf),
+                axis[-2:], [path.total_length, axis[-1] + 1.0, 1.0e9],
+                np.linspace(0.0, path.total_length, int(path.total_length / 10.0) + 1)])
+            assert path._interp_table(s).tobytes() == np.interp(s, axis, table).tobytes(), name
 
     def test_build_peak_memory(self, bundled_splines):
         # the dense grids are built and reduced block by block; the whole
