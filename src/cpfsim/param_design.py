@@ -178,9 +178,8 @@ def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
         a = a_grid[start:start + rows, None]
         lo, hi = _v_coord_window(a, r1_grid, limits, speed_margin, alpha)
         prod = np.where((hi >= lo) & (hi > limits.v_min), a * r1_grid, -np.inf)
-        j = prod.argmax(axis=1)
-        row_max = prod[np.arange(len(j)), j].tolist()
-        for p, a_row, jj in zip(row_max, a[:, 0].tolist(), j.tolist()):
+        row_max = prod.max(axis=1).tolist()
+        for p, a_row, jj in zip(row_max, a[:, 0].tolist(), prod.argmax(axis=1).tolist()):
             if p == -math.inf:
                 continue
             cand = (p, a_row, r1_list[jj])
