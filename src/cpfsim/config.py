@@ -157,6 +157,7 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
     if not isinstance(block, list) or not block:
         raise ConfigError("'paths' must be a non-empty list")
     out = []
+    shapes = {}   # one table per spline shape of this scenario
     for i, p in enumerate(block):
         where = f"paths[{i}]"
         if not isinstance(p, dict):
@@ -192,8 +193,12 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
             if "offset" in p:
                 ox, oy = _pair(p["offset"], f"{where}.offset")
                 wps = [(x + ox, y + oy) for x, y in wps]
-            out.append(SplinePath(wps, kappa_bound=kappa_bound,
-                                  lut_step=_num(p, "lut_step", where, default=0.1)))
+            lut_step = _num(p, "lut_step", where, default=0.1)
+            if lut_step <= 0.0:
+                raise ConfigError(
+                    f"{where}.lut_step: expected a positive number, got {lut_step!r}")
+            out.append(SplinePath(wps, kappa_bound=kappa_bound, lut_step=lut_step,
+                                  _shapes=shapes))
         else:
             raise ConfigError(f"{where}: unknown path kind {kind!r}")
     return out

@@ -223,12 +223,18 @@ class SplinePath(Path):
 
     The waypoints act as control points of a clamped cubic B-spline whose
     knots come from chord-length parameterization.  A dense lookup table
-    (``lut_step`` meters) maps arc length to the spline parameter.  Beyond
-    either endpoint the path continues straight along the end tangent.
+    maps arc length to the spline parameter every ``lut_step`` meters; it
+    must be positive, and the default is 0.1 m.  Beyond either endpoint the
+    path continues straight along the end tangent.
 
     Raises ``DegenerateSpline`` on non-finite waypoints or when the spline
     speed vanishes anywhere, and ``CurvatureBoundExceeded`` when the densely
     sampled curvature reaches ``kappa_bound``; a NaN in a grid fails its gate.
+
+    Paths of one scenario with the same shape share one arc-length table:
+    ``build_paths`` hands them one ``_shapes`` dict, and the table is built
+    and checked once.  The shape is the exact bytes of everything the table
+    and the gates read, so a shared table holds the floats of its own build.
     """
 
     kind = "bspline"
@@ -236,10 +242,13 @@ class SplinePath(Path):
     _DEGREE = 3
 
     def __init__(self, waypoints: list[tuple[float, float]],
-                 kappa_bound: float = 0.002, lut_step: float = 0.1):
+                 kappa_bound: float = 0.002, lut_step: float = 0.1, *, _shapes=None):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < self._DEGREE + 1:
             raise ValueError("need at least 4 [x, y] waypoints")
+        lut_step = float(lut_step)
+        if not 0.0 < lut_step < math.inf:
+            raise ValueError(f"lut_step must be positive and finite, got {lut_step!r}")
         if not np.isfinite(pts).all():
             raise DegenerateSpline("non-finite waypoint coordinates")
         self.waypoints = [(float(x), float(y)) for x, y in pts]
@@ -258,8 +267,17 @@ class SplinePath(Path):
         if not np.isfinite(self._cx + self._cy).all():
             raise DegenerateSpline("non-finite spline coefficients")
 
-        self._build_lut(lut_step)
-        self._check_shape()
+        # all that _build_lut and _check_shape read: the first and second
+        # derivatives take the breaks and c0..c2 only.  Bytes, so that -0.0
+        # and 0.0 differ.
+        shape = np.array([self._u_end, lut_step, self.kappa_bound, *self._breaks,
+                          *(c for col in self._cx + self._cy for c in col[:3])]).tobytes()
+        shapes = {} if _shapes is None else _shapes
+        if shape not in shapes:
+            self._build_lut(lut_step)
+            self._check_shape()
+            shapes[shape] = (self._lut_step, self.total_length, self._u_of_s)
+        self._lut_step, self.total_length, self._u_of_s = shapes[shape]
 
         ends = np.array([0.0, self._u_end])
         (x0, x1), (y0, y1) = (v.tolist() for v in self._eval_vec(ends, 0))

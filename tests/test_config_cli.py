@@ -127,6 +127,19 @@ class TestSchema:
         assert f"error: {where}: expected " in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("lut_step", [0, -0.5])
+    def test_non_positive_lut_step_rejected_at_the_cli(self, tmp_path, capsys, lut_step):
+        # 0 ended in an OverflowError traceback, -0.5 in an IndexError one
+        cfg = load_config(bundled_config_path("parallel4"))
+        cfg["paths"][0]["lut_step"] = lut_step
+        path = write_config(tmp_path, yaml.safe_dump(cfg))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: paths[0].lut_step: expected a positive number")
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [("--duration", "inf"), ("--dt", "nan")])
     def test_non_finite_cli_override_rejected(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path, MINIMAL)

@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpfsim import paths as paths_mod
-from cpfsim.config import build_limits, build_paths, bundled_config_path, load_config
+from cpfsim.config import (build_limits, build_paths, build_scenario, bundled_config_path,
+                           load_config)
 from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
 from cpfsim.paths import (CirclePath, LinePath, SplinePath, _grid_blocks, waypoints_from_lonlat,
                           wrap_angle)
@@ -543,6 +544,111 @@ class TestSpline:
         assert hil_spline.curvature_at(-1.0) == 0.0
         pr = hil_spline.project(hil_spline.point_at(hil_spline.total_length + 40.0))
         assert pr.s == pytest.approx(hil_spline.total_length + 40.0, abs=1e-6)
+
+
+HIL_LONLAT_WAYPOINTS = waypoints_from_lonlat(HIL_LONLAT, origin=HIL_LONLAT[0])
+
+# integer offsets often keep the base shape's bytes (a shared table), two
+# decimals and free floats seldom do (a table of its own)
+_offset = (st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000))
+           | st.tuples(st.integers(-500_000, 500_000), st.integers(-500_000, 500_000)).map(
+               lambda o: (o[0] / 100.0, o[1] / 100.0))
+           | st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)))
+
+
+class TestSharedShapes:
+    """Paths of one ``build_paths`` call that have the same shape share one table."""
+
+    @staticmethod
+    def _shifted(base, offset):
+        return [(x + offset[0], y + offset[1]) for x, y in base]
+
+    @pytest.mark.parametrize("base, offset, hit", [
+        (HIL_WAYPOINTS, (0.0, 100.0), True), (HIL_WAYPOINTS, (0.37, 12.91), False),
+        (HIL_LONLAT_WAYPOINTS, (0.0, -37.0), True), (HIL_LONLAT_WAYPOINTS, (0.0, 100.0), False),
+    ])
+    def test_offset_copies_hit_or_miss(self, base, offset, hit):
+        # a shifted copy is not a bit-exact translate: its columns decide
+        shapes = {}
+        first = SplinePath(base, _shapes=shapes)
+        copy = SplinePath(self._shifted(base, offset), _shapes=shapes)
+        assert (copy._u_of_s is first._u_of_s) == hit
+        assert len(shapes) == (1 if hit else 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(base=st.sampled_from([HIL_WAYPOINTS, HIL_LONLAT_WAYPOINTS]), offset=_offset,
+           seed=st.integers(0, 2**32 - 1))
+    @example(base=HIL_WAYPOINTS, offset=(0.0, 100.0), seed=0)
+    @example(base=HIL_WAYPOINTS, offset=(0.37, 12.91), seed=0)
+    @example(base=HIL_LONLAT_WAYPOINTS, offset=(0.0, -37.0), seed=0)
+    @example(base=HIL_LONLAT_WAYPOINTS, offset=(0.0, 100.0), seed=0)
+    def test_shared_build_equals_standalone_build(self, base, offset, seed):
+        shapes = {}
+        SplinePath(base, _shapes=shapes)
+        wps = self._shifted(base, offset)
+        shared = SplinePath(wps, _shapes=shapes)
+        alone = SplinePath(wps)
+        assert np.asarray(shared._u_of_s).tobytes() == np.asarray(alone._u_of_s).tobytes()
+        assert _same_floats((shared.total_length, shared._cx, shared._cy, shared._head,
+                             shared._tail),
+                            (alone.total_length, alone._cx, alone._cy, alone._head,
+                             alone._tail))
+        # points within r0 of the path, beyond both ends too, cold and warm-started
+        rng = np.random.default_rng(seed)
+        for s, rho in zip(rng.uniform(-200.0, alone.total_length + 200.0, 8).tolist(),
+                          rng.uniform(-0.8, 0.8, 8).tolist()):
+            x, y = alone.point_at(s)
+            ta = alone.tangent_angle_at(s)
+            q = (x - rho * alone.r0 * math.sin(ta), y + rho * alone.r0 * math.cos(ta))
+            assert shared.project(q) == alone.project(q)
+            assert shared.project(q, hint_s=s) == alone.project(q, hint_s=s)
+
+    def test_parallel4_builds_one_table_per_call(self, monkeypatch):
+        builds = []
+        build_lut = SplinePath._build_lut
+
+        def counted(path, lut_step):
+            builds.append(path)
+            build_lut(path, lut_step)
+
+        monkeypatch.setattr(SplinePath, "_build_lut", counted)
+        cfg = load_config(bundled_config_path("parallel4"))
+        first = build_scenario(cfg).paths
+        assert len(builds) == 1
+        assert len(first) == 4 and all(p._u_of_s is first[0]._u_of_s for p in first)
+        # the store lives for one call: a second scenario builds its own
+        second = build_scenario(cfg).paths
+        assert len(builds) == 2
+        assert all(p._u_of_s is second[0]._u_of_s for p in second)
+        assert second[0]._u_of_s is not first[0]._u_of_s
+
+    def test_copies_with_other_lut_steps_get_their_own_tables(self):
+        cfg = load_config(bundled_config_path("parallel4"))
+        for p, step in zip(cfg["paths"], (0.1, 0.5, 0.1, 0.5)):
+            p["lut_step"] = step
+        built = build_paths(cfg, build_limits(cfg).kappa_bound)
+        assert built[2]._u_of_s is built[0]._u_of_s
+        assert built[3]._u_of_s is built[1]._u_of_s
+        assert built[1]._u_of_s is not built[0]._u_of_s
+        alone = SplinePath(built[1].waypoints, lut_step=0.5)
+        assert _same_floats((built[1].total_length, list(built[1]._u_of_s)),
+                            (alone.total_length, list(alone._u_of_s)))
+
+    def test_failed_build_stores_nothing(self):
+        shapes = {}
+        with pytest.raises(CurvatureBoundExceeded):
+            SplinePath(HIL_WAYPOINTS, kappa_bound=0.001, _shapes=shapes)
+        assert shapes == {}
+        SplinePath(HIL_WAYPOINTS, kappa_bound=0.002, _shapes=shapes)
+        # the bound is part of the shape: the stored table passes no other bound
+        with pytest.raises(CurvatureBoundExceeded):
+            SplinePath(HIL_WAYPOINTS, kappa_bound=0.001, _shapes=shapes)
+        assert len(shapes) == 1
+
+    @pytest.mark.parametrize("lut_step", [0.0, -0.0, -0.5, math.inf, math.nan])
+    def test_lut_step_must_be_positive_and_finite(self, lut_step):
+        with pytest.raises(ValueError, match="lut_step must be positive and finite"):
+            SplinePath(HIL_WAYPOINTS, lut_step=lut_step)
 
 
 @pytest.mark.parametrize("block", [997, 16384])
