@@ -27,7 +27,8 @@ from .error_frame import (PathError, Region, classify, compute_error,
                           error_dynamics, in_escape_set, switching_value)
 from .exceptions import (ConfigError, CpfsimError, CurvatureBoundExceeded,
                          DegenerateSpline, Infeasible, OutsideUniverse,
-                         ProjectionAmbiguous, SingularDenominator, WrongRegion)
+                         ProjectionAmbiguous, SingularDenominator, TableTooLarge,
+                         WrongRegion)
 from .param_design import (CoordParams, SpeedLimits, check_feasibility_precondition,
                            coordination_rate_bound, design_coordination_set)
 from .paths import (CirclePath, LinePath, Path, Projection, SplinePath,

@@ -12,7 +12,7 @@ from pathlib import Path as FsPath
 
 import yaml
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, TableTooLarge
 from .param_design import CoordParams, SpeedLimits, derived_defaults, design_coordination_set
 from .paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat
 from .simulator import Scenario, UavSpec
@@ -127,13 +127,15 @@ def resolve_params(cfg: dict) -> CoordParams:
         d = block["design"] or {}
         _check_keys(d, _DESIGN_KEYS, "params.design")
         kwargs = {k: _num(d, k, "params.design") for k in d if k not in ("speed_margin", "alpha")}
-        if _num(d, "speed_margin", "params.design", default=1.0) <= 0.0:
+        speed_margin = _num(d, "speed_margin", "params.design", default=1.0)
+        if speed_margin <= 0.0:
             raise ConfigError("params.design.speed_margin must be > 0")
-        return design_coordination_set(
-            limits,
-            speed_margin=_num(d, "speed_margin", "params.design", default=1.0),
-            alpha=_num(d, "alpha", "params.design", default=0.01),
-            spacing=spacing, **kwargs)
+        alpha = _num(d, "alpha", "params.design", default=0.01)
+        if not 0.0 < alpha < limits.omega_max:
+            raise ConfigError(f"params.design.alpha: need 0 < alpha < limits.omega_max "
+                              f"({limits.omega_max!r}), got {alpha!r}")
+        return design_coordination_set(limits, speed_margin=speed_margin, alpha=alpha,
+                                       spacing=spacing, **kwargs)
 
     e = block["explicit"] or {}
     _check_keys(e, _PARAM_FIELDS, "params.explicit")
@@ -197,8 +199,11 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
             if lut_step <= 0.0:
                 raise ConfigError(
                     f"{where}.lut_step: expected a positive number, got {lut_step!r}")
-            out.append(SplinePath(wps, kappa_bound=kappa_bound, lut_step=lut_step,
-                                  _shapes=shapes))
+            try:
+                out.append(SplinePath(wps, kappa_bound=kappa_bound, lut_step=lut_step,
+                                      _shapes=shapes))
+            except TableTooLarge as exc:   # names lut_step
+                raise ConfigError(f"{where}.{exc}") from None
         else:
             raise ConfigError(f"{where}: unknown path kind {kind!r}")
     return out

@@ -4,6 +4,13 @@ Picks the set half-widths (psi_max, rho_max) and the design speed v_coord by
 maximizing the product psi_max * rho_max subject to the admissibility
 inequalities that make the set invariant (turn-rate budget) and overtaking-
 free (speed budget).  Deterministic grid search with local refinement.
+
+The search evaluates the v_coord window only on each block's band of
+rho_max columns.  The window is ``lo = num / cos(psi_max)`` and
+``hi = min(cap, corner)`` with ``num`` and ``cap`` functions of rho_max
+alone, so ``hi <= cap`` exactly and, division rounding monotonically,
+``lo >= num / max(cos psi_max)`` over the block's rows: a column where that
+bound exceeds ``cap`` holds no feasible point, and the result is unchanged.
 """
 
 from __future__ import annotations
@@ -153,36 +160,54 @@ def check_feasibility_precondition(limits: SpeedLimits, speed_margin: float) -> 
     return _failed_precondition(limits, speed_margin) is None
 
 
-def _v_coord_window(a, r1, limits: SpeedLimits, speed_margin, alpha):
-    """Feasible v_coord interval (lo, hi) for given half-widths; arrays ok."""
+def _r1_factors(r1, limits: SpeedLimits, speed_margin, alpha):
+    """The v_coord window's factors of rho_max alone: lo's numerator and hi's cap; arrays ok."""
     k0 = limits.kappa_bound
-    hi = np.minimum(limits.v_max,
-                    (limits.omega_max - alpha) / np.sqrt((a / r1) ** 2 + k0 ** 2))
-    hi = np.minimum(hi, (limits.omega_max - alpha) * (1.0 - k0 * r1) / k0)
-    lo = (1.0 + k0 * r1) * (limits.v_min / (1.0 - k0 * r1) + speed_margin) / np.cos(a)
-    return lo, hi
+    num = (1.0 + k0 * r1) * (limits.v_min / (1.0 - k0 * r1) + speed_margin)
+    cap = np.minimum(limits.v_max, (limits.omega_max - alpha) * (1.0 - k0 * r1) / k0)
+    return num, cap
+
+
+def _v_coord_window(a, cos_a, r1, num, cap, limits: SpeedLimits, alpha):
+    """Feasible v_coord interval (lo, hi) given cos(a) and ``_r1_factors``; arrays ok."""
+    hi = np.minimum(cap, (limits.omega_max - alpha)
+                    / np.sqrt((a / r1) ** 2 + limits.kappa_bound ** 2))
+    return num / cos_a, hi
 
 
 def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
     """Feasible point maximizing a*r1 on a rectangular grid, or None.
 
-    Rows of ``a_grid`` are evaluated as many at a time as fit in
-    ``_GRID_BLOCK`` points (at least one).  Each row's first maximum over its
-    feasible points (infeasible ones count as -inf), visited in row order,
-    gives the floats and the tie-break of a pass per row.
+    Rows of ``a_grid`` (in (0, pi/2), where cos is positive) are evaluated
+    as many at a time as fit in ``_GRID_BLOCK`` points (at least one), and
+    each block only on its band: the columns from the first to the last
+    where ``num / max(cos a) <= cap``.  Outside it every point of the block
+    is infeasible: ``hi <= cap`` exactly, and division rounds monotonically,
+    so ``lo = num / cos a >= num / max(cos a) > cap`` for ``num >= 0``, and
+    ``hi <= cap < 0 < v_min`` otherwise; a NaN ``num`` or ``cap`` fails the
+    band test and the feasibility test alike.  Each row's first maximum over
+    its feasible points (infeasible ones count as -inf), visited in row
+    order, gives the floats and the tie-break of a pass per row.
     """
     r1_list = r1_grid.tolist()
+    num, cap = _r1_factors(r1_grid, limits, speed_margin, alpha)
     rows = max(1, _GRID_BLOCK // len(r1_list))
     best = None
     for start in range(0, len(a_grid), rows):
         a = a_grid[start:start + rows, None]
-        lo, hi = _v_coord_window(a, r1_grid, limits, speed_margin, alpha)
-        prod = np.where((hi >= lo) & (hi > limits.v_min), a * r1_grid, -np.inf)
+        cos_a = np.cos(a)
+        band = np.flatnonzero(num / cos_a.max() <= cap)
+        if not band.size:
+            continue
+        j0, j1 = int(band[0]), int(band[-1]) + 1
+        r1 = r1_grid[j0:j1]
+        lo, hi = _v_coord_window(a, cos_a, r1, num[j0:j1], cap[j0:j1], limits, alpha)
+        prod = np.where((hi >= lo) & (hi > limits.v_min), a * r1, -np.inf)
         row_max = prod.max(axis=1).tolist()
         for p, a_row, jj in zip(row_max, a[:, 0].tolist(), prod.argmax(axis=1).tolist()):
             if p == -math.inf:
                 continue
-            cand = (p, a_row, r1_list[jj])
+            cand = (p, a_row, r1_list[j0 + jj])
             if best is None or cand > best:
                 best = cand
     return best
@@ -211,6 +236,8 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
     limits.validate()
     if speed_margin <= 0.0:
         raise ValueError("speed_margin must be positive")
+    if not 0.0 < alpha < limits.omega_max:   # else the turn budget leaves no speed
+        raise ValueError("need 0 < alpha < omega_max")
     failed = _failed_precondition(limits, speed_margin)
     if failed is not None:
         raise Infeasible(f"feasibility precondition fails: {failed}")
@@ -236,7 +263,8 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
         r_lo, r_hi = max(r_lo, r_c - dr), min(r_hi, r_c + dr)
 
     _, a, r1 = best
-    lo, hi = _v_coord_window(a, r1, limits, speed_margin, alpha)
+    _, hi = _v_coord_window(a, math.cos(a), r1, *_r1_factors(r1, limits, speed_margin, alpha),
+                            limits, alpha)
     v_coord = float(hi)
     defaults = dict(
         psi_max=a, rho_max=r1, v_coord=v_coord,

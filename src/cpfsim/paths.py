@@ -20,13 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
+from .exceptions import (CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous,
+                         TableTooLarge)
 
 TWO_PI = 2.0 * math.pi
 
 # Spline parameters per block when SplinePath samples its dense build grids
 # (about 340k points for a 17 km path); bounds the temporaries.
 _BUILD_BLOCK = 16384
+
+# Most entries of a SplinePath arc-length table (800 MB of doubles).
+MAX_LUT_ENTRIES = 10 ** 8
 
 # Mean Earth radius for the equirectangular lon/lat conversion (m).
 EARTH_RADIUS = 6371008.8
@@ -230,6 +234,9 @@ class SplinePath(Path):
     Raises ``DegenerateSpline`` on non-finite waypoints or when the spline
     speed vanishes anywhere, and ``CurvatureBoundExceeded`` when the densely
     sampled curvature reaches ``kappa_bound``; a NaN in a grid fails its gate.
+    Raises ``TableTooLarge`` (a ``ValueError``) before building a table of
+    more than ``MAX_LUT_ENTRIES``: the spline is no longer than its control
+    polygon, so the polygon's length over ``lut_step`` bounds the table.
 
     Paths of one scenario with the same shape share one arc-length table:
     ``build_paths`` hands them one ``_shapes`` dict, and the table is built
@@ -261,6 +268,11 @@ class SplinePath(Path):
         interior = np.array([chord[j + 1:j + k + 1].mean() for j in range(len(pts) - k - 1)])
         knots = np.concatenate([[chord[0]] * (k + 1), interior, [chord[-1]] * (k + 1)])
         self._u_end = float(chord[-1])
+        n_lut = self._u_end / lut_step + 2.0
+        if not n_lut <= MAX_LUT_ENTRIES:
+            raise TableTooLarge(f"lut_step: {lut_step!r} asks for up to {n_lut:.3g} table "
+                                f"entries over a {self._u_end:.6g} m control polygon, more "
+                                f"than {MAX_LUT_ENTRIES:.0e}")
         self._breaks, self._cx = self._power_coefficients(knots, pts[:, 0])
         _, self._cy = self._power_coefficients(knots, pts[:, 1])
         # near-coincident knots overflow the derivative recurrence

@@ -13,7 +13,7 @@ from scipy.interpolate import BSpline, PPoly
 from cpfsim.control_laws import ControlCommand, outside_universe, sat, smoothed_sign
 from cpfsim.error_frame import PathError, Region, classify, switching_value
 from cpfsim.exceptions import DegenerateSpline, WrongRegion
-from cpfsim.param_design import CoordParams, _v_coord_window
+from cpfsim.param_design import CoordParams
 from cpfsim.paths import Projection
 
 
@@ -52,8 +52,19 @@ def grid_design_oracle(limits, speed_margin, alpha,
 
 # -- design grid search pre-change reference ---------------------------------
 # _best_on_grid as it was before it evaluated blocks of rows, one numpy pass
-# per psi_max row, kept verbatim so the blocked search can be held to it with
-# ``==``.
+# per psi_max row over every column, and the v_coord window as it was before
+# it split into its rho_max factors, kept verbatim so the blocked, banded
+# search can be held to them with ``==``.
+
+def _v_coord_window(a, r1, limits, speed_margin, alpha):
+    """Feasible v_coord interval (lo, hi) for given half-widths; arrays ok."""
+    k0 = limits.kappa_bound
+    hi = np.minimum(limits.v_max,
+                    (limits.omega_max - alpha) / np.sqrt((a / r1) ** 2 + k0 ** 2))
+    hi = np.minimum(hi, (limits.omega_max - alpha) * (1.0 - k0 * r1) / k0)
+    lo = (1.0 + k0 * r1) * (limits.v_min / (1.0 - k0 * r1) + speed_margin) / np.cos(a)
+    return lo, hi
+
 
 def best_on_grid_per_row(a_grid, r1_grid, limits, speed_margin, alpha):
     """Feasible point maximizing a*r1 on a rectangular grid, or None."""

@@ -140,6 +140,20 @@ class TestSchema:
         assert "Traceback" not in err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("lut_step", [1e-300, 1e-6])
+    def test_giant_lut_rejected_at_the_cli(self, tmp_path, capsys, lut_step):
+        # 1e-300 exited with numpy's "Maximum allowed size exceeded"; 1e-6 asked
+        # for about 1.4e10 table entries (115 GB)
+        cfg = load_config(bundled_config_path("parallel4"))
+        cfg["paths"][0]["lut_step"] = lut_step
+        path = write_config(tmp_path, yaml.safe_dump(cfg))
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: paths[0].lut_step: {lut_step!r} asks for up to ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [("--duration", "inf"), ("--dt", "nan")])
     def test_non_finite_cli_override_rejected(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path, MINIMAL)
@@ -215,6 +229,22 @@ class TestSchema:
             "  design: {speed_margin: 0.0}")
         with pytest.raises((ConfigError, ValueError)):
             resolve_params(load_config(write_config(tmp_path, text)))
+
+    @pytest.mark.parametrize("alpha", ["0", "0.2"])
+    def test_design_alpha_outside_the_turn_budget_rejected_at_the_cli(self, tmp_path, capsys,
+                                                                      alpha):
+        # 0 exited with "alpha and speed_margin must be positive" after the grid
+        # search, 0.2 (omega_max) with "no feasible point on the design grid"
+        text = bundled_config_path("design").read_text(encoding="utf-8").replace(
+            "alpha: 0.01 ", f"alpha: {alpha} ")
+        rc = main(["design-params", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: params.design.alpha: need 0 < alpha < limits.omega_max "
+                              f"(0.2), got {float(alpha)!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "params_fragment.yaml").exists()
 
     def test_cyclic_topology_needs_shared_path(self, tmp_path):
         text = MINIMAL.replace(

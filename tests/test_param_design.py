@@ -100,6 +100,11 @@ class TestDesign:
         with pytest.raises(Infeasible, match=re.escape(failed)):
             design_coordination_set(limits, speed_margin=speed_margin, alpha=0.01)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.01, 0.2, 0.3])
+    def test_rejects_alpha_outside_the_turn_budget(self, limits, alpha):
+        with pytest.raises(ValueError, match="need 0 < alpha < omega_max"):
+            design_coordination_set(limits, speed_margin=1.0, alpha=alpha)
+
     def test_rejects_nonpositive_margin(self, limits):
         with pytest.raises(ValueError):
             design_coordination_set(limits, speed_margin=0.0, alpha=0.01,
@@ -132,7 +137,8 @@ class TestGridSearch:
     """The blocked grid search against the pass-per-row search it replaced."""
 
     # the coarse and the zoom grids of the bundled design; all infeasible;
-    # one row and one column; one row wider than a block
+    # one row and one column; one row wider than a block; an empty band in
+    # each of 31 blocks; a band of every column; one column; one block per row
     @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400),
                    np.linspace(1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), _LIMITS, 1.0, 0.01))
     @example(grid=(np.linspace(0.69, 0.71, 121), np.linspace(140.0, 142.0, 121),
@@ -141,6 +147,14 @@ class TestGridSearch:
                    _LIMITS, 20.0, 0.01))
     @example(grid=(np.array([0.7]), np.array([141.0]), _LIMITS, 1.0, 0.01))
     @example(grid=(np.array([0.7]), np.linspace(1.0e-3, 499.0, 20_000), _LIMITS, 1.0, 0.01))
+    @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400),
+                   np.linspace(1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), _LIMITS, 20.0, 0.01))
+    @example(grid=(np.linspace(0.5, 0.6, 121), np.linspace(50.0, 60.0, 121),
+                   _LIMITS, 1.0, 0.01))
+    @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400), np.array([141.0]),
+                   _LIMITS, 1.0, 0.01))
+    @example(grid=(np.linspace(0.6, 0.8, 3),
+                   np.linspace(1.0e-3, 499.0, param_design._GRID_BLOCK + 1), _LIMITS, 1.0, 0.01))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(grid=_design_grids())
     def test_blocked_search_equals_per_row_search(self, grid):
@@ -148,15 +162,20 @@ class TestGridSearch:
         assert best == best_on_grid_per_row(*grid)
         assert best is None or all(type(v) is float for v in best)
 
-    def test_bundled_design_takes_35_passes(self, monkeypatch):
+    def test_bundled_design_evaluates_the_window_on_bands(self, monkeypatch):
         shapes = []
         window = param_design._v_coord_window
-        monkeypatch.setattr(param_design, "_v_coord_window",
-                            lambda a, *rest: shapes.append(np.shape(a)) or window(a, *rest))
+        monkeypatch.setattr(param_design, "_v_coord_window", lambda a, cos_a, r1, *rest: (
+            shapes.append(np.broadcast_shapes(np.shape(a), np.shape(r1)))
+            or window(a, cos_a, r1, *rest)))
         design_coordination_set(_LIMITS, speed_margin=1.0, alpha=0.01)
-        # 13 rows a pass on the 400 x 1,200 coarse grid, one pass per 121 x 121
-        # zoom grid, and the designed point's v_coord
-        assert shapes == [(13, 1)] * 30 + [(10, 1)] + [(121, 1)] * 3 + [()]
+        # 13 rows a pass on the 400 x 1,200 coarse grid, where the 9 blocks
+        # from psi_max 1.126 on have no band; one pass per 121 x 121 zoom
+        # grid; and the designed point's v_coord
+        assert [s[0] if s else () for s in shapes] == [13] * 22 + [121] * 3 + [()]
+        assert [s[1] for s in shapes[22:25]] == [121] * 3
+        # 145,870 points here; 523,924 without the band
+        assert sum(math.prod(s) for s in shapes) <= 150_000
 
 
 class TestRateBound:

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from cpfsim import paths as paths_mod
 from cpfsim.config import (build_limits, build_paths, build_scenario, bundled_config_path,
                            load_config)
-from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
+from cpfsim.exceptions import (CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous,
+                               TableTooLarge)
 from cpfsim.paths import (CirclePath, LinePath, SplinePath, _grid_blocks, waypoints_from_lonlat,
                           wrap_angle)
 
@@ -649,6 +650,21 @@ class TestSharedShapes:
     def test_lut_step_must_be_positive_and_finite(self, lut_step):
         with pytest.raises(ValueError, match="lut_step must be positive and finite"):
             SplinePath(HIL_WAYPOINTS, lut_step=lut_step)
+
+    @pytest.mark.parametrize("lut_step", [1e-300, 1e-6])
+    def test_giant_table_raises_before_the_build(self, monkeypatch, lut_step):
+        monkeypatch.setattr(SplinePath, "_build_lut", None)   # nothing is allocated
+        with pytest.raises(ValueError, match=r"lut_step: .* table entries") as info:
+            SplinePath(HIL_WAYPOINTS, lut_step=lut_step)
+        assert isinstance(info.value, TableTooLarge)
+
+    def test_control_polygon_bounds_the_table(self, monkeypatch):
+        u_end = SplinePath(HIL_WAYPOINTS)._u_end
+        monkeypatch.setattr(paths_mod, "MAX_LUT_ENTRIES", 1000)
+        path = SplinePath(HIL_WAYPOINTS, lut_step=u_end / 998.0)
+        assert len(path._u_of_s) <= 1000
+        with pytest.raises(TableTooLarge):
+            SplinePath(HIL_WAYPOINTS, lut_step=u_end / 998.5)
 
 
 @pytest.mark.parametrize("block", [997, 16384])
