@@ -17,10 +17,9 @@ Library layout:
 * ``cli`` - the ``cpfsim`` command.
 """
 
-from .control_laws import (ChiFunction, ControlCommand, CoordinationChi, LinearChi,
-                           build_chi, comparison_admissible,
-                           comparison_system_trajectory, coord_control,
-                           hybrid_supervisor, reset_value, sat)
+from .control_laws import (ControlCommand, CoordinationChi, LinearChi, build_chi,
+                           comparison_admissible, comparison_system_trajectory,
+                           coord_control, hybrid_supervisor, sat)
 from .coordination import (OvertakeEvent, chain_coordination, detect_overtaking,
                            update_pre_neighbors)
 from .error_frame import (PathError, Region, classify, compute_error,
@@ -29,8 +28,8 @@ from .exceptions import (ConfigError, CpfsimError, CurvatureBoundExceeded,
                          DegenerateSpline, Infeasible, OutsideUniverse,
                          ProjectionAmbiguous, SingularDenominator, TableTooLarge,
                          WrongRegion)
-from .param_design import (CoordParams, SpeedLimits, check_feasibility_precondition,
-                           coordination_rate_bound, design_coordination_set)
+from .param_design import (CoordParams, SpeedLimits, coordination_rate_bound,
+                           design_coordination_set)
 from .paths import (CirclePath, LinePath, Path, Projection, SplinePath,
                     waypoints_from_lonlat, wrap_angle)
 from .simulator import (EscapeReport, Metrics, Scenario, Trace, UavSpec, UavState,

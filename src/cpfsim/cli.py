@@ -155,8 +155,7 @@ def cmd_verify(args) -> int:
         raw = _env("suite")
         names = [raw] if raw else None
     seed = _resolve(args, "seed", int) or 0
-    results = run_suites(scenario.params, scenario.paths[0], names=names, seed=seed,
-                         chi=scenario.chi())
+    results = run_suites(scenario.params, scenario.paths[0], names=names, seed=seed)
     all_ok = True
     for r in results:
         print(r.summary())

@@ -19,7 +19,7 @@ from .simulator import Scenario, UavSpec
 
 _NUM = (int, float)
 
-TOP_KEYS = {"limits", "params", "coordination", "chi", "paths", "uavs",
+TOP_KEYS = {"limits", "params", "coordination", "paths", "uavs",
             "run", "output", "escape"}
 # libyaml's parser where PyYAML has it; both loaders build their dicts with
 # the same SafeConstructor.
@@ -150,6 +150,9 @@ def resolve_params(cfg: dict) -> CoordParams:
     params = CoordParams(v_min=limits.v_min, v_max=limits.v_max,
                          omega_max=limits.omega_max, kappa_bound=limits.kappa_bound,
                          spacing=spacing, **fields)
+    if not 0.0 < params.alpha < limits.omega_max:   # else the turn budgets go negative
+        raise ConfigError(f"params.explicit.alpha: need 0 < alpha < limits.omega_max "
+                          f"({limits.omega_max!r}), got {params.alpha!r}")
     params.validate_basic()
     return params
 
@@ -222,14 +225,6 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
         if not isinstance(k, int) or not (v is None or isinstance(v, int)):
             raise ConfigError("coordination.parents must map int ids to int ids")
 
-    chi = cfg.get("chi", {})
-    _check_keys(chi, {"slope"}, "chi")
-    chi_slope = _num(chi, "slope", "chi", default=None)
-    if chi_slope is not None and params.spacing > 0.0:
-        raise ConfigError("chi.slope: only a zero coordination.spacing (linear chi) takes a slope")
-    if chi_slope is not None and chi_slope <= 0.0:
-        raise ConfigError(f"chi.slope: expected a positive number, got {chi_slope!r}")
-
     uavs_block = cfg.get("uavs")
     if not isinstance(uavs_block, list) or not uavs_block:
         raise ConfigError("'uavs' must be a non-empty list")
@@ -255,7 +250,7 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
         params=params, paths=paths, uavs=uavs,
         duration=_num(run, "duration", "run", default=100.0) if duration is None else duration,
         dt=_num(run, "dt", "run", default=0.01) if dt is None else dt,
-        parents=parents, chi_slope=chi_slope)
+        parents=parents)
     scenario.validate()
     return scenario
 

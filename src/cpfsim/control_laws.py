@@ -60,18 +60,7 @@ class ControlCommand:
     resetvalue_applied: bool = False
 
 
-class ChiFunction:
-    """Speed-assignment function mapping the spacing zeta to an along-path speed."""
-
-    def __call__(self, zeta: float) -> float:
-        raise NotImplementedError
-
-    def many(self, zeta: np.ndarray) -> np.ndarray:
-        """The assignment of each element of an array of spacings."""
-        raise NotImplementedError
-
-
-class CoordinationChi(ChiFunction):
+class CoordinationChi:
     """Piecewise-linear speed assignment for a positive desired spacing.
 
     Flat at the slow reference below spacing - chi_delta1, reaches the
@@ -100,6 +89,7 @@ class CoordinationChi(ChiFunction):
         return self.floor + 2.0 * self.slope * (zeta - self.spacing)
 
     def many(self, zeta):
+        """The assignment of each element of an array of spacings."""
         lo = self.spacing - self.delta1
         hi = self.spacing + self.delta1
         return np.where(zeta < lo, self.floor,
@@ -107,14 +97,13 @@ class CoordinationChi(ChiFunction):
                                  self.floor + 2.0 * self.slope * (zeta - self.spacing)))
 
 
-class LinearChi(ChiFunction):
+class LinearChi:
     """Affine speed assignment, used for in-line formations (zero spacing)."""
 
-    def __init__(self, params: CoordParams, slope: float):
-        if slope <= 0.0:
-            raise ValueError("slope must be positive")
+    slope = 0.475
+
+    def __init__(self, params: CoordParams):
         self.floor = params.v_min_ref
-        self.slope = slope
 
     def __call__(self, zeta):
         return self.floor + self.slope * zeta
@@ -122,19 +111,19 @@ class LinearChi(ChiFunction):
     many = __call__
 
 
-def build_chi(params: CoordParams, slope: float | None = None) -> ChiFunction:
+def build_chi(params: CoordParams) -> CoordinationChi | LinearChi:
     """The speed assignment the desired spacing calls for: piecewise for L > 0,
-    linear (``slope``, default 0.475) for L = 0."""
+    linear for L = 0."""
     if params.spacing > 0.0:
         return CoordinationChi(params)
-    return LinearChi(params, 0.475 if slope is None else slope)
+    return LinearChi(params)
 
 
 # -- coordinated law ---------------------------------------------------------
 
 
 def coord_control(err: PathError, zeta: float, params: CoordParams,
-                  chi: ChiFunction) -> ControlCommand:
+                  chi: CoordinationChi | LinearChi) -> ControlCommand:
     """Coordinated law inside the coordination set.
 
     Forward speed tracks chi(zeta) along the path; angular speed combines
@@ -159,21 +148,6 @@ def _coord_law(err, zeta, params, chi, region):
     return ControlCommand(v, omega, region, resetvalue_applied=v != v1)
 
 
-def reset_value(cmd: ControlCommand, err: PathError, params: CoordParams) -> float:
-    """Forward-speed reset of the coordinated law.
-
-    Each coordination subset carries one margin inequality; when the
-    provisional command violates it, the speed is recomputed to hold the
-    inequality with equality.  A recomputed speed is adopted only when it
-    is admissible, and for the four boundary subsets only when it lowers
-    the speed (a raise there can only come from the smoothed switching
-    term near the surface, where the inequality is not load-bearing).
-    """
-    if not cmd.region.in_s1:
-        raise WrongRegion(f"reset called in {cmd.region.value}")
-    return _reset(cmd.v, cmd.omega, cmd.region, err, params)
-
-
 # by S1 code: the sign that turns the subset's margin test x > 0 or x < 0
 # into sign * x > 0 and its reset's omega +- alpha into omega + sign * alpha
 # (both exact), and whether a reset may only lower the speed (else it may
@@ -183,6 +157,15 @@ _LOWER_ONLY = (True, True, True, True, False, False)
 
 
 def _reset(v, omega, region, err, params):
+    """Forward-speed reset of the coordinated law in the S1 subset ``region``.
+
+    Each coordination subset carries one margin inequality; when the
+    provisional command violates it, the speed is recomputed to hold the
+    inequality with equality.  A recomputed speed is adopted only when it
+    is admissible, and for the four boundary subsets only when it lowers
+    the speed (a raise there can only come from the smoothed switching
+    term near the surface, where the inequality is not load-bearing).
+    """
     rho, psi, kappa = err.rho, err.psi, err.kappa
     a, r1, alpha = params.psi_max, params.rho_max, params.alpha
     sign = _RESET_SIGN[region.code]
@@ -243,7 +226,7 @@ def _outer_law(err, params, region):
 
 
 def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
-                      chi: ChiFunction) -> ControlCommand:
+                      chi: CoordinationChi | LinearChi) -> ControlCommand:
     """Dispatch to the unique law owning the error's region.
 
     Classifies once and hands the region to the law bodies; the public
@@ -270,8 +253,8 @@ _RESET_SIGN_ARR, _LOWER_ONLY_ARR, _TURN_ARR, _BOX_ARR = (
     np.array(table) for table in (_RESET_SIGN, _LOWER_ONLY, _TURN, _BOX))
 
 
-def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams, chi: ChiFunction,
-                     code) -> tuple[np.ndarray, np.ndarray]:
+def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams,
+                     chi: CoordinationChi | LinearChi, code) -> tuple[np.ndarray, np.ndarray]:
     """``hybrid_supervisor`` lane by lane on arrays: (v, omega).
 
     ``code`` holds the lanes' region codes from ``batch_classify``;
@@ -317,7 +300,7 @@ def _batch_coord_law(rho, psi, kappa, chi_z, params, code):
 
 
 def _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params):
-    """``_reset`` lane by lane; see ``reset_value`` for the rule."""
+    """``_reset`` lane by lane; see it for the rule."""
     a, r1, alpha = params.psi_max, params.rho_max, params.alpha
     sign = _RESET_SIGN_ARR[code]
     kc = kappa * cos_psi

@@ -16,7 +16,7 @@ bound exceeds ``cap`` holds no feasible point, and the result is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .exceptions import Infeasible
 
 # Grid points per _best_on_grid pass; bounds the temporaries (128 KB each).
 _GRID_BLOCK = 16384
+# Most ulps the designed v_coord steps down to meet the turn budgets' rounding.
+_ULP_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -155,11 +157,6 @@ def _failed_precondition(limits: SpeedLimits, speed_margin: float) -> str | None
     return None
 
 
-def check_feasibility_precondition(limits: SpeedLimits, speed_margin: float) -> bool:
-    """Sufficient existence condition for the set design problem."""
-    return _failed_precondition(limits, speed_margin) is None
-
-
 def _r1_factors(r1, limits: SpeedLimits, speed_margin, alpha):
     """The v_coord window's factors of rho_max alone: lo's numerator and hi's cap; arrays ok."""
     k0 = limits.kappa_bound
@@ -228,7 +225,9 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
     Exhaustive coarse grid over the two half-widths with the speed window
     solved analytically, then three zoom rounds around the winner.  v_coord
     is set to the largest feasible value (it loosens the speed budget and
-    speeds up coordination).  Deterministic; ties break lexicographically.
+    speeds up coordination), less the ulp or so by which the window's float
+    can exceed a turn budget as ``constraint_slacks`` evaluates it; ``validate``
+    judges the result.  Deterministic; ties break lexicographically.
 
     Remaining fields are defaulted (gains k1=1, k3=1 and ``derived_defaults``)
     unless overridden.
@@ -273,8 +272,13 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
         alpha=alpha, speed_margin=speed_margin,
         k1=1.0, k3=1.0, spacing=spacing, **derived_defaults(limits, a, r1),
     )
-    defaults.update(overrides)
     params = CoordParams(**defaults)
+    for _ in range(_ULP_STEPS):
+        slacks = params.constraint_slacks()
+        if min(slacks["turn_budget_corner"], slacks["turn_budget_side"]) >= 0.0:
+            break
+        params = replace(params, v_coord=math.nextafter(params.v_coord, 0.0))
+    params = replace(params, **overrides)
     params.validate()
     return params
 

@@ -72,10 +72,6 @@ class Projection:
     curvature: float
     rho: float
 
-    @property
-    def point(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 class Path:
     """Common interface; concrete paths fill in the geometry.
@@ -108,12 +104,6 @@ class Path:
 
     def project(self, point: tuple[float, float], hint_s: float | None = None) -> Projection:
         raise NotImplementedError
-
-    def arc_distance(self, s_from: float, s_to: float) -> float:
-        """Forward arc distance; wraps on closed paths, signed on open ones."""
-        if self.closed:
-            return (s_to - s_from) % self.total_length
-        return s_to - s_from
 
     def wrap_s(self, s: float) -> float:
         return s % self.total_length if self.closed else s

@@ -14,7 +14,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .control_laws import ChiFunction, build_chi, hybrid_supervisor
+from .control_laws import build_chi, hybrid_supervisor
 from .coordination import (OvertakeEvent, Relation, chain_coordination, detect_overtaking,
                            update_pre_neighbors)
 from .error_frame import PathError, batch_error_step, compute_error, in_escape_set
@@ -62,7 +62,6 @@ class Scenario:
     # the fixed chain (pre-neighbor by id, None for a leader); without it the
     # projection ordering on one path
     parents: dict[int, int | None] = field(default_factory=dict)
-    chi_slope: float | None = None
 
     def validate(self) -> None:
         # written so that NaN fails too (the CLI overrides skip the config checks)
@@ -94,9 +93,6 @@ class Scenario:
             if parent == uav_id:
                 raise ConfigError(f"coordination.parents: UAV {uav_id} is its own parent")
         self.params.validate_basic()
-
-    def chi(self) -> ChiFunction:
-        return build_chi(self.params, self.chi_slope)
 
 
 class Trace:
@@ -188,7 +184,7 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
     """
     scenario.validate()
     params, paths, dt = scenario.params, scenario.paths, scenario.dt
-    ref, chi = paths[0], scenario.chi()
+    ref, chi = paths[0], build_chi(params)
     pending = sorted(scenario.uavs, key=lambda u: (u.spawn_time, u.id))
     active: list[UavState] = []
     coord_prev: Relation = {}

@@ -16,8 +16,8 @@ its pre-neighbor relation and overtake detection across runs
 ``update_pre_neighbors`` and ``detect_overtaking`` run by run.  A run's
 clock is shared by all lanes and accumulated as ``t += dt``, and the first
 counterexample is that of the lowest-index failing state or run.  Each
-suite's law uses the speed assignment ``chi`` it is given, by default
-``build_chi(params)``.
+suite's law uses the speed assignment the parameters call for,
+``build_chi(params)``: piecewise for a positive spacing, linear for zero.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control_laws import (ChiFunction, batch_hybrid_law, batch_sat, build_chi,
-                           comparison_admissible, outside_universe)
+from .control_laws import (batch_hybrid_law, batch_sat, build_chi, comparison_admissible,
+                           outside_universe)
 from .coordination import batch_overtake_counts, batch_relation
 from .error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, batch_error_rates,
                           batch_error_step, classify)
@@ -94,8 +94,7 @@ def _first(messages: dict[int, str]) -> str | None:
 
 
 def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 200.0,
-                     dt: float = 0.01, seed: int = 0, chi: ChiFunction | None = None
-                     ) -> SuiteResult:
+                     dt: float = 0.01, seed: int = 0) -> SuiteResult:
     """Coordination-set forward invariance under the coordinated law.
 
     Runs the closed-loop error dynamics from random in-set states with a
@@ -104,7 +103,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     anything larger or longer fails, and the run leaves the batch.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params) if chi is None else chi
+    chi = build_chi(params)
     a, r1 = params.psi_max, params.rho_max
     n_steps = int(duration / dt)
     rho0, psi0 = sample_s1(rng, params, n_runs)
@@ -141,7 +140,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     return SuiteResult("invariance", not failed, n_runs, len(failed), _first(failed))
 
 
-def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int, chi):
+def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int):
     """n in-set states with a curvature and a spacing each, and their commands.
 
     The curvature and spacing of each state are drawn in turn after all
@@ -151,6 +150,7 @@ def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int, chi):
     which bounds their temporaries.
     Returns the arrays (rho, psi, kappa, zeta, code, v, omega).
     """
+    chi = build_chi(pure)
     rho, psi = sample_s1(rng, pure, n)
     zeta_hi = (2.0 * pure.spacing if pure.spacing > 0.0
                else (pure.v_max - chi(0.0)) / chi.slope)
@@ -168,14 +168,12 @@ def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int, chi):
     return rho, psi, kappa, zeta, code, v, omega
 
 
-def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0,
-                      chi: ChiFunction | None = None) -> SuiteResult:
+def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0) -> SuiteResult:
     """Reset bound: a changed speed lands in [v_coord, v_before); box always exact."""
     pure = replace(params, sign_eps=0.0)
     rng = np.random.default_rng(seed)
-    chi = build_chi(pure) if chi is None else chi
-    rho, psi, kappa, zeta, _, v, omega = _coord_states(rng, pure, n, chi)
-    v_before = batch_sat((1.0 - kappa * rho) / np.cos(psi) * chi.many(zeta),
+    rho, psi, kappa, zeta, _, v, omega = _coord_states(rng, pure, n)
+    v_before = batch_sat((1.0 - kappa * rho) / np.cos(psi) * build_chi(pure).many(zeta),
                          pure.v_min, pure.v_max)
     off_box = ~((pure.v_min <= v) & (v <= pure.v_max) & (np.abs(omega) <= pure.omega_max))
     reset = ~off_box & (v != v_before)
@@ -194,14 +192,12 @@ def suite_reset_bound(params: CoordParams, n: int = 100_000, seed: int = 0,
                        info={"resets_observed": int(reset.sum())})
 
 
-def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
-                       chi: ChiFunction | None = None) -> SuiteResult:
+def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0) -> SuiteResult:
     """Switching-surface drive and the lateral/heading drift-ratio bound."""
     pure = replace(params, sign_eps=0.0)
     rng = np.random.default_rng(seed)
-    chi = build_chi(pure) if chi is None else chi
     a_over_r1 = pure.psi_max / pure.rho_max
-    rho, psi, kappa, _, code, v, omega = _coord_states(rng, pure, n, chi)
+    rho, psi, kappa, _, code, v, omega = _coord_states(rng, pure, n)
     rho_dot, psi_dot = batch_error_rates(rho, psi, v, omega, kappa)
     th = pure.k1 * rho + pure.k2 * psi + pure.k3 * np.sin(psi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -229,7 +225,7 @@ def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0,
 _LEFT_ROBUST = np.array([r.in_s1 or r in (Region.S2_2, Region.S2_4) for r in REGIONS])
 
 
-def _run_to_s1(params: CoordParams, chi, rho, psi, kappa, dt: float, limit):
+def _run_to_s1(params: CoordParams, rho, psi, kappa, dt: float, limit):
     """Advance lanes under the hybrid law until each is in the coordination set.
 
     A lane runs while the shared clock (``t += dt`` from 0) is at most its
@@ -238,6 +234,7 @@ def _run_to_s1(params: CoordParams, chi, rho, psi, kappa, dt: float, limit):
     the lateral error at which it was seen outside the universe (None if
     never; the lane stops there).
     """
+    chi = build_chi(params)
     n = rho.size
     entered, left, outside = [None] * n, [None] * n, [None] * n
     lanes = np.arange(n)
@@ -276,7 +273,7 @@ def _run_to_s1(params: CoordParams, chi, rho, psi, kappa, dt: float, limit):
 
 
 def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                    seed: int = 0, chi: ChiFunction | None = None) -> SuiteResult:
+                    seed: int = 0) -> SuiteResult:
     """Entry into the coordination set from the outer box subsets.
 
     Start headings are kept away from zero so the analytic entry-time bound
@@ -284,7 +281,6 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
     that leaves the universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params) if chi is None else chi
     a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
     starts = []
     for label, sign in (("S2_4", -1.0), ("S2_2", 1.0)):
@@ -296,8 +292,7 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
             starts.append((label, run, rho0, psi0, kappa, bound, bound * (1.0 + _BOUND_MARGIN)))
     rho0s, psi0s, kappas, deadlines = (np.array([st[c] for st in starts], dtype=float)
                                        for c in (2, 3, 4, 6))
-    entered, _, outside = _run_to_s1(params, chi, rho0s, psi0s, kappas, dt,
-                                     deadlines + dt)
+    entered, _, outside = _run_to_s1(params, rho0s, psi0s, kappas, dt, deadlines + dt)
     for rho in outside:
         if rho is not None:
             raise outside_universe(rho, params)
@@ -312,7 +307,7 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
 
 
 def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                       seed: int = 0, chi: ChiFunction | None = None) -> SuiteResult:
+                       seed: int = 0) -> SuiteResult:
     """Exit of the robust outer subsets within the turn-budget time bound.
 
     Only starts whose worst-case comparison trajectory re-crosses the axis
@@ -322,7 +317,6 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
     ``_SETTLE_HORIZON``.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params) if chi is None else chi
     r2 = params.rho_universe
     alpha1 = params.omega_max - params.kappa_bound * params.v_min / (
         1.0 - params.kappa_bound * r2)
@@ -347,8 +341,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
             starts.append((label, rho0, psi0, kappa))
     rho0s, psi0s, kappas = (np.array([st[c] for st in starts], dtype=float)
                             for c in (1, 2, 3))
-    entered, left, outside = _run_to_s1(params, chi, rho0s, psi0s, kappas, dt,
-                                        _SETTLE_HORIZON)
+    entered, left, outside = _run_to_s1(params, rho0s, psi0s, kappas, dt, _SETTLE_HORIZON)
     failed = {}
     for i, (label, rho0, psi0, kappa) in enumerate(starts):
         if outside[i] is not None:
@@ -363,8 +356,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
 
 
 def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: float = 100.0,
-                        dt: float = 0.01, seed: int = 0,
-                        chi: ChiFunction | None = None) -> SuiteResult:
+                        dt: float = 0.01, seed: int = 0) -> SuiteResult:
     """Fixed ordering once the whole fleet is inside the coordination set.
 
     Random in-set errors are planted at distinct arc positions on the path;
@@ -375,7 +367,7 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
     universe raises ``OutsideUniverse``.
     """
     rng = np.random.default_rng(seed)
-    chi = build_chi(params) if chi is None else chi
+    chi = build_chi(params)
     n_steps = int(duration / dt)
     starts = np.empty((3, n_runs, _N_UAVS))
     for run in range(n_runs):
@@ -426,7 +418,7 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
 
 
 def run_suites(params: CoordParams, path, names: list[str] | None = None,
-               seed: int = 0, chi: ChiFunction | None = None) -> list[SuiteResult]:
+               seed: int = 0) -> list[SuiteResult]:
     """Run the requested suites (all by default); results ordered by name."""
     wanted = sorted(set(names) if names else SUITE_NAMES)
     unknown = [n for n in wanted if n not in SUITE_NAMES]
@@ -436,5 +428,5 @@ def run_suites(params: CoordParams, path, names: list[str] | None = None,
     results = []
     for name in wanted:
         args = (params, path) if name == "no_overtaking" else (params,)
-        results.append(globals()[f"suite_{name}"](*args, seed=seed, chi=chi))
+        results.append(globals()[f"suite_{name}"](*args, seed=seed))
     return results

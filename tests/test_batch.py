@@ -10,8 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpfsim.control_laws import (ControlCommand, _batch_reset, batch_hybrid_law, build_chi,
-                                 hybrid_supervisor, reset_value)
+from cpfsim.control_laws import (_batch_reset, _reset, batch_hybrid_law, build_chi,
+                                 hybrid_supervisor)
 from cpfsim.error_frame import (REGIONS, PathError, Region, batch_classify,
                                 batch_error_step, classify)
 from cpfsim.exceptions import OutsideUniverse
@@ -94,7 +94,7 @@ def test_batch_reset_equals_reset_value(params):
     for i, (r, s, k, vi, wi) in enumerate(zip(rho.tolist(), psi.tolist(), kappa.tolist(),
                                                v.tolist(), omega.tolist())):
         region = REGIONS[code[i]]
-        want = reset_value(ControlCommand(vi, wi, region), PathError(r, s, 0.0, k), params)
+        want = _reset(vi, wi, region, PathError(r, s, 0.0, k), params)
         assert got[i] == want, (i, region)
         if want != vi:
             changed.add(region)

@@ -5,6 +5,7 @@ import yaml
 
 from cpfsim import config as cfgmod
 from cpfsim.cli import build_parser, main
+from cpfsim.control_laws import build_chi
 from cpfsim.config import (build_scenario, bundled_config_path, escape_spec, load_config,
                            params_fragment, resolve_params)
 from cpfsim.exceptions import ConfigError
@@ -246,6 +247,20 @@ class TestSchema:
         assert "Traceback" not in err
         assert not (tmp_path / "params_fragment.yaml").exists()
 
+    @pytest.mark.parametrize("alpha", ["0.2", "0.3"])
+    def test_explicit_alpha_outside_the_turn_budget_rejected_at_the_cli(self, tmp_path, capsys,
+                                                                        alpha):
+        # 0.3 (above omega_max) was accepted with both turn-budget slacks negative
+        text = MINIMAL.replace("v_coord: 25.0}", f"v_coord: 25.0, alpha: {alpha}}}")
+        rc = main(["simulate", "--config", str(write_config(tmp_path, text)),
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: params.explicit.alpha: need 0 < alpha < limits.omega_max "
+                              f"(0.2), got {float(alpha)!r}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_cyclic_topology_needs_shared_path(self, tmp_path):
         text = MINIMAL.replace(
             "paths:\n  - {kind: circle, center: [0.0, 0.0], radius: 1000.0, direction: ccw}",
@@ -282,7 +297,6 @@ limits: {v_min: 10.0, v_max: 25.0, omega_max: 0.2, kappa_bound: 0.002}
 params:
   explicit: {psi_max: 0.6303, rho_max: 122.1297, v_coord: 25.0}
 coordination: {spacing: 0.0}
-chi: {slope: 0.475}
 paths:
   - kind: bspline
     lonlat_origin: [113.2167, 28.2029]
@@ -449,49 +463,32 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert rc == 0, out
         assert out.count("PASS") == 2
 
-    @pytest.mark.parametrize("chi", ["{slope: 0.3}"])
-    def test_chi_slope_accepted_only_when_used(self, tmp_path, capsys, chi):
-        # a positive spacing runs the piecewise chi, which would ignore the slope
-        cfg = write_config(tmp_path, MINIMAL + f"chi: {chi}\n")
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "error: chi.slope: " in capsys.readouterr().err
-        assert not (tmp_path / "trace.csv").exists()
-
-    @pytest.mark.parametrize("slope", ["0.0", "-0.475"])
-    def test_non_positive_chi_slope_rejected(self, tmp_path, capsys, slope):
-        # a non-positive slope failed without naming the key
-        text = MINIMAL.replace("spacing: 1047.1975511965976", "spacing: 0.0")
-        cfg = write_config(tmp_path, text + f"chi: {{slope: {slope}}}\n")
-        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "error: chi.slope: expected a positive number" in capsys.readouterr().err
-        assert not (tmp_path / "trace.csv").exists()
-
-    @pytest.mark.parametrize("chi, slope", [("", 0.475), ("chi: {slope: 0.3}\n", 0.3)],
-                             ids=["no-chi-block", "slope-0.3"])
-    def test_zero_spacing_runs_the_linear_chi(self, tmp_path, chi, slope):
+    @pytest.mark.parametrize("chi", [""], ids=["no-chi-block"])
+    def test_zero_spacing_runs_the_linear_chi(self, tmp_path, chi):
         # without a chi block a zero spacing exited 1: the default chi kind
         # was the piecewise one, which needs a positive spacing
         text = MINIMAL.replace("spacing: 1047.1975511965976", "spacing: 0.0") + chi
         cfg = write_config(tmp_path, text)
-        assert build_scenario(load_config(cfg)).chi().slope == slope
+        assert build_chi(build_scenario(load_config(cfg)).params).slope == 0.475
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("old, new, where, key", [
         ("spacing: 1047.1975511965976}", "spacing: 1047.1975511965976, topology: cyclic}",
          "coordination", "topology"),
-        ("run:", "chi: {kind: coordination}\nrun:", "chi", "kind"),
+        ("run:", "chi: {kind: coordination}\nrun:", "{cfg}", "chi"),
+        ("run:", "chi: {slope: 0.475}\nrun:", "{cfg}", "chi"),
         ("v_coord: 25.0}", "v_coord: 25.0, speed_margin: 1.0}", "params.explicit",
          "speed_margin"),
-    ], ids=["coordination.topology", "chi.kind", "params.explicit.speed_margin"])
+    ], ids=["coordination.topology", "chi.kind", "chi.slope", "params.explicit.speed_margin"])
     def test_removed_keys_rejected_at_the_cli(self, tmp_path, capsys, old, new, where, key):
-        # the relation follows from parents and the chi from the spacing; the
-        # explicit block's speed_margin was read by no run
+        # the relation follows from parents and the chi from the spacing alone
+        # (its linear slope is fixed); the explicit block's speed_margin was
+        # read by no run
         cfg = write_config(tmp_path, MINIMAL.replace(old, new))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
+        where = where.format(cfg=cfg)
         assert f"error: {where}: unknown key(s) ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from cpfsim.control_laws import (ControlCommand, CoordinationChi, LinearChi, build_chi,
+from cpfsim.control_laws import (CoordinationChi, LinearChi, _reset, build_chi,
                                  comparison_system_trajectory, coord_control,
-                                 hybrid_supervisor, reset_value, sat)
+                                 hybrid_supervisor, sat)
 from cpfsim.error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, classify,
                                 error_dynamics, switching_value)
 from cpfsim.exceptions import OutsideUniverse, WrongRegion
@@ -68,7 +68,7 @@ class TestChi:
         assert (np.diff(inside) > 0.0).all()
 
     def test_linear_chi(self, params):
-        chi = LinearChi(params, 0.475)
+        chi = LinearChi(params)
         assert chi(0.0) == pytest.approx(V_MIN_REF)
         assert chi(100.0) == pytest.approx(V_MIN_REF + 47.5)
         assert chi.many(np.array([0.0, 100.0])).tolist() == [chi(0.0), chi(100.0)]
@@ -78,9 +78,7 @@ class TestChi:
         assert type(build_chi(params)) is CoordinationChi
         free = dataclasses.replace(params, spacing=0.0)
         assert type(build_chi(free)) is LinearChi
-        assert build_chi(free).slope == 0.475 and build_chi(free, 0.3).slope == 0.3
-        with pytest.raises(ValueError):
-            build_chi(free, 0.0)
+        assert build_chi(free).slope == 0.475
         with pytest.raises(ValueError):
             CoordinationChi(free)
 
@@ -186,7 +184,8 @@ class TestResetValue:
         cmd = coord_control(PathError(50.0, 0.2, 0.0, 0.001), SPACING,
                             pure(params), chi)
         assert not cmd.resetvalue_applied
-        v = reset_value(cmd, PathError(50.0, 0.2, 0.0, 0.001), pure(params))
+        v = _reset(cmd.v, cmd.omega, cmd.region, PathError(50.0, 0.2, 0.0, 0.001),
+                   pure(params))
         assert v == cmd.v
 
     def test_reset_bound_exercised(self, tight_params):
@@ -400,7 +399,7 @@ class TestSupervisorMatchesPublicLaws:
         for r, s, k, vi, wi, c in zip(*(x.tolist() for x in (rho, psi, kappa, v, omega, code))):
             region = REGIONS[c]
             err = PathError(r, s, 0.0, k)
-            got = reset_value(ControlCommand(vi, wi, region), err, params)
+            got = _reset(vi, wi, region, err, params)
             assert got == reset_reference(vi, wi, region, err, params), (region, err, vi, wi)
             changed[region] += got != vi
         assert min(changed.values()) > 100, changed
@@ -414,15 +413,11 @@ class TestSupervisorMatchesPublicLaws:
         wrong = 0
         for err in states:
             region = classify(err, params)
-            cmd = ControlCommand(params.v_max, 0.0, region)
             if region.in_s1:
                 assert coord_control(err, SPACING, params, chi).region is region
-                reset_value(cmd, err, params)
                 continue
             with pytest.raises(WrongRegion):
                 coord_control(err, SPACING, params, chi)
-            with pytest.raises(WrongRegion):
-                reset_value(cmd, err, params)
             wrong += 1
         assert wrong > 0
 

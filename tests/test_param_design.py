@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cpfsim import param_design
 from cpfsim.exceptions import Infeasible
-from cpfsim.param_design import (SpeedLimits, check_feasibility_precondition,
-                                 coordination_rate_bound, design_coordination_set)
+from cpfsim.param_design import SpeedLimits, coordination_rate_bound, design_coordination_set
 
 from conftest import SPACING
 from oracles import best_on_grid_per_row, grid_design_oracle
@@ -19,14 +18,18 @@ from oracles import best_on_grid_per_row, grid_design_oracle
 
 class TestFeasibilityPrecondition:
     def test_nominal_limits(self, limits):
-        assert check_feasibility_precondition(limits, 1.0)
+        design_coordination_set(limits, 1.0).validate()
 
     def test_margin_too_large(self, limits):
-        assert not check_feasibility_precondition(limits, 20.0)
+        with pytest.raises(Infeasible, match=r"^feasibility precondition fails: "
+                                             r"v_min \+ speed_margin exceeds v_max$"):
+            design_coordination_set(limits, 20.0)
 
     def test_curvature_too_tight(self):
         lim = SpeedLimits(10.0, 25.0, 0.2, 0.01)
-        assert not check_feasibility_precondition(lim, 1.0)
+        with pytest.raises(Infeasible, match="^feasibility precondition fails: "
+                                             "curvature bound exceeds omega_max/v_max$"):
+            design_coordination_set(lim, 1.0)
 
 
 class TestReferencePointFeasibility:
@@ -99,6 +102,23 @@ class TestDesign:
     def test_infeasible_names_failing_inequality(self, limits, speed_margin, failed):
         with pytest.raises(Infeasible, match=re.escape(failed)):
             design_coordination_set(limits, speed_margin=speed_margin, alpha=0.01)
+
+    @pytest.mark.parametrize("limits, binding", [
+        (SpeedLimits(9.199741149903089, 28.802272105210953, 0.14007227562548363,
+                     0.0038106440208615674), "turn_budget_corner"),
+        (SpeedLimits(10.098356096243652, 21.406786692683824, 0.19961881903022205,
+                     0.007760947678679979), "turn_budget_side"),
+    ], ids=["corner", "side"])
+    def test_turn_budget_v_coord_passes_its_own_validation(self, limits, binding):
+        # v_coord was the window's hi, about 1e-18 past this turn budget as
+        # validate() rounds it: the design rejected its own result
+        p = design_coordination_set(limits)
+        p.validate()
+        _, hi = param_design._v_coord_window(
+            p.psi_max, math.cos(p.psi_max), p.rho_max,
+            *param_design._r1_factors(p.rho_max, limits, 1.0, 0.01), limits, 0.01)
+        assert 0.0 < hi - p.v_coord <= param_design._ULP_STEPS * math.ulp(hi)
+        assert 0.0 <= p.constraint_slacks()[binding] < 1.0e-15
 
     @pytest.mark.parametrize("alpha", [0.0, -0.01, 0.2, 0.3])
     def test_rejects_alpha_outside_the_turn_budget(self, limits, alpha):

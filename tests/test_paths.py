@@ -165,7 +165,7 @@ class TestCircle:
     def test_projection_interior_point(self, circle):
         pr = circle.project((600.0, 0.0))
         assert pr.s == pytest.approx(0.0, abs=1e-9)
-        assert pr.point == pytest.approx((1000.0, 0.0))
+        assert (pr.x, pr.y) == pytest.approx((1000.0, 0.0))
         assert pr.rho == pytest.approx(400.0)  # interior of a ccw circle is its left
         assert pr.tangent_angle == pytest.approx(math.pi / 2.0)
 
@@ -185,13 +185,6 @@ class TestCircle:
         with pytest.raises(CurvatureBoundExceeded):
             CirclePath((0.0, 0.0), 400.0, "ccw", kappa_bound=0.002)
 
-    def test_arc_distance(self, circle):
-        L = 1000.0 * math.pi / 3.0
-        assert circle.arc_distance(0.0, L) == pytest.approx(1047.1975511965976)
-        assert circle.arc_distance(77.0, 77.0) == 0.0
-        C = circle.total_length
-        assert circle.arc_distance(C - 1.0, 1.0) == pytest.approx(2.0)
-
 
 class TestLine:
     def test_geometry(self):
@@ -201,10 +194,6 @@ class TestLine:
         pr = line.project((3.0, -2.0))
         assert pr.s == pytest.approx(3.0)
         assert pr.rho == pytest.approx(-2.0)  # right of the direction of travel
-
-    def test_arc_distance_signed(self):
-        line = LinePath((0.0, 0.0), 0.5)
-        assert line.arc_distance(10.0, 4.0) == pytest.approx(-6.0)
 
 
 class TestSpline:

@@ -66,9 +66,8 @@ def test_golden_escape_reports(params):
 def test_coord_states_draw_like_one_at_a_time(circle6_scenario):
     # curvature then spacing per state, after all states, as scalar draws
     params = circle6_scenario.params
-    chi = vmod.build_chi(params)
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    rho, psi, kappa, zeta, *_ = vmod._coord_states(rng, params, 500, chi)
+    rho, psi, kappa, zeta, *_ = vmod._coord_states(rng, params, 500)
     states = list(zip(*(x.tolist() for x in vmod.sample_s1(ref, params, 500))))
     draws = [(ref.uniform(-0.999 * params.kappa_bound, 0.999 * params.kappa_bound),
               ref.uniform(0.0, 2.0 * params.spacing)) for _ in states]
@@ -84,10 +83,10 @@ def parallel4_scenario():
 def test_zero_spacing_draws_zeta_up_to_v_max(parallel4_scenario):
     # every zeta was 0, so the coordinated law was checked at one speed only
     pure = replace(parallel4_scenario.params, sign_eps=0.0)
-    chi = parallel4_scenario.chi()
+    chi = vmod.build_chi(pure)
     top = (pure.v_max - chi(0.0)) / chi.slope
     assert top == pytest.approx(24.77, abs=0.01)
-    zeta = vmod._coord_states(np.random.default_rng(0), pure, 20_000, chi)[3]
+    zeta = vmod._coord_states(np.random.default_rng(0), pure, 20_000)[3]
     assert 0.0 <= zeta.min() < 0.01 * top and 0.99 * top < zeta.max() < top
 
 
@@ -95,5 +94,5 @@ def test_zero_spacing_draws_zeta_up_to_v_max(parallel4_scenario):
 def test_zero_spacing_state_suites_pass(parallel4_scenario, seed):
     sc = parallel4_scenario
     results = vmod.run_suites(sc.params, sc.paths[0], names=["reset_bound", "switch_drive"],
-                              seed=seed, chi=sc.chi())
+                              seed=seed)
     assert [r.passed for r in results] == [True, True], [r.summary() for r in results]
