@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Thin shell over the library: parameter design, scenario simulation, the
-verification suites and the escape-set demo.  Flags can also be supplied
-through CPFSIM_* environment variables (flag wins over variable).
+verification suites and the escape-set demo.  Every setting comes from the
+config file or a flag.
 
 Exit codes: 0 ok, 1 validation/configuration error, 2 runtime abort,
 3 verification failure.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path as FsPath
 
@@ -22,28 +21,10 @@ from .param_design import coordination_rate_bound
 from .simulator import escape_demo, run_scenario
 from .verification import run_suites
 
-ENV_PREFIX = "CPFSIM_"
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
-
-
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
-def _resolve(args: argparse.Namespace, name: str, cast=str):
-    value = getattr(args, name, None)
-    if value is None:
-        raw = _env(name)
-        if raw is not None:
-            try:
-                value = cast(raw)
-            except ValueError:
-                raise ConfigError(f"bad value for {ENV_PREFIX}{name.upper()}: {raw!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", action="append",
                    help="suite name filter (repeatable); default: all")
-    p.add_argument("--seed", type=int, help="RNG seed of the suites")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the suites")
 
     p = sub.add_parser("demo-escape", help="escape-set brute-force demonstration")
     common(p)
@@ -76,15 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    path = _resolve(args, "config")
-    if not path:
-        raise ConfigError("no config given (use --config or CPFSIM_CONFIG)")
-    return cfgmod.load_config(path)
+    if not args.config:
+        raise ConfigError("no config given (use --config)")
+    return cfgmod.load_config(args.config)
 
 
 def _out_dir(args, spec) -> FsPath:
-    out = _resolve(args, "out") or spec["dir"]
-    path = FsPath(out)
+    path = FsPath(args.out or spec["dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -118,10 +97,7 @@ def cmd_design_params(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     spec = cfgmod.output_spec(cfg)
-    scenario = cfgmod.build_scenario(
-        cfg,
-        duration=_resolve(args, "duration", float),
-        dt=_resolve(args, "dt", float))
+    scenario = cfgmod.build_scenario(cfg, duration=args.duration, dt=args.dt)
     trace, metrics = run_scenario(scenario)
 
     out = _out_dir(args, spec)
@@ -150,12 +126,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load(args)
     scenario = cfgmod.build_scenario(cfg)
-    names = getattr(args, "suite", None)
-    if names is None:
-        raw = _env("suite")
-        names = [raw] if raw else None
-    seed = _resolve(args, "seed", int) or 0
-    results = run_suites(scenario.params, scenario.paths[0], names=names, seed=seed)
+    results = run_suites(scenario.params, scenario.paths[0], names=args.suite, seed=args.seed)
     all_ok = True
     for r in results:
         print(r.summary())
@@ -165,11 +136,7 @@ def cmd_verify(args) -> int:
 
 def cmd_demo_escape(args) -> int:
     cfg = _load(args)
-    params = cfgmod.resolve_params(cfg)
-    spec = cfgmod.escape_spec(cfg)
-    report = escape_demo(params, eps0=spec["eps0"], state_grid=spec["state_grid"],
-                         control_grid=spec["control_grid"], kappa=spec["kappa"],
-                         dt=spec["dt"])
+    report = escape_demo(cfgmod.resolve_params(cfg))
     print(report.summary())
     out = _out_dir(args, cfgmod.output_spec(cfg))
     with open(out / "escape_report.json", "w", encoding="utf-8") as fh:

@@ -19,8 +19,7 @@ from .simulator import Scenario, UavSpec
 
 _NUM = (int, float)
 
-TOP_KEYS = {"limits", "params", "coordination", "paths", "uavs",
-            "run", "output", "escape"}
+TOP_KEYS = {"limits", "params", "coordination", "paths", "uavs", "run", "output"}
 # libyaml's parser where PyYAML has it; both loaders build their dicts with
 # the same SafeConstructor.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -67,14 +66,6 @@ def _pair(v, where: str) -> tuple[float, float]:
             or not all(isinstance(x, _NUM) and not isinstance(x, bool) for x in v)):
         raise ConfigError(f"{where}: expected [x, y] numbers")
     return _finite(v[0], where), _finite(v[1], where)
-
-
-def _grid(d: dict, key: str, where: str, default: tuple[int, int]) -> tuple[int, int]:
-    v = d.get(key, default)
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in v)):
-        raise ConfigError(f"{where}.{key}: expected [n, m] positive integers, got {v!r}")
-    return v[0], v[1]
 
 
 def load_config(path) -> dict:
@@ -176,12 +167,11 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
                 direction=p.get("direction", "ccw"),
                 kappa_bound=kappa_bound))
         elif kind == "line":
-            _check_keys(p, {"kind", "origin", "heading", "horizon"}, where)
+            _check_keys(p, {"kind", "origin", "heading"}, where)
             out.append(LinePath(
                 origin=_pair(p.get("origin", [0.0, 0.0]), f"{where}.origin"),
                 heading=_num(p, "heading", where, default=0.0),
-                kappa_bound=kappa_bound,
-                horizon=_num(p, "horizon", where, default=1.0e5)))
+                kappa_bound=kappa_bound))
         elif kind == "bspline":
             _check_keys(p, {"kind", "waypoints", "lonlat", "lonlat_origin",
                             "offset", "lut_step"}, where)
@@ -267,18 +257,6 @@ def output_spec(cfg: dict) -> dict:
         elif not isinstance(v, str) or not v:
             raise ConfigError(f"output.{key}: expected a non-empty string, got {v!r}")
     return {**OUTPUT_DEFAULTS, **block}
-
-
-def escape_spec(cfg: dict) -> dict:
-    block = cfg.get("escape", {})
-    _check_keys(block, {"eps0", "kappa", "state_grid", "control_grid", "dt"}, "escape")
-    return {
-        "eps0": _num(block, "eps0", "escape", default=None),
-        "kappa": _num(block, "kappa", "escape", default=0.0),
-        "state_grid": _grid(block, "state_grid", "escape", (20, 20)),
-        "control_grid": _grid(block, "control_grid", "escape", (21, 21)),
-        "dt": _num(block, "dt", "escape", default=0.01),
-    }
 
 
 def params_fragment(params: CoordParams) -> str:

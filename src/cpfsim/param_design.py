@@ -125,12 +125,18 @@ class CoordParams:
             raise ValueError("need k1 > 0 and k2, k3 >= 1")
         if not self.psi_max <= self.rho_max * self.k1 < self.psi_max * self.k2:
             raise ValueError("gains must satisfy psi_max <= rho_max*k1 < psi_max*k2")
-        if self.alpha <= 0.0 or self.speed_margin <= 0.0:
-            raise ValueError("alpha and speed_margin must be positive")
+        if not 0.0 < self.alpha < self.omega_max:   # else the turn budgets go negative
+            raise ValueError("need 0 < alpha < omega_max")
+        if self.speed_margin <= 0.0:
+            raise ValueError("speed_margin must be positive")
         if not 0.0 < self.chi_blend < 1.0:
             raise ValueError("chi_blend must lie in (0, 1)")
         if self.sign_eps < 0.0:
             raise ValueError("sign_eps must be >= 0")
+        if self.spacing < 0.0:
+            raise ValueError("spacing must be >= 0")
+        if self.spacing > 0.0 and not 0.0 < self.chi_delta1 < self.spacing:
+            raise ValueError("need 0 < chi_delta1 < spacing")
 
     def validate(self) -> None:
         """Full re-check of every design invariant."""
@@ -143,9 +149,6 @@ class CoordParams:
             raise ValueError("rho_universe must stay below 1/kappa_bound - v_min/omega_max")
         if self.contraction >= 1.0:
             raise ValueError("contraction factor must be < 1")
-        if self.spacing > 0.0:
-            if not 0.0 < self.chi_delta1 < self.spacing:
-                raise ValueError("need 0 < chi_delta1 < spacing")
 
 
 def _failed_precondition(limits: SpeedLimits, speed_margin: float) -> str | None:

@@ -74,7 +74,8 @@ class Projection:
 
 
 class Path:
-    """Common interface; concrete paths fill in the geometry.
+    """Common interface; concrete paths give ``point_at``, ``tangent_angle_at``,
+    ``curvature_at`` and ``project``.
 
     Immutable after construction: concurrent reads are safe.
     """
@@ -88,15 +89,6 @@ class Path:
     def r0(self) -> float:
         """Uniqueness radius 1/kappa_bound for projections."""
         return 1.0 / self.kappa_bound
-
-    def point_at(self, s: float) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def tangent_angle_at(self, s: float) -> float:
-        raise NotImplementedError
-
-    def curvature_at(self, s: float) -> float:
-        raise NotImplementedError
 
     def curvature_many(self, s) -> np.ndarray:
         """``curvature_at`` at each arc length of the array ``s``."""
@@ -169,13 +161,13 @@ class LinePath(Path):
 
     kind = "line"
     closed = False
+    total_length = 1.0e5   # m
 
     def __init__(self, origin: tuple[float, float], heading: float,
-                 kappa_bound: float = 0.002, horizon: float = 1.0e5):
+                 kappa_bound: float = 0.002):
         self.origin = (float(origin[0]), float(origin[1]))
         self.heading = wrap_angle(float(heading))
         self.kappa_bound = float(kappa_bound)
-        self.total_length = float(horizon)
         self._ux = math.cos(self.heading)
         self._uy = math.sin(self.heading)
 

@@ -14,7 +14,7 @@ its pre-neighbor relation and overtake detection across runs
 (``batch_relation``, ``batch_overtake_counts``), which give the
 ``(pre, zeta, gap)`` records and event counts of the simulator's
 ``update_pre_neighbors`` and ``detect_overtaking`` run by run.  A run's
-clock is shared by all lanes and accumulated as ``t += dt``, and the first
+clock is shared by all lanes and accumulated as ``t += _DT``, and the first
 counterexample is that of the lowest-index failing state or run.  Each
 suite's law uses the speed assignment the parameters call for,
 ``build_chi(params)``: piecewise for a positive spacing, linear for zero.
@@ -44,6 +44,7 @@ _BOUND_MARGIN = 0.10      # reach_box, reach_robust: relative margin on the anal
 _PSI_MIN_SAMPLE = 0.05    # reach_box: smallest start |psi|; keeps the entry-time bound finite
 _SETTLE_HORIZON = 600.0   # reach_robust: time (s) a start has to reach the coordination set
 _N_UAVS = 5               # no_overtaking: UAVs per run
+_DT = 0.01                # invariance, reach_box, reach_robust, no_overtaking: step (s)
 
 SUITE_NAMES = ("invariance", "reset_bound", "no_overtaking", "reach_box",
                "reach_robust", "switch_drive")
@@ -94,7 +95,7 @@ def _first(messages: dict[int, str]) -> str | None:
 
 
 def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 200.0,
-                     dt: float = 0.01, seed: int = 0) -> SuiteResult:
+                     seed: int = 0) -> SuiteResult:
     """Coordination-set forward invariance under the coordinated law.
 
     Runs the closed-loop error dynamics from random in-set states with a
@@ -105,7 +106,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
     a, r1 = params.psi_max, params.rho_max
-    n_steps = int(duration / dt)
+    n_steps = int(duration / _DT)
     rho0, psi0 = sample_s1(rng, params, n_runs)
     kappas = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, n_runs)
     lanes = np.arange(n_runs)
@@ -118,7 +119,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
         code = batch_classify(rho, psi, params)
         outside = code == Region.OUTSIDE.code
         v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
-        rho_n, psi_n = batch_error_step(rho, psi, v, omega, kappa, dt)
+        rho_n, psi_n = batch_error_step(rho, psi, v, omega, kappa, _DT)
         # a lane outside the universe gets no command: it keeps its state
         rho = np.where(outside, rho, rho_n)
         psi = np.where(outside, psi, psi_n)
@@ -131,7 +132,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
             for j in np.flatnonzero(dead).tolist():
                 run = int(lanes[j])
                 failed[run] = (f"run {run}: start=({rho0[run]:.4f}, {psi0[run]:.4f}) "
-                               f"kappa={kappas[run]:.5f} t={k * dt:.2f}s "
+                               f"kappa={kappas[run]:.5f} t={k * _DT:.2f}s "
                                f"state=({float(rho[j]):.6f}, {float(psi[j]):.6f}) "
                                f"slack={float(slack[j]):.3e}")
             keep = ~dead
@@ -225,10 +226,10 @@ def suite_switch_drive(params: CoordParams, n: int = 100_000, seed: int = 0) -> 
 _LEFT_ROBUST = np.array([r.in_s1 or r in (Region.S2_2, Region.S2_4) for r in REGIONS])
 
 
-def _run_to_s1(params: CoordParams, rho, psi, kappa, dt: float, limit):
+def _run_to_s1(params: CoordParams, rho, psi, kappa, limit):
     """Advance lanes under the hybrid law until each is in the coordination set.
 
-    A lane runs while the shared clock (``t += dt`` from 0) is at most its
+    A lane runs while the shared clock (``t += _DT`` from 0) is at most its
     ``limit``.  Per lane, returns lists of: the time it was first seen in
     S1 (None if never), the time it was first seen in S1, S2_2 or S2_4, and
     the lateral error at which it was seen outside the universe (None if
@@ -267,13 +268,12 @@ def _run_to_s1(params: CoordParams, rho, psi, kappa, dt: float, limit):
             if not lanes.size:
                 break
         v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
-        rho, psi = batch_error_step(rho, psi, v, omega, kappa, dt)
-        t += dt
+        rho, psi = batch_error_step(rho, psi, v, omega, kappa, _DT)
+        t += _DT
     return entered, left, outside
 
 
-def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                    seed: int = 0) -> SuiteResult:
+def suite_reach_box(params: CoordParams, n_per_class: int = 200, seed: int = 0) -> SuiteResult:
     """Entry into the coordination set from the outer box subsets.
 
     Start headings are kept away from zero so the analytic entry-time bound
@@ -292,22 +292,21 @@ def suite_reach_box(params: CoordParams, n_per_class: int = 200, dt: float = 0.0
             starts.append((label, run, rho0, psi0, kappa, bound, bound * (1.0 + _BOUND_MARGIN)))
     rho0s, psi0s, kappas, deadlines = (np.array([st[c] for st in starts], dtype=float)
                                        for c in (2, 3, 4, 6))
-    entered, _, outside = _run_to_s1(params, rho0s, psi0s, kappas, dt, deadlines + dt)
+    entered, _, outside = _run_to_s1(params, rho0s, psi0s, kappas, deadlines + _DT)
     for rho in outside:
         if rho is not None:
             raise outside_universe(rho, params)
     failed = {}
     for i, (label, run, rho0, psi0, kappa, bound, deadline) in enumerate(starts):
         # entry is only observed at whole steps: the true entry time lies
-        # in (entered - dt, entered]
-        if entered[i] is None or entered[i] - dt > deadline:
+        # in (entered - _DT, entered]
+        if entered[i] is None or entered[i] - _DT > deadline:
             failed[i] = (f"{label} run {run}: start=({rho0:.3f}, {psi0:.4f}) "
                          f"kappa={kappa:.5f} bound={bound:.2f}s entered={entered[i]}")
     return SuiteResult("reach_box", not failed, len(starts), len(failed), _first(failed))
 
 
-def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 0.01,
-                       seed: int = 0) -> SuiteResult:
+def suite_reach_robust(params: CoordParams, n_per_class: int = 200, seed: int = 0) -> SuiteResult:
     """Exit of the robust outer subsets within the turn-budget time bound.
 
     Only starts whose worst-case comparison trajectory re-crosses the axis
@@ -341,7 +340,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
             starts.append((label, rho0, psi0, kappa))
     rho0s, psi0s, kappas = (np.array([st[c] for st in starts], dtype=float)
                             for c in (1, 2, 3))
-    entered, left, outside = _run_to_s1(params, rho0s, psi0s, kappas, dt, _SETTLE_HORIZON)
+    entered, left, outside = _run_to_s1(params, rho0s, psi0s, kappas, _SETTLE_HORIZON)
     failed = {}
     for i, (label, rho0, psi0, kappa) in enumerate(starts):
         if outside[i] is not None:
@@ -356,7 +355,7 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, dt: float = 
 
 
 def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: float = 100.0,
-                        dt: float = 0.01, seed: int = 0) -> SuiteResult:
+                        seed: int = 0) -> SuiteResult:
     """Fixed ordering once the whole fleet is inside the coordination set.
 
     Random in-set errors are planted at distinct arc positions on the path;
@@ -368,7 +367,7 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
     """
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
-    n_steps = int(duration / dt)
+    n_steps = int(duration / _DT)
     starts = np.empty((3, n_runs, _N_UAVS))
     for run in range(n_runs):
         while True:
@@ -408,8 +407,8 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
         prev = pre, gap
         v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
         s_dot = v * np.cos(psi) / (1.0 - kappa * rho)
-        rho, psi = batch_error_step(rho, psi, v, omega, kappa, dt)
-        s = path.wrap_s(s + s_dot * dt)
+        rho, psi = batch_error_step(rho, psi, v, omega, kappa, _DT)
+        s = path.wrap_s(s + s_dot * _DT)
     if outside:
         raise outside_universe(outside[min(outside)], params)
     failed = {run: f"run {run}: {n} overtaking event(s)"

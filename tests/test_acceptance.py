@@ -69,7 +69,7 @@ def test_criterion_2_circle_reproduction(circle6_run):
 
 
 def test_criterion_3_invariance(params):
-    r = suite_invariance(params, n_runs=200, duration=200.0, dt=0.01, seed=0)
+    r = suite_invariance(params, n_runs=200, duration=200.0, seed=0)
     report("criterion 3 (coordination-set invariance)", r.passed,
            f"runs={r.checked}, boundary exits={r.failures}"
            + (f", first: {r.first_counterexample}" if r.first_counterexample else ""))

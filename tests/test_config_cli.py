@@ -6,8 +6,8 @@ import yaml
 from cpfsim import config as cfgmod
 from cpfsim.cli import build_parser, main
 from cpfsim.control_laws import build_chi
-from cpfsim.config import (build_scenario, bundled_config_path, escape_spec, load_config,
-                           params_fragment, resolve_params)
+from cpfsim.config import (build_scenario, bundled_config_path, load_config, params_fragment,
+                           resolve_params)
 from cpfsim.exceptions import ConfigError
 from cpfsim.simulator import run_scenario
 
@@ -96,14 +96,6 @@ class TestSchema:
         assert rc == 1
         assert "error: params.explicit.psi_max: need 0 < psi_max < pi/2" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
-
-    @pytest.mark.parametrize("key", ["state_grid", "control_grid"])
-    @pytest.mark.parametrize("value", ["5", "[5]", "[5, 5, 5]", "[5, 0]", "[5.0, 5]",
-                                       "[true, 5]", '"5x5"'])
-    def test_escape_grid_must_be_two_positive_ints(self, tmp_path, key, value):
-        cfg = load_config(write_config(tmp_path, MINIMAL + f"escape: {{{key}: {value}}}\n"))
-        with pytest.raises(ConfigError, match=rf"escape\.{key}: expected \[n, m\] positive"):
-            escape_spec(cfg)
 
     @pytest.mark.parametrize("old, new, where", [
         # run.duration: .inf escaped as an OverflowError traceback
@@ -206,10 +198,6 @@ class TestSchema:
         # 101 steps of one UAV, every 50th step, five series each
         assert len((tmp_path / "long.csv").read_text().splitlines()) == 1 + 3 * 5
 
-    def test_escape_grid_defaults(self, tmp_path):
-        spec = escape_spec(load_config(write_config(tmp_path, MINIMAL)))
-        assert spec["state_grid"] == (20, 20) and spec["control_grid"] == (21, 21)
-
     @pytest.mark.parametrize("key", ["seed", "threads"])
     def test_run_seed_and_threads_rejected(self, tmp_path, key):
         # the simulator has no randomness and no worker threads to configure
@@ -260,6 +248,13 @@ class TestSchema:
                               f"(0.2), got {float(alpha)!r}")
         assert "Traceback" not in err
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_spacing_inside_chi_delta1_fails_in_the_build(self, tmp_path):
+        # it was built and failed only when the run built its speed assignment
+        cfg = load_config(write_config(tmp_path, MINIMAL.replace(
+            "spacing: 1047.1975511965976", "spacing: 5.0")))
+        with pytest.raises(ValueError, match="need 0 < chi_delta1 < spacing"):
+            build_scenario(cfg)
 
     def test_cyclic_topology_needs_shared_path(self, tmp_path):
         text = MINIMAL.replace(
@@ -434,18 +429,17 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--threads", "1"])
 
-    def test_missing_config_flag(self, capsys, monkeypatch):
-        monkeypatch.delenv("CPFSIM_CONFIG", raising=False)
+    def test_missing_config_flag(self, capsys):
         rc = main(["simulate"])
         assert rc == 1
 
-    def test_env_var_config(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, MINIMAL)
-        monkeypatch.setenv("CPFSIM_CONFIG", str(cfg))
-        monkeypatch.setenv("CPFSIM_OUT", str(tmp_path))
-        monkeypatch.setenv("CPFSIM_DURATION", "0")
-        assert main(["simulate"]) == 0
-        assert (tmp_path / "trace.csv").exists()
+    def test_environment_gives_no_config(self, tmp_path, capsys, monkeypatch):
+        # the flags are the only way in: CPFSIM_* variables are not read
+        monkeypatch.setenv("CPFSIM_CONFIG", str(write_config(tmp_path, MINIMAL)))
+        monkeypatch.chdir(tmp_path)   # where the config's default output dir would go
+        assert main(["simulate"]) == 1
+        assert "error: no config given (use --config)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_single_suite(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)
@@ -480,11 +474,17 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         ("run:", "chi: {slope: 0.475}\nrun:", "{cfg}", "chi"),
         ("v_coord: 25.0}", "v_coord: 25.0, speed_margin: 1.0}", "params.explicit",
          "speed_margin"),
-    ], ids=["coordination.topology", "chi.kind", "chi.slope", "params.explicit.speed_margin"])
+        ("run:", "escape: {state_grid: [5, 5]}\nrun:", "{cfg}", "escape"),
+        ("- {kind: circle, center: [0.0, 0.0], radius: 1000.0, direction: ccw}",
+         "- {kind: line, origin: [0.0, 0.0], heading: 0.0, horizon: 5000.0}", "paths[0]",
+         "horizon"),
+    ], ids=["coordination.topology", "chi.kind", "chi.slope", "params.explicit.speed_margin",
+            "escape", "paths.horizon"])
     def test_removed_keys_rejected_at_the_cli(self, tmp_path, capsys, old, new, where, key):
         # the relation follows from parents and the chi from the spacing alone
         # (its linear slope is fixed); the explicit block's speed_margin was
-        # read by no run
+        # read by no run; the escape demo runs on its fixed grid, and a line's
+        # simulated horizon is fixed
         cfg = write_config(tmp_path, MINIMAL.replace(old, new))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
@@ -507,10 +507,11 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert "FAIL" in out and "counterexample" in out
 
     def test_demo_escape(self, tmp_path, capsys):
-        text = MINIMAL + "escape: {state_grid: [5, 5], control_grid: [5, 5]}\n"
-        cfg = write_config(tmp_path, text)
+        # the fixed grid: 20 x 20 escape states, 21 x 21 constant controls
+        cfg = write_config(tmp_path, MINIMAL)
         rc = main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         assert "1.0000 exited" in capsys.readouterr().out
         report = json.loads((tmp_path / "escape_report.json").read_text())
+        assert report["n_pairs"] == 176_400
         assert report["exit_fraction"] == 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -186,6 +187,18 @@ class TestRunScenario:
         sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, 0.0),
                                       UavSpec(1, 990.0, 0.0, 0.0)], 1.0)
         with pytest.raises(Exception):
+            run_scenario(sc)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"alpha": 0.3}, r"need 0 < alpha < omega_max"),
+        ({"spacing": -5.0}, r"spacing must be >= 0"),
+    ], ids=["alpha-above-omega_max", "negative-spacing"])
+    def test_params_the_config_rejects_do_not_run(self, change, message):
+        # a hand-built circle6 with alpha 0.3 > omega_max 0.2 ran with both
+        # turn-budget slacks negative, and a negative spacing ran too
+        sc = build_scenario(load_config(bundled_config_path("circle6")), duration=1.0)
+        sc.params = dataclasses.replace(sc.params, **change)
+        with pytest.raises(ValueError, match=message):
             run_scenario(sc)
 
 
