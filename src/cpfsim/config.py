@@ -39,6 +39,10 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)   # isinstance(True, int) holds
+
+
 def _num(d: dict, key: str, where: str, default=None, required=False) -> float:
     if key not in d:
         if required:
@@ -212,8 +216,9 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
     if not isinstance(parents, dict):
         raise ConfigError("coordination.parents must be a mapping")
     for k, v in parents.items():
-        if not isinstance(k, int) or not (v is None or isinstance(v, int)):
-            raise ConfigError("coordination.parents must map int ids to int ids")
+        if not _is_int(k) or not (v is None or _is_int(v)):
+            raise ConfigError(f"coordination.parents: {k!r}: {v!r} must map an integer id "
+                              f"to an integer id or null")
 
     uavs_block = cfg.get("uavs")
     if not isinstance(uavs_block, list) or not uavs_block:
@@ -224,14 +229,16 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
         if not isinstance(u, dict):
             raise ConfigError(f"{where}: expected a mapping")
         _check_keys(u, {"id", "x", "y", "theta", "path", "spawn_time"}, where)
-        if not isinstance(u.get("id"), int):
-            raise ConfigError(f"{where}: integer 'id' required")
+        if not _is_int(u.get("id")):
+            raise ConfigError(f"{where}: integer 'id' required, got {u.get('id')!r}")
+        if not _is_int(u.get("path", 0)):
+            raise ConfigError(f"{where}.path: expected an integer path index, got {u['path']!r}")
         uavs.append(UavSpec(
             id=u["id"],
             x=_num(u, "x", where, required=True),
             y=_num(u, "y", where, required=True),
             theta=_num(u, "theta", where, required=True),
-            path_index=int(_num(u, "path", where, default=0)),
+            path_index=u.get("path", 0),
             spawn_time=_num(u, "spawn_time", where, default=0.0)))
 
     run = cfg.get("run", {})
@@ -252,7 +259,7 @@ def output_spec(cfg: dict) -> dict:
     _check_keys(block, set(OUTPUT_DEFAULTS), "output")
     for key, v in block.items():
         if key == "long_every":
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
+            if not _is_int(v) or v <= 0:
                 raise ConfigError(f"output.long_every: expected a positive integer, got {v!r}")
         elif not isinstance(v, str) or not v:
             raise ConfigError(f"output.{key}: expected a non-empty string, got {v!r}")

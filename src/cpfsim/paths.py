@@ -210,8 +210,9 @@ class SplinePath(Path):
     The waypoints act as control points of a clamped cubic B-spline whose
     knots come from chord-length parameterization.  A dense lookup table
     maps arc length to the spline parameter every ``lut_step`` meters; it
-    must be positive, and the default is 0.1 m.  Beyond either endpoint the
-    path continues straight along the end tangent.
+    must be positive, and the default is 0.1 m.  Every query reads it with
+    one interpolation, ``_u_at`` (``_u_many`` lane by lane).  Beyond either
+    endpoint the path continues straight along the end tangent, curvature 0.
 
     Raises ``DegenerateSpline`` on non-finite waypoints or when the spline
     speed vanishes anywhere, and ``CurvatureBoundExceeded`` when the densely
@@ -432,48 +433,38 @@ class SplinePath(Path):
         f = g - i
         return self._u_of_s[i] * (1.0 - f) + self._u_of_s[i + 1] * f
 
-    def _interp_table(self, s):
-        """``np.interp(s, np.arange(len(table)) * lut_step, table)`` for an array s.
-
-        np.interp reads only the two axis points around each s, so it runs on
-        those alone: the cells around ``s / lut_step``, one wider each side for
-        its rounding.  The same floats, without building the whole axis.
-        """
+    def _u_many(self, s):
+        """``_u_at`` at each arc length of the array ``s``: its floats, lane by lane."""
         table = np.asarray(self._u_of_s)
-        j = (s / self._lut_step).astype(np.intp)
-        near = np.sort(np.clip(np.concatenate((j - 1, j, j + 1, j + 2)), 0, len(table) - 1))
-        near = near[np.diff(near, prepend=-1) > 0]   # as np.unique, in a tenth of its time
-        return np.interp(s, near * self._lut_step, table[near])
+        g = s / self._lut_step
+        i = g.astype(np.intp)
+        f = g - i
+        j = np.clip(i, 0, len(table) - 2)
+        u = table[j] * (1.0 - f) + table[j + 1] * f
+        return np.where(i < 0, 0.0, np.where(i >= len(table) - 1, self._u_end, u))
 
     def point_at(self, s):
-        if s < 0.0:
-            x, y, ux, uy = self._head
-            return (x + s * ux, y + s * uy)
-        if s > self.total_length:
-            x, y, ux, uy = self._tail
-            ds = s - self.total_length
-            return (x + ds * ux, y + ds * uy)
         x, y, _, _ = self._frame(s)
         return (x, y)
 
     def tangent_angle_at(self, s):
-        if s < 0.0:
-            return math.atan2(self._head[3], self._head[2])
-        if s > self.total_length:
-            return math.atan2(self._tail[3], self._tail[2])
         return self._frame(s)[2]
 
     def curvature_at(self, s):
-        if s < 0.0 or s > self.total_length:
-            return 0.0
         return self._frame(s)[3]
 
     def _frame(self, s):
-        """(x, y, tangent_angle, curvature) at an in-range s from one segment lookup.
+        """(x, y, tangent_angle, curvature) at any arc length s.
 
         The only scalar evaluator: ``point_at``, ``tangent_angle_at`` and
-        ``curvature_at`` return its parts for 0 <= s <= total_length.
+        ``curvature_at`` return its parts.  Before 0 and past
+        ``total_length`` it answers on the straight extension along the end
+        tangent, where the curvature is 0.0.
         """
+        if s < 0.0 or s > self.total_length:
+            x, y, ux, uy = self._head if s < 0.0 else self._tail
+            ds = s if s < 0.0 else s - self.total_length
+            return (x + ds * ux, y + ds * uy, math.atan2(uy, ux), 0.0)
         u = self._u_at(s)
         i = bisect.bisect_right(self._breaks, u) - 1
         if i < 0:
@@ -502,16 +493,13 @@ class SplinePath(Path):
         if hint_s is not None:
             s = self._newton_refine(px, py, hint_s)
             if s is not None:
-                return self._finish_projection(s, px, py)
+                if s < 0.0 or s > self.total_length:
+                    return self._tail_projection(s < 0.0, px, py)
+                return self._projection_at(s, px, py)
         return self._global_project(px, py)
 
-    def _finish_projection(self, s, px, py):
-        if s < 0.0 or s > self.total_length:
-            return self._tail_projection(s < 0.0, px, py)
-        return self._projection_at(s, px, py)
-
     def _projection_at(self, s, px, py):
-        # callers pass 0 <= s <= total_length, where _frame is exact
+        # callers pass 0 <= s <= total_length; past an end, _tail_projection projects
         x, y, ta, kappa = self._frame(s)
         rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
         return Projection(s, x, y, ta, kappa, rho)
@@ -520,13 +508,7 @@ class SplinePath(Path):
         # Root of g(s) = (q - p(s)) . T(s);  g'(s) = -(1 - kappa*rho).
         s = s0
         for _ in range(max_iter):
-            if 0.0 <= s <= self.total_length:
-                x, y, ta, kappa = self._frame(s)
-            else:
-                # straight extension; curvature is the spline's end value
-                x, y = self.point_at(s)
-                ta = self.tangent_angle_at(s)
-                kappa = self.curvature_at(min(max(s, 0.0), self.total_length))
+            x, y, ta, kappa = self._frame(s)
             tx, ty = math.cos(ta), math.sin(ta)
             ex, ey = px - x, py - y
             g = ex * tx + ey * ty
@@ -555,7 +537,7 @@ class SplinePath(Path):
         stride = min(10.0, self.r0 / 10.0)
         n = max(2, int(self.total_length / stride) + 1)
         s_grid = np.linspace(0.0, self.total_length, n)
-        x, y = self._eval_vec(self._interp_table(s_grid), 0)
+        x, y = self._eval_vec(self._u_many(s_grid), 0)
         d2 = (x - px) ** 2 + (y - py) ** 2
         best = int(np.argmin(d2))
         lo = max(0.0, s_grid[best] - stride)

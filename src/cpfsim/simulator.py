@@ -117,14 +117,16 @@ class Trace:
                 fh.write(f"{ev.t!r},{ev.uav_id},{ev.kind},{ev.detail}\n")
 
     def write_long_csv(self, path, every: int = 10) -> None:
-        """Plot-ready long format (t, series, value), decimated."""
+        """Plot-ready long format (t, series, value), every ``every``-th step."""
+        if every < 1:
+            raise ValueError(f"every must be at least 1, got {every!r}")
         series = (("rho", 5), ("psi", 6), ("v", 8), ("omega", 9), ("zeta", 10))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,series,value\n")
             step_of = {}
             for r in self.rows:
                 k = step_of.setdefault(r[0], len(step_of))
-                if k % max(every, 1):
+                if k % every:
                     continue
                 for name, idx in series:
                     fh.write(f"{r[0]!r},{name}[{r[1]}],{r[idx]!r}\n")

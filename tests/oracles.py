@@ -218,7 +218,8 @@ def comparison_system_trajectory(err0: PathError, params: CoordParams,
 # -- SplinePath pre-change reference ------------------------------------------
 # The scalar evaluator and single queries SplinePath had before ``_frame``
 # became its only scalar evaluator, kept verbatim (``self`` -> ``path``) so
-# the evaluators can be held to them with ``==``.
+# the evaluators can be held to them with ``==``.  Their branches before 0
+# and past ``total_length`` are the straight extension ``_frame`` answers.
 
 def spline_eval(path, u, deriv):
     i = bisect.bisect_right(path._breaks, u) - 1

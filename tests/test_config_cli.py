@@ -191,6 +191,28 @@ class TestSchema:
         assert f"error: {where}: expected " in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("edits, error", [
+        # each was accepted: the trace's uav column read True, the UAV flew
+        # path 0, and UAV 2 followed UAV 1
+        ([("{id: 1,", "{id: true,")], "uavs[0]: integer 'id' required, got True"),
+        ([("theta: 1.5707963267948966}", "theta: 1.5707963267948966, path: 0.5}")],
+         "uavs[0].path: expected an integer path index, got 0.5"),
+        ([("run:", "  - {id: 2, x: -1000.0, y: 0.0, theta: -1.5707963267948966}\nrun:"),
+          ("spacing: 1047.1975511965976}", "spacing: 1047.1975511965976, parents: {2: true}}")],
+         "coordination.parents: 2: True must map an integer id to an integer id or null"),
+    ], ids=["bool-id", "fractional-path", "bool-parent"])
+    def test_ids_and_path_indices_must_be_integers_at_the_cli(self, tmp_path, capsys, edits,
+                                                              error):
+        text = MINIMAL
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        rc = main(["simulate", "--config", str(write_config(tmp_path, text)), "--out",
+                   str(tmp_path)])
+        assert rc == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_output_section_names_the_files(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL + "output: {trace: t.csv, long_every: 50}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -424,18 +424,49 @@ class TestSpline:
         assert _same_floats((path.total_length, list(path._u_of_s)),
                             spline_lut_whole_grid(path, lut_step))
 
-    def test_interp_table_equals_np_interp(self, bundled_splines):
-        # the global projection's scan reads the table without its s axis
+    def test_u_many_equals_u_at(self, bundled_splines):
+        # the global projection's scan reads the table through _u_at's floats
         rng = np.random.default_rng(0)
         for name, path in bundled_splines.items():
-            table = np.asarray(path._u_of_s)
-            axis = np.arange(len(table)) * path._lut_step
+            axis = np.arange(len(path._u_of_s)) * path._lut_step
             s = np.concatenate([
                 rng.uniform(0.0, path.total_length, 20_000),
                 axis[::97], np.nextafter(axis[1::89], 0.0), np.nextafter(axis[::89], np.inf),
                 axis[-2:], [path.total_length, axis[-1] + 1.0, 1.0e9],
+                [-0.5 * path._lut_step, -path._lut_step, -1.0, -1.0e9],
                 np.linspace(0.0, path.total_length, int(path.total_length / 10.0) + 1)])
-            assert path._interp_table(s).tobytes() == np.interp(s, axis, table).tobytes(), name
+            assert path._u_many(s).tolist() == [path._u_at(x) for x in s.tolist()], name
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_frame_off_the_ends_is_the_straight_extension(self, bundled_splines, kind):
+        # the parts and their types, which the parallel4 golden's np.float64
+        # cells pin; the extension's curvature is 0.0
+        for name, path in bundled_splines.items():
+            length = path.total_length
+            for s in (-1.0e6, -10.0, -1.0e-9, -5.0e-324, float(np.nextafter(length, np.inf)),
+                      length + 1.0e-9, length + 10.0, length + 1.0e6):
+                s = kind(s)
+                want = (*spline_point_at(path, s), spline_tangent_angle_at(path, s), 0.0)
+                got = path._frame(s)
+                assert got == want and list(map(type, got)) == list(map(type, want)), (name, s)
+                assert spline_curvature_at(path, s) == 0.0
+                assert (path.point_at(s), path.tangent_angle_at(s), path.curvature_at(s)) == \
+                    (want[:2], want[2], 0.0)
+
+    def test_projection_past_an_end_is_the_tail_projection(self, bundled_splines):
+        # Newton starts on the spline near the end and steps onto the
+        # straight extension, where it must find the closed-form projection
+        for name, path in bundled_splines.items():
+            for head in (True, False):
+                x, y, ux, uy = path._head if head else path._tail
+                sign = -1.0 if head else 1.0
+                hint = 1.0 if head else path.total_length - 1.0
+                for along, across in ((30.0, 0.0), (200.0, 40.0), (5.0, -60.0)):
+                    q = (x + sign * along * ux - across * uy, y + sign * along * uy + across * ux)
+                    s = path._newton_refine(*q, hint)
+                    assert s < 0.0 if head else s > path.total_length, (name, head, s)
+                    tail = path._tail_projection(head, *q)
+                    assert path.project(q, hint) == tail == path._global_project(*q), name
 
     def test_build_peak_memory(self, bundled_splines):
         # the dense grids are built and reduced block by block; the whole

@@ -75,6 +75,15 @@ class TestRunScenario:
         assert len(trace.rows) == 1
         assert trace.rows[0][0] == 0.0
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_long_csv_needs_a_positive_every(self, params, tmp_path, every):
+        # both wrote every step, while the config rejects long_every: 0
+        sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2.0)], 0.05)
+        trace, _ = run_scenario(sc)
+        with pytest.raises(ValueError, match="every must be at least 1"):
+            trace.write_long_csv(tmp_path / "long.csv", every=every)
+        assert not (tmp_path / "long.csv").exists()
+
     def test_initial_state_outside_universe_aborts(self, params):
         bad = UavSpec(7, 1000.0 - params.rho_universe - 10.0, 0.0, math.pi / 2.0)
         sc = circle_scenario(params, [bad], 10.0)
