@@ -4,16 +4,17 @@ Library layout:
 
 * ``paths`` - directed planar paths (circle, line, clamped cubic B-spline)
   with arc-length point/tangent/curvature/projection queries;
-* ``error_frame`` - path-following error, its dynamics and the region
-  classification driving the hybrid dispatch;
+* ``error_frame`` - path-following error, its batched dynamics and the
+  region classification driving the hybrid dispatch;
 * ``param_design`` - coordination-set parameter design (grid optimization)
   and validation of the admissibility inequalities;
 * ``control_laws`` - the coordinated in-set law with speed reset, the
   near-time-optimal and robust outer laws, and the hybrid supervisor;
 * ``coordination`` - pre-neighbor relations, spacing and overtake events;
 * ``simulator`` - deterministic fixed-step multi-UAV simulation with
-  tracing and metrics, plus the escape-set demo;
-* ``verification`` - randomized suites for the closed-loop guarantees;
+  tracing and metrics;
+* ``verification`` - randomized suites for the closed-loop guarantees and
+  the escape-set demonstration;
 * ``cli`` - the ``cpfsim`` command.
 """
 
@@ -22,17 +23,15 @@ from .control_laws import (ControlCommand, CoordinationChi, LinearChi, build_chi
                            coord_control, hybrid_supervisor, sat)
 from .coordination import (OvertakeEvent, chain_coordination, detect_overtaking,
                            update_pre_neighbors)
-from .error_frame import (PathError, Region, classify, compute_error,
-                          error_dynamics, in_escape_set, switching_value)
+from .error_frame import PathError, Region, classify, compute_error, switching_value
 from .exceptions import (ConfigError, CpfsimError, CurvatureBoundExceeded,
                          DegenerateSpline, Infeasible, OutsideUniverse,
-                         ProjectionAmbiguous, SingularDenominator, TableTooLarge,
-                         WrongRegion)
+                         ProjectionAmbiguous, TableTooLarge, WrongRegion)
 from .param_design import (CoordParams, SpeedLimits, coordination_rate_bound,
                            design_coordination_set)
 from .paths import (CirclePath, LinePath, Path, Projection, SplinePath,
                     waypoints_from_lonlat, wrap_angle)
-from .simulator import (EscapeReport, Metrics, Scenario, Trace, UavSpec, UavState,
-                        escape_demo, run_scenario)
+from .simulator import Metrics, Scenario, Trace, UavSpec, UavState, run_scenario
+from .verification import EscapeReport, escape_demo, in_escape_set
 
 __version__ = "0.1.0"

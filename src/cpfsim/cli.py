@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Thin shell over the library: parameter design, scenario simulation, the
-verification suites and the escape-set demo.  Every setting comes from the
-config file or a flag.
+verification suites and the escape-set demonstration.  Every setting comes
+from the config file or a flag.
 
 Exit codes: 0 ok, 1 validation/configuration error, 2 runtime abort,
-3 verification failure.
+3 verification failure (a suite fails, or an escape-demo pair stays).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from pathlib import Path as FsPath
 from . import config as cfgmod
 from .exceptions import ConfigError, CpfsimError, Infeasible, OutsideUniverse
 from .param_design import coordination_rate_bound
-from .simulator import escape_demo, run_scenario
-from .verification import run_suites
+from .simulator import run_scenario
+from .verification import escape_demo, run_suites
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,7 +142,7 @@ def cmd_demo_escape(args) -> int:
     with open(out / "escape_report.json", "w", encoding="utf-8") as fh:
         json.dump(vars(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return EXIT_OK
+    return EXIT_OK if report.exited == report.n_pairs else EXIT_VERIFY
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import SingularDenominator
 from .paths import Path, wrap_angle
 
 
@@ -75,18 +74,9 @@ def compute_error(state, path: Path, hint_s: float | None = None) -> PathError:
     return PathError(proj.rho, psi, proj.s, proj.curvature)
 
 
-def error_dynamics(err: PathError, cmd) -> tuple[float, float]:
-    """Right-hand side (rho_dot, psi_dot) of the error equations."""
-    denom = 1.0 - err.kappa * err.rho
-    if denom <= 0.0:
-        raise SingularDenominator(f"1 - kappa*rho = {denom:g} <= 0")
-    rho_dot = cmd.v * math.sin(err.psi)
-    psi_dot = cmd.omega - err.kappa * cmd.v * math.cos(err.psi) / denom
-    return rho_dot, psi_dot
-
-
 def batch_error_rates(rho, psi, v, omega, kappa):
-    """error_dynamics lane by lane on arrays, without the singularity check."""
+    """Right-hand side (rho_dot, psi_dot) of the error equations, lane by lane
+    on arrays; nothing checks for 1 - kappa*rho <= 0."""
     return v * np.sin(psi), omega - kappa * v * np.cos(psi) / (1.0 - kappa * rho)
 
 
@@ -177,16 +167,3 @@ def batch_classify(rho, psi, params) -> np.ndarray:
                     (psi > 0.0) | ((psi == 0.0) & (rho > r1)), Region.S2_1.code,
                     Region.S2_3.code))))
     return np.where(in_set, s1, outer) if in_set.any() else outer
-
-
-def in_escape_set(err: PathError, params, eps0: float) -> bool:
-    """Whether phi lies in the escape sliver of the unconstrained design.
-
-    On paths with curvature in (-kappa_bound, 0], no admissible constant
-    control can keep such an error inside |rho| <= 1/kappa_bound.
-    """
-    rho, psi = err.rho, err.psi
-    r0 = 1.0 / params.kappa_bound
-    if not (0.0 <= rho <= r0 and 0.0 <= psi <= math.pi / 2.0):
-        return False
-    return params.v_min * (psi - eps0) * math.sin(eps0) / params.omega_max + rho - r0 > 0.0

@@ -25,10 +25,6 @@ class ProjectionAmbiguous(CpfsimError):
     """Closest-point projection is not unique within tolerance."""
 
 
-class SingularDenominator(CpfsimError):
-    """Path-error dynamics evaluated where 1 - kappa*rho <= 0."""
-
-
 class WrongRegion(CpfsimError):
     """A control law was invoked outside the region it is defined for."""
 

@@ -12,12 +12,10 @@ from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-import numpy as np
-
 from .control_laws import build_chi, hybrid_supervisor
 from .coordination import (OvertakeEvent, Relation, chain_coordination, detect_overtaking,
                            update_pre_neighbors)
-from .error_frame import PathError, batch_error_step, compute_error, in_escape_set
+from .error_frame import compute_error
 from .exceptions import ConfigError, OutsideUniverse
 from .param_design import CoordParams
 from .paths import Path, wrap_angle
@@ -260,92 +258,3 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
             before += 1
     return Metrics(duration, dt, int(round(duration / dt)), all_in,
                    before, after, per_uav)
-
-
-# -- escape-set demonstration -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EscapeReport:
-    eps0: float
-    kappa: float
-    n_states: int
-    n_controls: int
-    n_pairs: int
-    exited: int
-    exit_fraction: float
-    max_exit_time: float
-    dt: float
-
-    def summary(self) -> str:
-        return (f"{self.n_states} states x {self.n_controls} controls "
-                f"({self.n_pairs} pairs, kappa={self.kappa:g}, eps0={self.eps0:g}): "
-                f"{self.exit_fraction:.4f} exited, slowest {self.max_exit_time:.2f}s")
-
-
-def escape_demo(params: CoordParams, eps0: float | None = None,
-                state_grid: tuple[int, int] = (20, 20),
-                control_grid: tuple[int, int] = (21, 21),
-                kappa: float = 0.0, dt: float = 0.01) -> EscapeReport:
-    """Brute-force check that the escape sliver admits no safe constant control.
-
-    Grids the escape set (lateral offsets near the uniqueness radius with
-    forward heading error) and the full actuation box, integrates the error
-    dynamics for every (state, control) pair on a path of constant
-    curvature in (-kappa_bound, 0], and reports the fraction of pairs whose
-    lateral error exits the uniqueness radius.  Expected: all of them.
-    """
-    if eps0 is None:
-        eps0 = params.eps_switch
-    if not 0.0 < eps0 < math.pi / 2.0:
-        raise ValueError("eps0 must lie in (0, pi/2)")
-    if not -params.kappa_bound < kappa <= 0.0:
-        raise ValueError("kappa must lie in (-kappa_bound, 0]")
-    r0 = 1.0 / params.kappa_bound
-    n_psi, n_rho = state_grid
-    gain = params.v_min * math.sin(eps0) / params.omega_max
-
-    psis, rhos = [], []
-    for j in range(n_psi):
-        psi = eps0 + (j + 0.5) / n_psi * (math.pi / 2.0 - eps0)
-        rho_lo = max(0.0, r0 - gain * (psi - eps0))
-        for i in range(n_rho):
-            rho = rho_lo + (i + 0.5) / n_rho * (r0 - rho_lo)
-            psis.append(psi)
-            rhos.append(rho)
-    for rho, psi in zip(rhos, psis):
-        if not in_escape_set(PathError(rho, psi), params, eps0):
-            raise ValueError(f"grid state (rho={rho!r}, psi={psi!r}) is not in the "
-                             f"escape set for eps0={eps0!r}")
-
-    nv, nw = control_grid
-    vs = np.linspace(params.v_min, params.v_max, nv)
-    ws = np.linspace(-params.omega_max, params.omega_max, nw)
-    v_grid, w_grid = [a.ravel() for a in np.meshgrid(vs, ws, indexing="ij")]
-
-    n_states, n_controls = len(rhos), len(v_grid)
-    rho = np.repeat(np.asarray(rhos), n_controls)
-    psi = np.repeat(np.asarray(psis), n_controls)
-    v = np.tile(v_grid, n_states)
-    w = np.tile(w_grid, n_states)
-
-    worst = (r0 - min(rhos)) / (params.v_min * math.sin(eps0))
-    n_steps = int(math.ceil(2.0 * worst / dt)) + 100
-    exit_time = np.full(rho.shape, np.inf)
-    t = 0.0
-    for _ in range(n_steps):
-        alive = np.isinf(exit_time)
-        if not alive.any():
-            break
-        rho, psi = batch_error_step(rho, psi, v, w, kappa, dt, wrap=False)
-        t += dt
-        out = alive & (np.abs(rho) > r0)
-        exit_time[out] = t
-
-    exited = int(np.isfinite(exit_time).sum())
-    return EscapeReport(
-        eps0=eps0, kappa=kappa, n_states=n_states, n_controls=n_controls,
-        n_pairs=n_states * n_controls, exited=exited,
-        exit_fraction=exited / (n_states * n_controls),
-        max_exit_time=float(exit_time[np.isfinite(exit_time)].max()) if exited else math.nan,
-        dt=dt)

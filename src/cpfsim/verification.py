@@ -18,6 +18,9 @@ clock is shared by all lanes and accumulated as ``t += _DT``, and the first
 counterexample is that of the lowest-index failing state or run.  Each
 suite's law uses the speed assignment the parameters call for,
 ``build_chi(params)``: piecewise for a positive spacing, linear for zero.
+
+``escape_demo`` steps the same error RK4 on a grid of escape-set states
+under a grid of constant controls; it passes only if every pair leaves.
 """
 
 from __future__ import annotations
@@ -101,7 +104,10 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     Runs the closed-loop error dynamics from random in-set states with a
     per-run constant curvature inside the bound.  A single-step boundary
     graze below ``_ONE_STEP_SLACK`` is tolerated (discretized sliding);
-    anything larger or longer fails, and the run leaves the batch.
+    anything larger or longer fails, and the run leaves the batch.  The
+    spacing error is the desired one, or for L = 0 (the linear chi) a
+    per-run constant drawn after the curvatures from [0, z), where
+    chi(z) = v_max.
     """
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
@@ -109,6 +115,9 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     n_steps = int(duration / _DT)
     rho0, psi0 = sample_s1(rng, params, n_runs)
     kappas = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, n_runs)
+    # the linear chi (L = 0) is checked over its range, not at its floor alone
+    zeta = (rng.uniform(0.0, _zeta_top(params, chi), n_runs) if params.spacing == 0.0
+            else params.spacing)
     lanes = np.arange(n_runs)
     rho, psi, kappa = rho0, psi0, kappas
     consecutive = np.zeros(n_runs, dtype=int)
@@ -118,7 +127,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
             break
         code = batch_classify(rho, psi, params)
         outside = code == Region.OUTSIDE.code
-        v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
+        v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
         rho_n, psi_n = batch_error_step(rho, psi, v, omega, kappa, _DT)
         # a lane outside the universe gets no command: it keeps its state
         rho = np.where(outside, rho, rho_n)
@@ -138,7 +147,14 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
             keep = ~dead
             lanes, rho, psi, kappa, consecutive = (
                 x[keep] for x in (lanes, rho, psi, kappa, consecutive))
+            if np.ndim(zeta):
+                zeta = zeta[keep]
     return SuiteResult("invariance", not failed, n_runs, len(failed), _first(failed))
+
+
+def _zeta_top(params: CoordParams, chi) -> float:
+    """Top of a drawn spacing error: 2 L, or for L = 0 the z where chi(z) = v_max."""
+    return 2.0 * params.spacing if params.spacing > 0.0 else (params.v_max - chi(0.0)) / chi.slope
 
 
 def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int):
@@ -153,9 +169,7 @@ def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int):
     """
     chi = build_chi(pure)
     rho, psi = sample_s1(rng, pure, n)
-    zeta_hi = (2.0 * pure.spacing if pure.spacing > 0.0
-               else (pure.v_max - chi(0.0)) / chi.slope)
-    lo, hi = [-0.999 * pure.kappa_bound, 0.0], [0.999 * pure.kappa_bound, zeta_hi]
+    lo, hi = [-0.999 * pure.kappa_bound, 0.0], [0.999 * pure.kappa_bound, _zeta_top(pure, chi)]
     kappa, zeta, v, omega = (np.empty(n) for _ in range(4))
     code = np.empty(n, dtype=np.intp)
     for start in range(0, n, _BLOCK):
@@ -429,3 +443,103 @@ def run_suites(params: CoordParams, path, names: list[str] | None = None,
         args = (params, path) if name == "no_overtaking" else (params,)
         results.append(globals()[f"suite_{name}"](*args, seed=seed))
     return results
+
+
+def in_escape_set(err: PathError, params: CoordParams, eps0: float) -> bool:
+    """Whether phi lies in the escape sliver of the unconstrained design.
+
+    On paths with curvature in (-kappa_bound, 0], no admissible constant
+    control can keep such an error inside |rho| <= 1/kappa_bound.
+    """
+    rho, psi = err.rho, err.psi
+    r0 = 1.0 / params.kappa_bound
+    if not (0.0 <= rho <= r0 and 0.0 <= psi <= math.pi / 2.0):
+        return False
+    return params.v_min * (psi - eps0) * math.sin(eps0) / params.omega_max + rho - r0 > 0.0
+
+
+@dataclass(frozen=True)
+class EscapeReport:
+    eps0: float
+    kappa: float
+    n_states: int
+    n_controls: int
+    n_pairs: int
+    exited: int
+    exit_fraction: float
+    max_exit_time: float
+    dt: float
+
+    def summary(self) -> str:
+        return (f"{self.n_states} states x {self.n_controls} controls "
+                f"({self.n_pairs} pairs, kappa={self.kappa:g}, eps0={self.eps0:g}): "
+                f"{self.exit_fraction:.4f} exited, slowest {self.max_exit_time:.2f}s")
+
+
+def escape_demo(params: CoordParams, eps0: float | None = None,
+                state_grid: tuple[int, int] = (20, 20),
+                control_grid: tuple[int, int] = (21, 21),
+                kappa: float = 0.0, dt: float = 0.01) -> EscapeReport:
+    """Brute-force check that the escape sliver admits no safe constant control.
+
+    Grids the escape set (lateral offsets near the uniqueness radius with
+    forward heading error) and the full actuation box, integrates the error
+    dynamics for every (state, control) pair on a path of constant
+    curvature in (-kappa_bound, 0], and reports the fraction of pairs whose
+    lateral error exits the uniqueness radius.  Expected: all of them; the
+    check passes only if ``exited == n_pairs``.
+    """
+    if eps0 is None:
+        eps0 = params.eps_switch
+    if not 0.0 < eps0 < math.pi / 2.0:
+        raise ValueError("eps0 must lie in (0, pi/2)")
+    if not -params.kappa_bound < kappa <= 0.0:
+        raise ValueError("kappa must lie in (-kappa_bound, 0]")
+    r0 = 1.0 / params.kappa_bound
+    n_psi, n_rho = state_grid
+    gain = params.v_min * math.sin(eps0) / params.omega_max
+
+    psis, rhos = [], []
+    for j in range(n_psi):
+        psi = eps0 + (j + 0.5) / n_psi * (math.pi / 2.0 - eps0)
+        rho_lo = max(0.0, r0 - gain * (psi - eps0))
+        for i in range(n_rho):
+            rho = rho_lo + (i + 0.5) / n_rho * (r0 - rho_lo)
+            psis.append(psi)
+            rhos.append(rho)
+    for rho, psi in zip(rhos, psis):
+        if not in_escape_set(PathError(rho, psi), params, eps0):
+            raise ValueError(f"grid state (rho={rho!r}, psi={psi!r}) is not in the "
+                             f"escape set for eps0={eps0!r}")
+
+    nv, nw = control_grid
+    vs = np.linspace(params.v_min, params.v_max, nv)
+    ws = np.linspace(-params.omega_max, params.omega_max, nw)
+    v_grid, w_grid = [a.ravel() for a in np.meshgrid(vs, ws, indexing="ij")]
+
+    n_states, n_controls = len(rhos), len(v_grid)
+    rho = np.repeat(np.asarray(rhos), n_controls)
+    psi = np.repeat(np.asarray(psis), n_controls)
+    v = np.tile(v_grid, n_states)
+    w = np.tile(w_grid, n_states)
+
+    worst = (r0 - min(rhos)) / (params.v_min * math.sin(eps0))
+    n_steps = int(math.ceil(2.0 * worst / dt)) + 100
+    exit_time = np.full(rho.shape, np.inf)
+    t = 0.0
+    for _ in range(n_steps):
+        alive = np.isinf(exit_time)
+        if not alive.any():
+            break
+        rho, psi = batch_error_step(rho, psi, v, w, kappa, dt, wrap=False)
+        t += dt
+        out = alive & (np.abs(rho) > r0)
+        exit_time[out] = t
+
+    exited = int(np.isfinite(exit_time).sum())
+    return EscapeReport(
+        eps0=eps0, kappa=kappa, n_states=n_states, n_controls=n_controls,
+        n_pairs=n_states * n_controls, exited=exited,
+        exit_fraction=exited / (n_states * n_controls),
+        max_exit_time=float(exit_time[np.isfinite(exit_time)].max()) if exited else math.nan,
+        dt=dt)

@@ -10,9 +10,9 @@ import time
 
 from cpfsim.config import build_scenario
 from cpfsim.param_design import design_coordination_set
-from cpfsim.simulator import escape_demo, run_scenario
-from cpfsim.verification import (suite_invariance, suite_reset_bound, suite_reach_box,
-                                 suite_reach_robust, suite_switch_drive)
+from cpfsim.simulator import run_scenario
+from cpfsim.verification import (escape_demo, suite_invariance, suite_reset_bound,
+                                 suite_reach_box, suite_reach_robust, suite_switch_drive)
 
 from conftest import SPACING
 from oracles import grid_design_oracle

@@ -537,3 +537,18 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         report = json.loads((tmp_path / "escape_report.json").read_text())
         assert report["n_pairs"] == 176_400
         assert report["exit_fraction"] == 1.0
+
+    @pytest.mark.parametrize("name", ["circle6", "parallel4", "design"])
+    def test_demo_escape_passes_on_bundled_configs(self, tmp_path, name):
+        cfg = bundled_config_path(name)
+        assert main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_demo_escape_fails_when_a_pair_stays(self, tmp_path, monkeypatch):
+        # error dynamics frozen at their start: no pair leaves the escape set,
+        # and the report is still written
+        monkeypatch.setattr("cpfsim.verification.batch_error_step",
+                            lambda rho, psi, *args, **kwargs: (rho, psi))
+        cfg = bundled_config_path("circle6")
+        assert main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "escape_report.json").read_text())
+        assert (report["n_pairs"], report["exited"]) == (176_400, 0)

@@ -8,7 +8,7 @@ from cpfsim.control_laws import (CoordinationChi, LinearChi, _reset, build_chi,
                                  comparison_system_trajectory, coord_control,
                                  hybrid_supervisor, sat)
 from cpfsim.error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, classify,
-                                error_dynamics, switching_value)
+                                switching_value)
 from cpfsim.exceptions import OutsideUniverse, WrongRegion
 from cpfsim.param_design import SpeedLimits, design_coordination_set
 from cpfsim.verification import sample_s1
@@ -19,6 +19,7 @@ from oracles import _s24_law as s24_reference
 from oracles import comparison_system_trajectory as comparison_reference
 from oracles import hybrid_supervisor as supervisor_reference
 from test_batch import random_states
+from test_error_frame import error_rates
 
 
 def pure(params):
@@ -163,7 +164,7 @@ class TestCoordControl:
             kappa = rng.uniform(-0.99 * p.kappa_bound, 0.99 * p.kappa_bound)
             err = PathError(rho, psi, 0.0, kappa)
             cmd = coord_control(err, rng.uniform(0.0, 2.0 * SPACING), p, chi)
-            rd, pd = error_dynamics(err, cmd)
+            rd, pd = error_rates(err, cmd)
             th = switching_value(rho, psi, p)
             th_dot = p.k1 * rd + (p.k2 + p.k3 * math.cos(psi)) * pd
             assert th * th_dot <= 1e-12
@@ -225,7 +226,7 @@ class TestResetValue:
                 continue
             cmd = coord_control(err, 2.0 * p.spacing, p, chi)
             if cmd.resetvalue_applied:
-                _, psi_dot = error_dynamics(err, cmd)
+                _, psi_dot = error_rates(err, cmd)
                 assert psi_dot == pytest.approx(p.alpha, abs=1e-9)
                 assert p.v_min <= cmd.v <= p.v_max
                 fired += 1
@@ -262,7 +263,7 @@ class TestNearOptimalLaws:
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
             err = PathError(rho, psi, 0.0, kappa)
             cmd = outer_law(err, params, Region.S2_4)
-            _, psi_dot = error_dynamics(err, cmd)
+            _, psi_dot = error_rates(err, cmd)
             assert psi_dot >= -1e-12
             assert params.v_min <= cmd.v <= params.v_max
             assert abs(cmd.omega) <= params.omega_max
@@ -284,7 +285,7 @@ class TestNearOptimalLaws:
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
             err = PathError(rho, psi, 0.0, kappa)
             cmd = outer_law(err, params, Region.S2_2)
-            _, psi_dot = error_dynamics(err, cmd)
+            _, psi_dot = error_rates(err, cmd)
             assert psi_dot <= 1e-12
 
     def test_mirror_symmetry(self, params):

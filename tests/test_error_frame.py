@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cpfsim.control_laws import ControlCommand
-from cpfsim.error_frame import (PathError, Region, classify, compute_error,
-                                error_dynamics, in_escape_set, switching_value)
-from cpfsim.exceptions import SingularDenominator
+from cpfsim.error_frame import (PathError, Region, batch_error_rates, classify, compute_error,
+                                switching_value)
 from cpfsim.simulator import UavState, rk4_unicycle
+from cpfsim.verification import in_escape_set
 
 from conftest import RHO_MAX
 from oracles import integrate_error_dynamics
@@ -32,30 +32,32 @@ class TestComputeError:
         assert err.psi == pytest.approx(-0.25 * math.pi - 0.5 * math.pi)
 
 
+def error_rates(err: PathError, cmd: ControlCommand) -> tuple[float, float]:
+    """(rho_dot, psi_dot) of one state under one command, as a one-lane batch."""
+    rd, pd = batch_error_rates(np.array([err.rho]), np.array([err.psi]),
+                               np.array([cmd.v]), np.array([cmd.omega]), err.kappa)
+    return float(rd[0]), float(pd[0])
+
+
 class TestErrorDynamics:
     def test_circle_equilibrium(self):
         v = 16.082053432090323
         cmd = ControlCommand(v, v * 0.001, Region.S1_2)
-        rd, pd = error_dynamics(PathError(0.0, 0.0, 0.0, 0.001), cmd)
+        rd, pd = error_rates(PathError(0.0, 0.0, 0.0, 0.001), cmd)
         assert rd == 0.0
         assert pd == pytest.approx(0.0, abs=1e-15)
 
     def test_perpendicular_on_line(self):
-        rd, pd = error_dynamics(PathError(0.0, math.pi / 2.0, 0.0, 0.0),
-                                ControlCommand(10.0, 0.0, Region.S2_1))
+        rd, pd = error_rates(PathError(0.0, math.pi / 2.0, 0.0, 0.0),
+                             ControlCommand(10.0, 0.0, Region.S2_1))
         assert rd == pytest.approx(10.0)
         assert pd == 0.0
 
     def test_offset_feedforward(self):
-        rd, pd = error_dynamics(PathError(100.0, 0.0, 0.0, 0.001),
-                                ControlCommand(10.0, 0.0, Region.S1_1))
+        rd, pd = error_rates(PathError(100.0, 0.0, 0.0, 0.001),
+                             ControlCommand(10.0, 0.0, Region.S1_1))
         assert rd == 0.0
         assert pd == pytest.approx(-0.01 / 0.9)
-
-    def test_singular_denominator(self):
-        with pytest.raises(SingularDenominator):
-            error_dynamics(PathError(600.0, 0.0, 0.0, 0.002),
-                           ControlCommand(10.0, 0.0, Region.S2_1))
 
 
 class TestClassify:

@@ -2,15 +2,16 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.coordination import OvertakeEvent
-from cpfsim.error_frame import PathError
+from cpfsim.error_frame import PathError, batch_error_step
 from cpfsim.exceptions import OutsideUniverse
 from cpfsim.paths import CirclePath
-from cpfsim.simulator import (Scenario, UavSpec, escape_demo, rk4_unicycle,
-                              run_scenario)
+from cpfsim.simulator import Scenario, UavSpec, rk4_unicycle, run_scenario
+from cpfsim.verification import escape_demo, in_escape_set
 
 from oracles import integrate_unicycle
 
@@ -179,6 +180,28 @@ class TestRunScenario:
         assert len(blob) == CIRCLE6_TRACE_BYTES
         assert hashlib.sha256(blob).hexdigest() == CIRCLE6_TRACE_SHA256
 
+    def test_circle6_steps_follow_the_error_model(self, circle6_run):
+        # one plant: the unicycle RK4 in (x, y, theta) plus the projection
+        # moves each UAV's (rho, psi) as one batch_error_step of the error
+        # model that the suites check, at the circle's constant curvature.
+        # rho comes out of a distance to the centre of about 1,000 m and psi
+        # out of a difference of angles up to pi: the residuals are rounding,
+        # measured at 2.75 ulps of 1,000 m and 7 ulps of pi over 240,000 steps
+        scenario, trace, _, _, _ = circle6_run
+        uav, rho, psi, v, omega = np.array([(r[1], r[5], r[6], r[8], r[9])
+                                            for r in trace.rows]).T
+        order = np.argsort(uav, kind="stable")
+        uav, rho, psi, v, omega = (x[order] for x in (uav, rho, psi, v, omega))
+        step = uav[1:] == uav[:-1]   # a row and the same UAV's next row
+        assert step.sum() == 6 * 40_000
+        rho_n, psi_n = batch_error_step(rho[:-1][step], psi[:-1][step], v[:-1][step],
+                                        omega[:-1][step], scenario.paths[0].curvature_at(0.0),
+                                        scenario.dt)
+        d_rho = np.abs(rho_n - rho[1:][step])
+        d_psi = np.abs((psi_n - psi[1:][step] + math.pi) % (2.0 * math.pi) - math.pi)
+        assert d_rho.max() <= 4 * math.ulp(1000.0)
+        assert d_psi.max() <= 8 * math.ulp(math.pi)
+
     @pytest.mark.xfail(strict=True, reason=(
         "SplinePath._global_project returns a NumPy-scalar s, and the fleet state "
         "stays NumPy scalars; converting it changes parallel4's golden trace bytes"))
@@ -229,13 +252,12 @@ class TestEscapeDemo:
 
     def test_non_member_grid_state_raises(self, params, monkeypatch):
         # a raised error, not an assert, so the check survives python -O
-        monkeypatch.setattr("cpfsim.simulator.in_escape_set", lambda err, p, eps0: False)
+        monkeypatch.setattr("cpfsim.verification.in_escape_set", lambda err, p, eps0: False)
         with pytest.raises(ValueError, match="not in the escape set"):
             escape_demo(params, eps0=0.05, state_grid=(2, 2), control_grid=(2, 2))
 
     def test_grid_states_are_members(self, params):
         # in particular the benign origin state is never gridded
-        from cpfsim.error_frame import in_escape_set
         assert not in_escape_set(PathError(0.0, 0.0), params, 0.05)
         report = escape_demo(params, eps0=0.05, state_grid=(5, 5),
                              control_grid=(5, 5))

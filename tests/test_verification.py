@@ -7,8 +7,7 @@ import pytest
 
 from cpfsim import verification as vmod
 from cpfsim.config import build_scenario, bundled_config_path, load_config
-from cpfsim.simulator import escape_demo
-from cpfsim.verification import suite_reach_box
+from cpfsim.verification import escape_demo, suite_reach_box
 
 from test_config_cli import MINIMAL
 
@@ -96,3 +95,27 @@ def test_zero_spacing_state_suites_pass(parallel4_scenario, seed):
     results = vmod.run_suites(sc.params, sc.paths[0], names=["reset_bound", "switch_drive"],
                               seed=seed)
     assert [r.passed for r in results] == [True, True], [r.summary() for r in results]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_spacing_invariance_draws_zeta_per_run(parallel4_scenario, monkeypatch, seed):
+    # every run held zeta at 0, the linear chi's floor; now each run draws
+    # its own zeta in [0, z) with chi(z) = v_max, after its start and curvature
+    params = parallel4_scenario.params
+    chi = vmod.build_chi(params)
+    top = (params.v_max - chi(0.0)) / chi.slope
+    law, seen = vmod.batch_hybrid_law, []
+
+    def spy(rho, psi, kappa, zeta, *args):
+        seen.append(zeta)
+        return law(rho, psi, kappa, zeta, *args)
+
+    monkeypatch.setattr(vmod, "batch_hybrid_law", spy)
+    # benchmark size (perfbench's verify workload)
+    r = vmod.suite_invariance(params, n_runs=200, duration=5.0, seed=seed)
+    assert r.passed, r.first_counterexample
+    ref = np.random.default_rng(seed)
+    vmod.sample_s1(ref, params, 200)
+    ref.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, 200)
+    assert np.array_equal(seen[0], ref.uniform(0.0, top, 200))
+    assert 0.0 <= seen[0].min() < 0.05 * top and 0.95 * top < seen[0].max() < top
