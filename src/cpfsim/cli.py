@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -139,8 +140,11 @@ def cmd_demo_escape(args) -> int:
     report = escape_demo(cfgmod.resolve_params(cfg))
     print(report.summary())
     out = _out_dir(args, cfgmod.output_spec(cfg))
+    # JSON has no NaN: max_exit_time is null when no pair exits
+    fields = {k: None if isinstance(v, float) and math.isnan(v) else v
+              for k, v in vars(report).items()}
     with open(out / "escape_report.json", "w", encoding="utf-8") as fh:
-        json.dump(vars(report), fh, indent=2, sort_keys=True)
+        json.dump(fields, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return EXIT_OK if report.exited == report.n_pairs else EXIT_VERIFY
 

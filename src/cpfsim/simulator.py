@@ -20,6 +20,8 @@ from .exceptions import ConfigError, OutsideUniverse
 from .param_design import CoordParams
 from .paths import Path, wrap_angle
 
+_SPAWN_TOL = 1.0e-12   # a UAV joins at the first row with t >= spawn_time - _SPAWN_TOL
+
 TRACE_COLUMNS = ("t", "uav", "x", "y", "theta", "rho", "psi", "region",
                  "v", "omega", "zeta", "pre_neighbor", "reset")
 
@@ -61,6 +63,10 @@ class Scenario:
     # projection ordering on one path
     parents: dict[int, int | None] = field(default_factory=dict)
 
+    @property
+    def n_steps(self) -> int:   # the run's rows are at t = k * dt for k = 0..n_steps
+        return int(round(self.duration / self.dt))
+
     def validate(self) -> None:
         # written so that NaN fails too (the CLI overrides skip the config checks)
         if not 0.0 < self.dt < math.inf:
@@ -74,6 +80,7 @@ class Scenario:
         ids = [u.id for u in self.uavs]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate UAV ids")
+        last_t = self.n_steps * self.dt   # the run loop's t at its last row
         for u in self.uavs:
             if not 0 <= u.path_index < len(self.paths):
                 raise ConfigError(f"UAV {u.id}: path index {u.path_index} out of range")
@@ -81,6 +88,9 @@ class Scenario:
             if not 0.0 <= u.spawn_time <= self.duration:
                 raise ConfigError(f"UAV {u.id}: spawn_time {u.spawn_time!r} outside "
                                   f"[0, duration={self.duration!r}]")
+            if not u.spawn_time <= last_t + _SPAWN_TOL:
+                raise ConfigError(f"UAV {u.id}: spawn_time {u.spawn_time!r} after the last "
+                                  f"step at t={last_t!r}")
         if not self.parents and len({u.path_index for u in self.uavs}) > 1:
             raise ConfigError("without coordination.parents all UAVs must share one path "
                               "(the cyclic projection ordering)")
@@ -189,10 +199,10 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
     active: list[UavState] = []
     coord_prev: Relation = {}
     trace = Trace()
-    n_steps = int(round(scenario.duration / dt))
+    n_steps = scenario.n_steps
     for k in range(n_steps + 1):
         t = k * dt
-        while pending and pending[0].spawn_time <= t + 1.0e-12:
+        while pending and pending[0].spawn_time <= t + _SPAWN_TOL:
             u = pending.pop(0)
             insort(active, UavState(u.id, u.x, u.y, u.theta, u.path_index), key=attrgetter("id"))
         errs = [compute_error(u, paths[u.path_index], u.s_hint) for u in active]
@@ -256,5 +266,5 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
             after += 1
         else:
             before += 1
-    return Metrics(duration, dt, int(round(duration / dt)), all_in,
+    return Metrics(duration, dt, scenario.n_steps, all_in,
                    before, after, per_uav)

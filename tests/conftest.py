@@ -25,6 +25,32 @@ HIL_LONLAT = [(113.2167, 28.2029), (113.2371, 28.2209), (113.2167, 28.2390),
               (113.1963, 28.2570), (113.2167, 28.2751), (113.2371, 28.2931),
               (113.2167, 28.3112)]
 
+# The property tests draw their cases from seeded numpy streams.  A float
+# drawn from [lo, hi] is, with probability EDGE_P, one of the interval's
+# edge values: its bounds and those of EDGE_FLOATS (signed zeros, the
+# smallest subnormal, the smallest normal and a tiny normal) that lie in it.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1e-291, -1e-291)
+EDGE_P = 0.1
+
+
+def draw_float(rng, lo, hi):
+    if rng.random() < EDGE_P:
+        pool = [lo, hi] + [v for v in EDGE_FLOATS if lo <= v <= hi]
+        return pool[rng.integers(len(pool))]
+    return float(rng.uniform(lo, hi))
+
+
+def for_each_draw(n, draw, check):
+    """Run ``check(*case)`` on ``n`` cases ``draw()``; a failure names the
+    draw and its case, which replays as an explicit case."""
+    for i in range(n):
+        case = draw()
+        try:
+            check(*case)
+        except Exception as exc:
+            raise AssertionError(f"draw {i} of {n} fails: {case!r}") from exc
+
 
 @pytest.fixture(scope="session")
 def limits():

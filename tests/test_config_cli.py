@@ -164,6 +164,12 @@ class TestSchema:
             build_scenario(cfg, duration=40.0)
         cfg["uavs"][2]["spawn_time"] = 40.0
         assert build_scenario(cfg, duration=40.0).uavs[2].spawn_time == 40.0
+        # inside the duration, but after the run's last row at t = 100 * 0.01
+        cfg["uavs"][2]["spawn_time"] = 1.003
+        with pytest.raises(ConfigError, match=r"UAV 3: spawn_time 1\.003 after the last step "
+                                              r"at t=1\.0$"):
+            build_scenario(cfg, duration=1.004, dt=0.01)
+        assert build_scenario(cfg, duration=1.006, dt=0.01).uavs[2].spawn_time == 1.003
 
     def test_spawn_time_past_a_cli_duration_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL.replace("theta: 1.5707963267948966}",
@@ -550,5 +556,11 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
                             lambda rho, psi, *args, **kwargs: (rho, psi))
         cfg = bundled_config_path("circle6")
         assert main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        report = json.loads((tmp_path / "escape_report.json").read_text())
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "escape_report.json").read_text(),
+                            parse_constant=strict)
         assert (report["n_pairs"], report["exited"]) == (176_400, 0)
+        assert report["max_exit_time"] is None

@@ -5,14 +5,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cpfsim import param_design
 from cpfsim.exceptions import Infeasible
 from cpfsim.param_design import SpeedLimits, coordination_rate_bound, design_coordination_set
 
-from conftest import SPACING
+from conftest import SPACING, draw_float, for_each_draw
 from oracles import best_on_grid_per_row, grid_design_oracle
 
 
@@ -131,56 +129,60 @@ class TestDesign:
                                     spacing=SPACING)
 
 
-@st.composite
-def _design_grids(draw):
-    """Limits, margins and a (psi_max, rho_max) grid over the design box or inside it."""
-    v_min, dv = draw(st.floats(1.0, 20.0)), draw(st.floats(0.1, 30.0))
-    omega_max = draw(st.floats(0.05, 1.0))
+def _design_grid(rng):
+    """Limits, margins and a (psi_max, rho_max) grid over the design box or
+    inside it; each axis as its ``np.linspace`` arguments."""
+    v_min, dv = draw_float(rng, 1.0, 20.0), draw_float(rng, 0.1, 30.0)
+    omega_max = draw_float(rng, 0.05, 1.0)
     # a factor above 1 fails the curvature precondition
-    kappa_bound = omega_max / (v_min + dv) * draw(st.floats(1.0e-3, 1.2))
+    kappa_bound = omega_max / (v_min + dv) * draw_float(rng, 1.0e-3, 1.2)
     limits = SpeedLimits(v_min, v_min + dv, omega_max, kappa_bound)
     a0, a1 = 1.0e-4, math.pi / 2.0 - 1.0e-6
     r0, r1 = 1.0e-3, 1.0 / limits.kappa_bound * (1.0 - 1.0e-6)
-    if draw(st.booleans()):   # a zoom box
-        a0, a1 = sorted(draw(st.floats(a0, a1)) for _ in range(2))
-        r0, r1 = sorted(draw(st.floats(r0, r1)) for _ in range(2))
-    n_a = draw(st.sampled_from([1, 2, 13, 14, 121, 400]))
-    n_r = draw(st.sampled_from([1, 2, 121, 1200, param_design._GRID_BLOCK + 1]))
-    return (np.linspace(a0, a1, n_a), np.linspace(r0, r1, n_r), limits,
-            draw(st.floats(0.01, 10.0)), draw(st.floats(1.0e-3, 0.05)))
+    if rng.random() < 0.5:   # a zoom box
+        a0, a1 = sorted(draw_float(rng, a0, a1) for _ in range(2))
+        r0, r1 = sorted(draw_float(rng, r0, r1) for _ in range(2))
+    n_a = [1, 2, 13, 14, 121, 400][rng.integers(6)]
+    n_r = [1, 2, 121, 1200, param_design._GRID_BLOCK + 1][rng.integers(5)]
+    return ((a0, a1, n_a), (r0, r1, n_r), limits,
+            draw_float(rng, 0.01, 10.0), draw_float(rng, 1.0e-3, 0.05))
+
+
+def _check_grid_search(psi_axis, rho_axis, limits, speed_margin, alpha):
+    grid = (np.linspace(*psi_axis), np.linspace(*rho_axis), limits, speed_margin, alpha)
+    best = param_design._best_on_grid(*grid)
+    assert best == best_on_grid_per_row(*grid)
+    assert best is None or all(type(v) is float for v in best)
 
 
 _LIMITS = SpeedLimits(10.0, 25.0, 0.2, 0.002)
+_FULL_PSI = (1.0e-4, math.pi / 2.0 - 1.0e-6, 400)
 
 
 class TestGridSearch:
     """The blocked grid search against the pass-per-row search it replaced."""
 
-    # the coarse and the zoom grids of the bundled design; all infeasible;
-    # one row and one column; one row wider than a block; an empty band in
-    # each of 31 blocks; a band of every column; one column; one block per row
-    @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400),
-                   np.linspace(1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), _LIMITS, 1.0, 0.01))
-    @example(grid=(np.linspace(0.69, 0.71, 121), np.linspace(140.0, 142.0, 121),
-                   _LIMITS, 1.0, 0.01))
-    @example(grid=(np.linspace(0.1, 1.5, 50), np.linspace(1.0, 499.0, 300),
-                   _LIMITS, 20.0, 0.01))
-    @example(grid=(np.array([0.7]), np.array([141.0]), _LIMITS, 1.0, 0.01))
-    @example(grid=(np.array([0.7]), np.linspace(1.0e-3, 499.0, 20_000), _LIMITS, 1.0, 0.01))
-    @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400),
-                   np.linspace(1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), _LIMITS, 20.0, 0.01))
-    @example(grid=(np.linspace(0.5, 0.6, 121), np.linspace(50.0, 60.0, 121),
-                   _LIMITS, 1.0, 0.01))
-    @example(grid=(np.linspace(1.0e-4, math.pi / 2.0 - 1.0e-6, 400), np.array([141.0]),
-                   _LIMITS, 1.0, 0.01))
-    @example(grid=(np.linspace(0.6, 0.8, 3),
-                   np.linspace(1.0e-3, 499.0, param_design._GRID_BLOCK + 1), _LIMITS, 1.0, 0.01))
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(grid=_design_grids())
-    def test_blocked_search_equals_per_row_search(self, grid):
-        best = param_design._best_on_grid(*grid)
-        assert best == best_on_grid_per_row(*grid)
-        assert best is None or all(type(v) is float for v in best)
+    @pytest.mark.parametrize("psi_axis, rho_axis, speed_margin", [
+        (_FULL_PSI, (1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), 1.0),
+        ((0.69, 0.71, 121), (140.0, 142.0, 121), 1.0),
+        ((0.1, 1.5, 50), (1.0, 499.0, 300), 20.0),
+        ((0.7, 0.7, 1), (141.0, 141.0, 1), 1.0),
+        ((0.7, 0.7, 1), (1.0e-3, 499.0, 20_000), 1.0),
+        (_FULL_PSI, (1.0e-3, 500.0 * (1.0 - 1.0e-6), 1200), 20.0),
+        ((0.5, 0.6, 121), (50.0, 60.0, 121), 1.0),
+        (_FULL_PSI, (141.0, 141.0, 1), 1.0),
+        ((0.6, 0.8, 3), (1.0e-3, 499.0, param_design._GRID_BLOCK + 1), 1.0),
+    ], ids=["coarse", "zoom", "all_infeasible", "one_row_one_column", "one_row_wider_than_a_block",
+            "empty_band_in_31_blocks", "band_of_every_column", "one_column",
+            "one_block_per_row"])
+    def test_blocked_search_equals_per_row_search_on_edge_grids(self, psi_axis, rho_axis,
+                                                                speed_margin):
+        # the coarse and the zoom grids of the bundled design, and the edges of the band
+        _check_grid_search(psi_axis, rho_axis, _LIMITS, speed_margin, 0.01)
+
+    def test_blocked_search_equals_per_row_search(self):
+        rng = np.random.default_rng(6)
+        for_each_draw(200, lambda: _design_grid(rng), _check_grid_search)
 
     def test_bundled_design_evaluates_the_window_on_bands(self, monkeypatch):
         shapes = []

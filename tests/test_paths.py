@@ -8,8 +8,6 @@ from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from cpfsim import paths as paths_mod
 from cpfsim.config import (build_limits, build_paths, build_scenario, bundled_config_path,
@@ -19,7 +17,7 @@ from cpfsim.exceptions import (CurvatureBoundExceeded, DegenerateSpline, Project
 from cpfsim.paths import (CirclePath, LinePath, SplinePath, _grid_blocks, waypoints_from_lonlat,
                           wrap_angle)
 
-from conftest import HIL_LONLAT, HIL_WAYPOINTS
+from conftest import HIL_LONLAT, HIL_WAYPOINTS, draw_float, for_each_draw
 from oracles import (brute_force_projection, bspline_kappa_max, clamped_knots,
                      ppoly_power_coefficients, spline_curvature_at, spline_ends, spline_eval,
                      spline_lut_whole_grid, spline_point_at, spline_projection_at,
@@ -83,16 +81,22 @@ def test_parallel4_warm_start_agrees_with_global_projection(parallel4_run):
     assert checked == 4 * 300
 
 
-# Waypoints on a coarse lattice repeat often (coincident knots); free floats
-# cover the generic case.  Runs of repeats make empty knot spans.
-_waypoint = (st.tuples(st.integers(-8, 8), st.integers(-8, 8)).map(
-                 lambda p: (p[0] * 500.0, p[1] * 500.0))
-             | st.tuples(st.floats(-1.0e4, 1.0e4), st.floats(-1.0e4, 1.0e4)))
+def _waypoint(rng):
+    # waypoints on a coarse lattice repeat often (coincident knots); free
+    # floats cover the generic case
+    if rng.random() < 0.5:
+        return (int(rng.integers(-8, 9)) * 500.0, int(rng.integers(-8, 9)) * 500.0)
+    return (draw_float(rng, -1.0e4, 1.0e4), draw_float(rng, -1.0e4, 1.0e4))
 
 
-@st.composite
-def _waypoint_sets(draw):
-    pts = draw(st.lists(st.tuples(_waypoint, st.integers(1, 4)), min_size=4, max_size=29))
+def _n_waypoints(rng):
+    # 4 to 29, 9 on average (as Hypothesis sizes such lists)
+    return min(3 + int(rng.geometric(1.0 / 6.0)), 29)
+
+
+def _waypoint_set(rng):
+    # each waypoint in a run of 1 to 4 repeats (empty knot spans)
+    pts = [(_waypoint(rng), int(rng.integers(1, 5))) for _ in range(_n_waypoints(rng))]
     return [p for p, repeat in pts for _ in range(repeat)][:29]
 
 
@@ -338,20 +342,28 @@ class TestSpline:
             floats = path._breaks + [c for col in path._cx + path._cy for c in col]
             assert all(type(v) is float for v in floats), name
 
-    # coincident interior knots; an interior knot equal to the end knots
-    @example(waypoints=[(0.0, 0.0), (500.0, 0.0), (500.0, 0.0), (500.0, 0.0), (500.0, 0.0),
-                        (1000.0, 300.0), (1500.0, 0.0)])
-    @example(waypoints=[(0.0, 0.0), (300.0, 200.0), (600.0, 0.0), (900.0, 100.0),
-                        (900.0, 100.0), (900.0, 100.0), (900.0, 100.0)])
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(waypoints=_waypoint_sets())
-    def test_power_coefficients_equal_ppoly_with_repeats(self, waypoints):
+    @staticmethod
+    def _check_power_coefficients(waypoints):
         pts, knots = clamped_knots(waypoints)
         if not knots[-1] > 0.0:
             return  # all waypoints coincide: the constructor raises DegenerateSpline
         for coord in (pts[:, 0], pts[:, 1]):
             assert _same_floats(SplinePath._power_coefficients(knots, coord),
                                 ppoly_power_coefficients(knots, coord))
+
+    @pytest.mark.parametrize("waypoints", [
+        [(0.0, 0.0), (500.0, 0.0), (500.0, 0.0), (500.0, 0.0), (500.0, 0.0),
+         (1000.0, 300.0), (1500.0, 0.0)],
+        [(0.0, 0.0), (300.0, 200.0), (600.0, 0.0), (900.0, 100.0),
+         (900.0, 100.0), (900.0, 100.0), (900.0, 100.0)],
+    ], ids=["interior", "at_the_end"])
+    def test_power_coefficients_equal_ppoly_at_coincident_knots(self, waypoints):
+        # coincident interior knots; an interior knot equal to the end knots
+        self._check_power_coefficients(waypoints)
+
+    def test_power_coefficients_equal_ppoly_with_repeats(self):
+        rng = np.random.default_rng(1)
+        for_each_draw(400, lambda: (_waypoint_set(rng),), self._check_power_coefficients)
 
     def test_build_equals_recorded(self, bundled_splines):
         assert set(bundled_splines) == set(GOLDEN_SPLINES)
@@ -367,16 +379,18 @@ class TestSpline:
         for path in bundled_splines.values():
             _assert_eval_vec_matches_oracle(path, _sorted_parameters(path))
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(waypoints=_waypoint_sets())
-    def test_eval_vec_matches_oracle_with_many_spans(self, waypoints):
-        _, knots = clamped_knots(waypoints)
-        if not knots[-1] > 0.0:
-            return  # all waypoints coincide: the constructor raises DegenerateSpline
-        path = _bare_spline(waypoints)
-        if not np.isfinite(path._cx + path._cy).all():
-            return  # the constructor raises DegenerateSpline
-        _assert_eval_vec_matches_oracle(path, _sorted_parameters(path))
+    def test_eval_vec_matches_oracle_with_many_spans(self):
+        def check(waypoints):
+            _, knots = clamped_knots(waypoints)
+            if not knots[-1] > 0.0:
+                return  # all waypoints coincide: the constructor raises DegenerateSpline
+            path = _bare_spline(waypoints)
+            if not np.isfinite(path._cx + path._cy).all():
+                return  # the constructor raises DegenerateSpline
+            _assert_eval_vec_matches_oracle(path, _sorted_parameters(path))
+
+        rng = np.random.default_rng(2)
+        for_each_draw(150, lambda: (_waypoint_set(rng),), check)
 
     def test_eval_vec_rejects_decreasing_parameters(self, hil_spline):
         for deriv in (0, 1, 2):
@@ -394,15 +408,8 @@ class TestSpline:
                             spline_lut_whole_grid(path, lut_step))
         assert len(path._u_of_s) == len(np.arange(0.0, path.total_length + lut_step, lut_step))
 
-    # waypoints within 500 m keep the fine grids below about 200k points; runs
-    # of repeats would make most speeds vanish, so only the lattice repeats
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(waypoints=st.lists(_waypoint, min_size=4, max_size=29).map(
-               lambda w: [(x / 20.0, y / 20.0) for x, y in w]),
-           lut_step=st.sampled_from([0.1, 0.07, 0.5]))
-    @example(waypoints=SPEED_ZERO_OFF_TABLE_GRID, lut_step=0.1)
-    @example(waypoints=INFINITE_COEFFICIENTS, lut_step=0.1)
-    def test_build_equals_whole_grid_build_with_many_spans(self, waypoints, lut_step):
+    @staticmethod
+    def _check_build_equals_whole_grid_build(waypoints, lut_step):
         _, knots = clamped_knots(waypoints)
         if not knots[-1] > 0.0:
             return
@@ -423,6 +430,23 @@ class TestSpline:
                 return  # an infinite or NaN curvature; the table was built
         assert _same_floats((path.total_length, list(path._u_of_s)),
                             spline_lut_whole_grid(path, lut_step))
+
+    @pytest.mark.parametrize("waypoints", [SPEED_ZERO_OFF_TABLE_GRID, INFINITE_COEFFICIENTS],
+                             ids=["speed_zero_off_table_grid", "infinite_coefficients"])
+    def test_build_equals_whole_grid_build_at_degenerate_spans(self, waypoints):
+        self._check_build_equals_whole_grid_build(waypoints, 0.1)
+
+    def test_build_equals_whole_grid_build_with_many_spans(self):
+        # waypoints within 500 m keep the fine grids below about 200k points; runs
+        # of repeats would make most speeds vanish, so only the lattice repeats
+        rng = np.random.default_rng(3)
+
+        def draw():
+            waypoints = [_waypoint(rng) for _ in range(_n_waypoints(rng))]
+            return ([(x / 20.0, y / 20.0) for x, y in waypoints],
+                    [0.1, 0.07, 0.5][rng.integers(3)])
+
+        for_each_draw(100, draw, self._check_build_equals_whole_grid_build)
 
     def test_u_many_equals_u_at(self, bundled_splines):
         # the global projection's scan reads the table through _u_at's floats
@@ -540,21 +564,23 @@ class TestSpline:
         with pytest.raises(CurvatureBoundExceeded):
             SplinePath(waypoints, kappa_bound=kappa_max - 1e-9)
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(frac=st.floats(0.0, 1.0),
-           rho_frac=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
-           offset=st.floats(-5.0, 5.0))
-    def test_warm_start_agrees_with_global_projection(self, hil_spline, frac, rho_frac, offset):
+    def test_warm_start_agrees_with_global_projection(self, hil_spline):
         # a point |rho| < r0/2 off the path at s, warm-started a few meters away
-        s = frac * hil_spline.total_length
-        rho = rho_frac * hil_spline.r0
-        x, y = hil_spline.point_at(s)
-        ta = hil_spline.tangent_angle_at(s)
-        p = (x - rho * math.sin(ta), y + rho * math.cos(ta))
-        warm = hil_spline.project(p, hint_s=s + offset)
-        cold = hil_spline._global_project(*p)
-        assert abs(warm.s - cold.s) <= 1e-6
-        assert abs(warm.rho - cold.rho) <= 1e-6
+        def check(frac, rho_frac, offset):
+            s = frac * hil_spline.total_length
+            rho = rho_frac * hil_spline.r0
+            x, y = hil_spline.point_at(s)
+            ta = hil_spline.tangent_angle_at(s)
+            p = (x - rho * math.sin(ta), y + rho * math.cos(ta))
+            warm = hil_spline.project(p, hint_s=s + offset)
+            cold = hil_spline._global_project(*p)
+            assert abs(warm.s - cold.s) <= 1e-6
+            assert abs(warm.rho - cold.rho) <= 1e-6
+
+        rng = np.random.default_rng(4)
+        inside = math.nextafter(0.5, 0.0)   # rho_frac lies in the open (-0.5, 0.5)
+        for_each_draw(500, lambda: (draw_float(rng, 0.0, 1.0), draw_float(rng, -inside, inside),
+                                    draw_float(rng, -5.0, 5.0)), check)
 
     def test_extrapolation_beyond_ends(self, hil_spline):
         x0, y0 = hil_spline.point_at(0.0)
@@ -569,12 +595,17 @@ class TestSpline:
 
 HIL_LONLAT_WAYPOINTS = waypoints_from_lonlat(HIL_LONLAT, origin=HIL_LONLAT[0])
 
-# integer offsets often keep the base shape's bytes (a shared table), two
-# decimals and free floats seldom do (a table of its own)
-_offset = (st.tuples(st.integers(-5000, 5000), st.integers(-5000, 5000))
-           | st.tuples(st.integers(-500_000, 500_000), st.integers(-500_000, 500_000)).map(
-               lambda o: (o[0] / 100.0, o[1] / 100.0))
-           | st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)))
+
+def _offset(rng):
+    # integer offsets often keep the base shape's bytes (a shared table), two
+    # decimals and free floats seldom do (a table of its own)
+    kind = rng.integers(3)
+    if kind == 0:
+        return (int(rng.integers(-5000, 5001)), int(rng.integers(-5000, 5001)))
+    if kind == 1:
+        return (int(rng.integers(-500_000, 500_001)) / 100.0,
+                int(rng.integers(-500_000, 500_001)) / 100.0)
+    return (draw_float(rng, -5000.0, 5000.0), draw_float(rng, -5000.0, 5000.0))
 
 
 class TestSharedShapes:
@@ -584,29 +615,11 @@ class TestSharedShapes:
     def _shifted(base, offset):
         return [(x + offset[0], y + offset[1]) for x, y in base]
 
-    @pytest.mark.parametrize("base, offset, hit", [
-        (HIL_WAYPOINTS, (0.0, 100.0), True), (HIL_WAYPOINTS, (0.37, 12.91), False),
-        (HIL_LONLAT_WAYPOINTS, (0.0, -37.0), True), (HIL_LONLAT_WAYPOINTS, (0.0, 100.0), False),
-    ])
-    def test_offset_copies_hit_or_miss(self, base, offset, hit):
-        # a shifted copy is not a bit-exact translate: its columns decide
-        shapes = {}
-        first = SplinePath(base, _shapes=shapes)
-        copy = SplinePath(self._shifted(base, offset), _shapes=shapes)
-        assert (copy._u_of_s is first._u_of_s) == hit
-        assert len(shapes) == (1 if hit else 2)
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(base=st.sampled_from([HIL_WAYPOINTS, HIL_LONLAT_WAYPOINTS]), offset=_offset,
-           seed=st.integers(0, 2**32 - 1))
-    @example(base=HIL_WAYPOINTS, offset=(0.0, 100.0), seed=0)
-    @example(base=HIL_WAYPOINTS, offset=(0.37, 12.91), seed=0)
-    @example(base=HIL_LONLAT_WAYPOINTS, offset=(0.0, -37.0), seed=0)
-    @example(base=HIL_LONLAT_WAYPOINTS, offset=(0.0, 100.0), seed=0)
-    def test_shared_build_equals_standalone_build(self, base, offset, seed):
+    @classmethod
+    def _check_shared_build(cls, base, offset, seed):
         shapes = {}
         SplinePath(base, _shapes=shapes)
-        wps = self._shifted(base, offset)
+        wps = cls._shifted(base, offset)
         shared = SplinePath(wps, _shapes=shapes)
         alone = SplinePath(wps)
         assert np.asarray(shared._u_of_s).tobytes() == np.asarray(alone._u_of_s).tobytes()
@@ -623,6 +636,25 @@ class TestSharedShapes:
             q = (x - rho * alone.r0 * math.sin(ta), y + rho * alone.r0 * math.cos(ta))
             assert shared.project(q) == alone.project(q)
             assert shared.project(q, hint_s=s) == alone.project(q, hint_s=s)
+
+    @pytest.mark.parametrize("base, offset, hit", [
+        (HIL_WAYPOINTS, (0.0, 100.0), True), (HIL_WAYPOINTS, (0.37, 12.91), False),
+        (HIL_LONLAT_WAYPOINTS, (0.0, -37.0), True), (HIL_LONLAT_WAYPOINTS, (0.0, 100.0), False),
+    ])
+    def test_offset_copies_hit_or_miss(self, base, offset, hit):
+        # a shifted copy is not a bit-exact translate: its columns decide
+        shapes = {}
+        first = SplinePath(base, _shapes=shapes)
+        copy = SplinePath(self._shifted(base, offset), _shapes=shapes)
+        assert (copy._u_of_s is first._u_of_s) == hit
+        assert len(shapes) == (1 if hit else 2)
+        self._check_shared_build(base, offset, 0)
+
+    def test_shared_build_equals_standalone_build(self):
+        rng = np.random.default_rng(5)
+        bases = [HIL_WAYPOINTS, HIL_LONLAT_WAYPOINTS]
+        for_each_draw(60, lambda: (bases[rng.integers(2)], _offset(rng),
+                                   int(rng.integers(0, 2**32))), self._check_shared_build)
 
     def test_parallel4_builds_one_table_per_call(self, monkeypatch):
         builds = []

@@ -7,6 +7,7 @@ import pytest
 
 from cpfsim import verification as vmod
 from cpfsim.config import build_scenario, bundled_config_path, load_config
+from cpfsim.error_frame import N_S1
 from cpfsim.verification import escape_demo, suite_reach_box
 
 from test_config_cli import MINIMAL
@@ -119,3 +120,19 @@ def test_zero_spacing_invariance_draws_zeta_per_run(parallel4_scenario, monkeypa
     ref.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, 200)
     assert np.array_equal(seen[0], ref.uniform(0.0, top, 200))
     assert 0.0 <= seen[0].min() < 0.05 * top and 0.95 * top < seen[0].max() < top
+
+
+@pytest.mark.parametrize("suite", ["reach_box", "reach_robust"])
+def test_reach_suites_run_the_law_on_outer_lanes_only(parallel4_scenario, monkeypatch, suite):
+    # _run_to_s1 drops a lane as it enters S1, before the law runs, and the
+    # outer laws do not read zeta: the reach suites never evaluate the chi
+    law, codes = vmod.batch_hybrid_law, []
+
+    def spy(rho, psi, kappa, zeta, params, chi, code):
+        codes.append(code)
+        return law(rho, psi, kappa, zeta, params, chi, code)
+
+    monkeypatch.setattr(vmod, "batch_hybrid_law", spy)
+    r = getattr(vmod, f"suite_{suite}")(parallel4_scenario.params, n_per_class=50, seed=0)
+    assert r.passed, r.first_counterexample
+    assert codes and all((code >= N_S1).all() for code in codes)
