@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path as FsPath
 
@@ -82,7 +81,7 @@ def cmd_design_params(args) -> int:
             ("area proxy psi_max*rho_max", params.psi_max * params.rho_max),
             ("rho_universe (m)", params.rho_universe),
             ("spacing-rate bound (m/s)", coordination_rate_bound(params))]
-    rows += [(f"slack {k}", v) for k, v in sorted(params.constraint_slacks().items())]
+    rows += [(f"slack {k} (m/s)", v) for k, v in sorted(params.constraint_slacks().items())]
     width = max(len(r[0]) for r in rows)
     print("designed coordination-set parameters")
     for name, value in rows:
@@ -140,11 +139,8 @@ def cmd_demo_escape(args) -> int:
     report = escape_demo(cfgmod.resolve_params(cfg))
     print(report.summary())
     out = _out_dir(args, cfgmod.output_spec(cfg))
-    # JSON has no NaN: max_exit_time is null when no pair exits
-    fields = {k: None if isinstance(v, float) and math.isnan(v) else v
-              for k, v in vars(report).items()}
     with open(out / "escape_report.json", "w", encoding="utf-8") as fh:
-        json.dump(fields, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(vars(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return EXIT_OK if report.exited == report.n_pairs else EXIT_VERIFY
 

@@ -12,7 +12,7 @@ from pathlib import Path as FsPath
 
 import yaml
 
-from .exceptions import ConfigError, TableTooLarge
+from .exceptions import ConfigError, CpfsimError, TableTooLarge
 from .param_design import CoordParams, SpeedLimits, derived_defaults, design_coordination_set
 from .paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat
 from .simulator import Scenario, UavSpec
@@ -102,7 +102,6 @@ def build_limits(cfg: dict) -> SpeedLimits:
 
 _PARAM_FIELDS = {"psi_max", "rho_max", "v_coord", "rho_universe", "alpha",
                  "k1", "k2", "k3", "eps_switch", "chi_blend", "chi_delta1", "sign_eps"}
-_DESIGN_KEYS = {"speed_margin", "alpha"} | (_PARAM_FIELDS - {"psi_max", "rho_max", "v_coord"})
 
 
 def resolve_params(cfg: dict) -> CoordParams:
@@ -120,8 +119,7 @@ def resolve_params(cfg: dict) -> CoordParams:
 
     if "design" in block:
         d = block["design"] or {}
-        _check_keys(d, _DESIGN_KEYS, "params.design")
-        kwargs = {k: _num(d, k, "params.design") for k in d if k not in ("speed_margin", "alpha")}
+        _check_keys(d, {"speed_margin", "alpha"}, "params.design")
         speed_margin = _num(d, "speed_margin", "params.design", default=1.0)
         if speed_margin <= 0.0:
             raise ConfigError("params.design.speed_margin must be > 0")
@@ -130,7 +128,7 @@ def resolve_params(cfg: dict) -> CoordParams:
             raise ConfigError(f"params.design.alpha: need 0 < alpha < limits.omega_max "
                               f"({limits.omega_max!r}), got {alpha!r}")
         return design_coordination_set(limits, speed_margin=speed_margin, alpha=alpha,
-                                       spacing=spacing, **kwargs)
+                                       spacing=spacing)
 
     e = block["explicit"] or {}
     _check_keys(e, _PARAM_FIELDS, "params.explicit")
@@ -165,17 +163,15 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
         kind = p.get("kind")
         if kind == "circle":
             _check_keys(p, {"kind", "center", "radius", "direction"}, where)
-            out.append(CirclePath(
+            cls, kwargs = CirclePath, dict(
                 center=_pair(p.get("center", [0.0, 0.0]), f"{where}.center"),
                 radius=_num(p, "radius", where, required=True),
-                direction=p.get("direction", "ccw"),
-                kappa_bound=kappa_bound))
+                direction=p.get("direction", "ccw"))
         elif kind == "line":
             _check_keys(p, {"kind", "origin", "heading"}, where)
-            out.append(LinePath(
+            cls, kwargs = LinePath, dict(
                 origin=_pair(p.get("origin", [0.0, 0.0]), f"{where}.origin"),
-                heading=_num(p, "heading", where, default=0.0),
-                kappa_bound=kappa_bound))
+                heading=_num(p, "heading", where, default=0.0))
         elif kind == "bspline":
             _check_keys(p, {"kind", "waypoints", "lonlat", "lonlat_origin",
                             "offset", "lut_step"}, where)
@@ -196,13 +192,15 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
             if lut_step <= 0.0:
                 raise ConfigError(
                     f"{where}.lut_step: expected a positive number, got {lut_step!r}")
-            try:
-                out.append(SplinePath(wps, kappa_bound=kappa_bound, lut_step=lut_step,
-                                      _shapes=shapes))
-            except TableTooLarge as exc:   # names lut_step
-                raise ConfigError(f"{where}.{exc}") from None
+            cls, kwargs = SplinePath, dict(waypoints=wps, lut_step=lut_step, _shapes=shapes)
         else:
             raise ConfigError(f"{where}: unknown path kind {kind!r}")
+        try:   # a shape the config asks for and the path rejects is a config error
+            out.append(cls(kappa_bound=kappa_bound, **kwargs))
+        except TableTooLarge as exc:   # names lut_step
+            raise ConfigError(f"{where}.{exc}") from None
+        except (ValueError, CpfsimError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return out
 
 

@@ -3,20 +3,15 @@
 Picks the set half-widths (psi_max, rho_max) and the design speed v_coord by
 maximizing the product psi_max * rho_max subject to the admissibility
 inequalities that make the set invariant (turn-rate budget) and overtaking-
-free (speed budget).  Deterministic grid search with local refinement.
-
-The search evaluates the v_coord window only on each block's band of
-rho_max columns.  The window is ``lo = num / cos(psi_max)`` and
-``hi = min(cap, corner)`` with ``num`` and ``cap`` functions of rho_max
-alone, so ``hi <= cap`` exactly and, division rounding monotonically,
-``lo >= num / max(cos psi_max)`` over the block's rows: a column where that
-bound exceeds ``cap`` holds no feasible point, and the result is unchanged.
+free (speed budget).  Deterministic grid search with local refinement,
+each block of psi_max rows evaluated only on its band of rho_max columns
+where a point can be feasible (``_best_on_grid``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +19,6 @@ from .exceptions import Infeasible
 
 # Grid points per _best_on_grid pass; bounds the temporaries (128 KB each).
 _GRID_BLOCK = 16384
-# Most ulps the designed v_coord steps down to meet the turn budgets' rounding.
-_ULP_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -44,6 +37,32 @@ class SpeedLimits:
             raise ValueError("omega_max must be positive")
         if self.kappa_bound <= 0.0:
             raise ValueError("kappa_bound must be positive")
+
+
+# The three design inequalities, each as its bound on v_coord: the grid
+# search, the designed v_coord and ``CoordParams.constraint_slacks`` all read
+# these, so a design meets its own validation exactly.  Arrays ok.
+
+def _speed_num(r1, limits: SpeedLimits, speed_margin):
+    """Speed budget: v_coord >= _speed_num / cos(psi_max)."""
+    k0 = limits.kappa_bound
+    return (1.0 + k0 * r1) * (limits.v_min / (1.0 - k0 * r1) + speed_margin)
+
+
+def _side_bound(r1, limits: SpeedLimits, alpha):
+    """Side turn budget: v_coord <= _side_bound."""
+    k0 = limits.kappa_bound
+    return (limits.omega_max - alpha) * (1.0 - k0 * r1) / k0
+
+
+def _corner_bound(a, r1, limits: SpeedLimits, alpha):
+    """Corner turn budget: v_coord <= _corner_bound.
+
+    ``q * q`` is how numpy squares an array; Python's ``float ** 2`` can round
+    one ulp away from it, and a float ``q`` must give the array's bound.
+    """
+    q = a / r1
+    return (limits.omega_max - alpha) / np.sqrt(q * q + limits.kappa_bound ** 2)
 
 
 @dataclass(frozen=True)
@@ -91,23 +110,16 @@ class CoordParams:
         """Fast along-path speed reference cos(psi_max)*v_coord/(1 + kappa_bound*rho_max)."""
         return math.cos(self.psi_max) * self.v_coord / (1.0 + self.kappa_bound * self.rho_max)
 
-    @property
-    def contraction(self) -> float:
-        """Per-excursion contraction factor rho_max*k1/(psi_max*k2)."""
-        return self.rho_max * self.k1 / (self.psi_max * self.k2)
-
     def limits(self) -> SpeedLimits:
         return SpeedLimits(self.v_min, self.v_max, self.omega_max, self.kappa_bound)
 
     def constraint_slacks(self) -> dict[str, float]:
-        """Slack (>= 0 means satisfied) of each design inequality."""
-        a, r1, vm = self.psi_max, self.rho_max, self.v_coord
-        k0 = self.kappa_bound
+        """Margin (m/s, >= 0 means satisfied) of v_coord on each design inequality's bound."""
+        lim, a, r1, v = self.limits(), self.psi_max, self.rho_max, self.v_coord
         return {
-            "turn_budget_corner": (self.omega_max - self.alpha) / vm
-                                  - math.sqrt((a / r1) ** 2 + k0 ** 2),
-            "turn_budget_side": (self.omega_max - self.alpha) / vm - k0 / (1.0 - k0 * r1),
-            "speed_budget": self.v_fast_ref - self.speed_margin - self.v_min_ref,
+            "turn_budget_corner": float(_corner_bound(a, r1, lim, self.alpha)) - v,
+            "turn_budget_side": _side_bound(r1, lim, self.alpha) - v,
+            "speed_budget": v - _speed_num(r1, lim, self.speed_margin) / math.cos(a),
         }
 
     def validate_basic(self) -> None:
@@ -144,11 +156,9 @@ class CoordParams:
         slacks = self.constraint_slacks()
         for name, slack in slacks.items():
             if slack < 0.0:
-                raise ValueError(f"design inequality violated: {name} (slack {slack:g})")
+                raise ValueError(f"design inequality violated: {name} (slack {slack:g} m/s)")
         if not self.rho_universe < self.r0 - self.v_min / self.omega_max:
             raise ValueError("rho_universe must stay below 1/kappa_bound - v_min/omega_max")
-        if self.contraction >= 1.0:
-            raise ValueError("contraction factor must be < 1")
 
 
 def _failed_precondition(limits: SpeedLimits, speed_margin: float) -> str | None:
@@ -162,17 +172,13 @@ def _failed_precondition(limits: SpeedLimits, speed_margin: float) -> str | None
 
 def _r1_factors(r1, limits: SpeedLimits, speed_margin, alpha):
     """The v_coord window's factors of rho_max alone: lo's numerator and hi's cap; arrays ok."""
-    k0 = limits.kappa_bound
-    num = (1.0 + k0 * r1) * (limits.v_min / (1.0 - k0 * r1) + speed_margin)
-    cap = np.minimum(limits.v_max, (limits.omega_max - alpha) * (1.0 - k0 * r1) / k0)
-    return num, cap
+    return (_speed_num(r1, limits, speed_margin),
+            np.minimum(limits.v_max, _side_bound(r1, limits, alpha)))
 
 
 def _v_coord_window(a, cos_a, r1, num, cap, limits: SpeedLimits, alpha):
     """Feasible v_coord interval (lo, hi) given cos(a) and ``_r1_factors``; arrays ok."""
-    hi = np.minimum(cap, (limits.omega_max - alpha)
-                    / np.sqrt((a / r1) ** 2 + limits.kappa_bound ** 2))
-    return num / cos_a, hi
+    return num / cos_a, np.minimum(cap, _corner_bound(a, r1, limits, alpha))
 
 
 def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
@@ -221,19 +227,18 @@ def derived_defaults(limits: SpeedLimits, psi_max: float, rho_max: float) -> dic
 
 
 def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
-                            alpha: float = 0.01, *, spacing: float = 0.0,
-                            **overrides) -> CoordParams:
+                            alpha: float = 0.01, *, spacing: float = 0.0) -> CoordParams:
     """Choose (psi_max, rho_max, v_coord) maximizing the set area proxy.
 
     Exhaustive coarse grid over the two half-widths with the speed window
     solved analytically, then three zoom rounds around the winner.  v_coord
-    is set to the largest feasible value (it loosens the speed budget and
-    speeds up coordination), less the ulp or so by which the window's float
-    can exceed a turn budget as ``constraint_slacks`` evaluates it; ``validate``
-    judges the result.  Deterministic; ties break lexicographically.
+    is the largest feasible value, min(v_max, side, corner) of the turn-budget
+    bounds (it loosens the speed budget and speeds up coordination); the grid
+    and ``validate`` read the same bounds, so the design meets them exactly.
+    Deterministic; ties break lexicographically.
 
-    Remaining fields are defaulted (gains k1=1, k3=1 and ``derived_defaults``)
-    unless overridden.
+    The other fields take their defaults: gains k1=1, k3=1, ``derived_defaults``
+    and the ``CoordParams`` defaults; ``dataclasses.replace`` sets them otherwise.
     """
     limits.validate()
     if speed_margin <= 0.0:
@@ -267,21 +272,13 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
     _, a, r1 = best
     _, hi = _v_coord_window(a, math.cos(a), r1, *_r1_factors(r1, limits, speed_margin, alpha),
                             limits, alpha)
-    v_coord = float(hi)
-    defaults = dict(
-        psi_max=a, rho_max=r1, v_coord=v_coord,
+    params = CoordParams(
+        psi_max=a, rho_max=r1, v_coord=float(hi),
         v_min=limits.v_min, v_max=limits.v_max,
         omega_max=limits.omega_max, kappa_bound=limits.kappa_bound,
         alpha=alpha, speed_margin=speed_margin,
         k1=1.0, k3=1.0, spacing=spacing, **derived_defaults(limits, a, r1),
     )
-    params = CoordParams(**defaults)
-    for _ in range(_ULP_STEPS):
-        slacks = params.constraint_slacks()
-        if min(slacks["turn_budget_corner"], slacks["turn_budget_side"]) >= 0.0:
-            break
-        params = replace(params, v_coord=math.nextafter(params.v_coord, 0.0))
-    params = replace(params, **overrides)
     params.validate()
     return params
 

@@ -467,13 +467,15 @@ class EscapeReport:
     n_pairs: int
     exited: int
     exit_fraction: float
-    max_exit_time: float
+    max_exit_time: float | None   # None when no pair exits
     dt: float
 
     def summary(self) -> str:
+        slowest = ("no pair exited" if self.max_exit_time is None
+                   else f"slowest {self.max_exit_time:.2f}s")
         return (f"{self.n_states} states x {self.n_controls} controls "
                 f"({self.n_pairs} pairs, kappa={self.kappa:g}, eps0={self.eps0:g}): "
-                f"{self.exit_fraction:.4f} exited, slowest {self.max_exit_time:.2f}s")
+                f"{self.exit_fraction:.4f} exited, {slowest}")
 
 
 def escape_demo(params: CoordParams, eps0: float | None = None,
@@ -541,5 +543,5 @@ def escape_demo(params: CoordParams, eps0: float | None = None,
         eps0=eps0, kappa=kappa, n_states=n_states, n_controls=n_controls,
         n_pairs=n_states * n_controls, exited=exited,
         exit_fraction=exited / (n_states * n_controls),
-        max_exit_time=float(exit_time[np.isfinite(exit_time)].max()) if exited else math.nan,
+        max_exit_time=float(exit_time[np.isfinite(exit_time)].max()) if exited else None,
         dt=dt)

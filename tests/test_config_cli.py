@@ -24,6 +24,11 @@ run: {duration: 1.0, dt: 0.01}
 """
 
 
+# params.design keys that overrode the designed set's defaults
+_DESIGN_OVERRIDES = ("rho_universe", "k1", "k2", "k3", "eps_switch", "chi_blend", "chi_delta1",
+                     "sign_eps")
+
+
 def write_config(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -69,15 +74,19 @@ class TestSchema:
 
     @pytest.mark.parametrize("value", ['"abc"', "[1.0, 2.0]", "true", "null"])
     @pytest.mark.parametrize("block, key", [("explicit", "psi_max"), ("explicit", "k3"),
-                                            ("design", "k1"), ("design", "sign_eps")])
+                                            ("design", "k1"), ("design", "sign_eps"),
+                                            ("design", "speed_margin")])
     def test_param_value_must_be_number(self, tmp_path, block, key, value):
-        # a string raised a bare ValueError, a list a TypeError; true read as 1.0
+        # a string raised a bare ValueError, a list a TypeError; true read as 1.0.
+        # The design block takes only its margins, so k1 and sign_eps are unknown there.
         fields = {"explicit": ["psi_max: 0.6303", "rho_max: 122.1297", "v_coord: 25.0"],
                   "design": ["speed_margin: 1.0"]}[block]
         fields = [f for f in fields if not f.startswith(key)] + [f"{key}: {value}"]
         text = MINIMAL.replace("explicit: {psi_max: 0.6303, rho_max: 122.1297, v_coord: 25.0}",
                                f"{block}: {{{', '.join(fields)}}}")
-        with pytest.raises(ConfigError, match=rf"params\.{block}\.{key}: expected a number"):
+        match = (rf"params\.design: unknown key\(s\) \['{key}'\]" if key in ("k1", "sign_eps")
+                 else rf"params\.{block}\.{key}: expected a number")
+        with pytest.raises(ConfigError, match=match):
             resolve_params(load_config(write_config(tmp_path, text)))
 
     def test_list_param_is_a_config_error_at_the_cli(self, tmp_path, capsys):
@@ -131,6 +140,22 @@ class TestSchema:
         err = capsys.readouterr().err
         assert err.startswith("error: paths[0].lut_step: expected a positive number")
         assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("old, new, err", [
+        ("radius: 1000.0", "radius: 400.0",
+         "error: paths[0]: circle curvature 0.0025 >= bound 0.002\n"),
+        ("{kind: circle, center: [0.0, 0.0], radius: 1000.0, direction: ccw}",
+         "{kind: bspline, waypoints: [[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]]}",
+         "error: paths[0]: coincident waypoints\n"),
+    ], ids=["circle_too_tight", "coincident_waypoints"])
+    def test_rejected_path_shape_is_a_config_error_at_the_cli(self, tmp_path, capsys,
+                                                              old, new, err):
+        # both exited 2 as a "runtime abort"
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("lut_step", [1e-300, 1e-6])
@@ -506,13 +531,17 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         ("- {kind: circle, center: [0.0, 0.0], radius: 1000.0, direction: ccw}",
          "- {kind: line, origin: [0.0, 0.0], heading: 0.0, horizon: 5000.0}", "paths[0]",
          "horizon"),
-    ], ids=["coordination.topology", "chi.kind", "chi.slope", "params.explicit.speed_margin",
-            "escape", "paths.horizon"])
+    ] + [("explicit: {psi_max: 0.6303, rho_max: 122.1297, v_coord: 25.0}",
+          f"design: {{speed_margin: 1.0, {key}: 1.0}}", "params.design", key)
+         for key in _DESIGN_OVERRIDES],
+        ids=["coordination.topology", "chi.kind", "chi.slope", "params.explicit.speed_margin",
+             "escape", "paths.horizon"] + [f"params.design.{k}" for k in _DESIGN_OVERRIDES])
     def test_removed_keys_rejected_at_the_cli(self, tmp_path, capsys, old, new, where, key):
         # the relation follows from parents and the chi from the spacing alone
         # (its linear slope is fixed); the explicit block's speed_margin was
         # read by no run; the escape demo runs on its fixed grid, and a line's
-        # simulated horizon is fixed
+        # simulated horizon is fixed; the design block takes only its margins,
+        # and the explicit block sets the rest
         cfg = write_config(tmp_path, MINIMAL.replace(old, new))
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
@@ -549,13 +578,15 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         cfg = bundled_config_path(name)
         assert main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
-    def test_demo_escape_fails_when_a_pair_stays(self, tmp_path, monkeypatch):
+    def test_demo_escape_fails_when_a_pair_stays(self, tmp_path, capsys, monkeypatch):
         # error dynamics frozen at their start: no pair leaves the escape set,
         # and the report is still written
         monkeypatch.setattr("cpfsim.verification.batch_error_step",
                             lambda rho, psi, *args, **kwargs: (rho, psi))
         cfg = bundled_config_path("circle6")
         assert main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        # the summary said "slowest nans"
+        assert capsys.readouterr().out.endswith("0.0000 exited, no pair exited\n")
 
         def strict(name):
             raise ValueError(f"{name} is not JSON")

@@ -175,8 +175,8 @@ class TestCoordControl:
 def tight_params():
     """Limits with little turn-rate headroom, so the reset actually fires."""
     lim = SpeedLimits(v_min=8.0, v_max=30.0, omega_max=0.1, kappa_bound=0.003)
-    return design_coordination_set(lim, speed_margin=1.0, alpha=0.01,
-                                   spacing=500.0, sign_eps=0.0)
+    return dataclasses.replace(
+        design_coordination_set(lim, speed_margin=1.0, alpha=0.01, spacing=500.0), sign_eps=0.0)
 
 
 class TestResetValue:
@@ -212,8 +212,9 @@ class TestResetValue:
         the margin.  Needs limits where the curvature feedforward can eat
         nearly the whole turn budget."""
         lim = SpeedLimits(v_min=8.0, v_max=30.0, omega_max=0.08, kappa_bound=0.00265)
-        p = design_coordination_set(lim, speed_margin=1.0, alpha=0.01,
-                                    spacing=500.0, sign_eps=0.0)
+        p = dataclasses.replace(
+            design_coordination_set(lim, speed_margin=1.0, alpha=0.01, spacing=500.0),
+            sign_eps=0.0)
         chi = build_chi(p)
         rng = np.random.default_rng(37)
         fired = 0
