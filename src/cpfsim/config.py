@@ -34,9 +34,20 @@ def bundled_config_path(name: str) -> FsPath:
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}; "
+    if unknown:   # keys of mixed types sort by their text
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}; "
                           f"allowed: {sorted(allowed)}")
+
+
+def _block(d: dict, where: str, allowed: set[str]) -> dict:
+    """The mapping under the last key of ``where``, keys checked; absent or null reads as {}."""
+    block = d.get(where.rpartition(".")[2])
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(block).__name__}")
+    _check_keys(block, allowed, where)
+    return block
 
 
 def _is_int(v) -> bool:
@@ -72,12 +83,18 @@ def _pair(v, where: str) -> tuple[float, float]:
     return _finite(v[0], where), _finite(v[1], where)
 
 
+def _pairs(d: dict, key: str, where: str) -> list[tuple[float, float]]:
+    if not isinstance(d[key], list):
+        raise ConfigError(f"{where}.{key}: expected a list of [x, y] numbers")
+    return [_pair(v, f"{where}.{key}") for v in d[key]]
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.load(fh, Loader=_YAML_LOADER)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:   # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}")
     if not isinstance(cfg, dict):
@@ -87,17 +104,17 @@ def load_config(path) -> dict:
 
 
 def build_limits(cfg: dict) -> SpeedLimits:
-    block = cfg.get("limits")
-    if not isinstance(block, dict):
-        raise ConfigError("missing 'limits' section")
-    _check_keys(block, {"v_min", "v_max", "omega_max", "kappa_bound"}, "limits")
+    block = _block(cfg, "limits", {"v_min", "v_max", "omega_max", "kappa_bound"})
     limits = SpeedLimits(
         v_min=_num(block, "v_min", "limits", required=True),
         v_max=_num(block, "v_max", "limits", required=True),
         omega_max=_num(block, "omega_max", "limits", required=True),
         kappa_bound=_num(block, "kappa_bound", "limits", required=True),
     )
-    limits.validate()
+    try:
+        limits.validate()
+    except ValueError as exc:
+        raise ConfigError(f"limits: {exc}") from None
     return limits
 
 _PARAM_FIELDS = {"psi_max", "rho_max", "v_coord", "rho_universe", "alpha",
@@ -107,19 +124,16 @@ _PARAM_FIELDS = {"psi_max", "rho_max", "v_coord", "rho_universe", "alpha",
 def resolve_params(cfg: dict) -> CoordParams:
     """Explicit parameter block, or run the designer on a design directive."""
     limits = build_limits(cfg)
-    spacing = _num(cfg.get("coordination", {}), "spacing", "coordination", default=0.0)
+    coord = _block(cfg, "coordination", {"spacing", "parents"})
+    spacing = _num(coord, "spacing", "coordination", default=0.0)
     if spacing < 0.0:
         raise ConfigError(f"coordination.spacing: expected a number >= 0, got {spacing!r}")
-    block = cfg.get("params")
-    if not isinstance(block, dict):
-        raise ConfigError("missing 'params' section ('design' or 'explicit')")
-    _check_keys(block, {"design", "explicit"}, "params")
+    block = _block(cfg, "params", {"design", "explicit"})
     if ("design" in block) == ("explicit" in block):
         raise ConfigError("params: give exactly one of 'design' or 'explicit'")
 
     if "design" in block:
-        d = block["design"] or {}
-        _check_keys(d, {"speed_margin", "alpha"}, "params.design")
+        d = _block(block, "params.design", {"speed_margin", "alpha"})
         speed_margin = _num(d, "speed_margin", "params.design", default=1.0)
         if speed_margin <= 0.0:
             raise ConfigError("params.design.speed_margin must be > 0")
@@ -130,8 +144,7 @@ def resolve_params(cfg: dict) -> CoordParams:
         return design_coordination_set(limits, speed_margin=speed_margin, alpha=alpha,
                                        spacing=spacing)
 
-    e = block["explicit"] or {}
-    _check_keys(e, _PARAM_FIELDS, "params.explicit")
+    e = _block(block, "params.explicit", _PARAM_FIELDS)
     for key in ("psi_max", "rho_max", "v_coord"):
         if key not in e:
             raise ConfigError(f"params.explicit: missing required key '{key}'")
@@ -160,31 +173,30 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
         where = f"paths[{i}]"
         if not isinstance(p, dict):
             raise ConfigError(f"{where}: expected a mapping")
-        kind = p.get("kind")
-        if kind == "circle":
+        form = p.get("kind")
+        if form == "circle":
             _check_keys(p, {"kind", "center", "radius", "direction"}, where)
             cls, kwargs = CirclePath, dict(
                 center=_pair(p.get("center", [0.0, 0.0]), f"{where}.center"),
                 radius=_num(p, "radius", where, required=True),
                 direction=p.get("direction", "ccw"))
-        elif kind == "line":
+        elif form == "line":
             _check_keys(p, {"kind", "origin", "heading"}, where)
             cls, kwargs = LinePath, dict(
                 origin=_pair(p.get("origin", [0.0, 0.0]), f"{where}.origin"),
                 heading=_num(p, "heading", where, default=0.0))
-        elif kind == "bspline":
+        elif form == "bspline":
             _check_keys(p, {"kind", "waypoints", "lonlat", "lonlat_origin",
                             "offset", "lut_step"}, where)
             if ("waypoints" in p) == ("lonlat" in p):
                 raise ConfigError(f"{where}: give exactly one of 'waypoints' or 'lonlat'")
             if "waypoints" in p:
-                wps = [_pair(w, f"{where}.waypoints") for w in p["waypoints"]]
+                wps = _pairs(p, "waypoints", where)
             else:
                 if "lonlat_origin" not in p:
                     raise ConfigError(f"{where}: 'lonlat' requires 'lonlat_origin'")
-                wps = waypoints_from_lonlat(
-                    [_pair(w, f"{where}.lonlat") for w in p["lonlat"]],
-                    _pair(p["lonlat_origin"], f"{where}.lonlat_origin"))
+                wps = waypoints_from_lonlat(_pairs(p, "lonlat", where),
+                                            _pair(p["lonlat_origin"], f"{where}.lonlat_origin"))
             if "offset" in p:
                 ox, oy = _pair(p["offset"], f"{where}.offset")
                 wps = [(x + ox, y + oy) for x, y in wps]
@@ -194,7 +206,7 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
                     f"{where}.lut_step: expected a positive number, got {lut_step!r}")
             cls, kwargs = SplinePath, dict(waypoints=wps, lut_step=lut_step, _shapes=shapes)
         else:
-            raise ConfigError(f"{where}: unknown path kind {kind!r}")
+            raise ConfigError(f"{where}: unknown path kind {form!r}")
         try:   # a shape the config asks for and the path rejects is a config error
             out.append(cls(kappa_bound=kappa_bound, **kwargs))
         except TableTooLarge as exc:   # names lut_step
@@ -208,9 +220,7 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
     params = resolve_params(cfg)
     paths = build_paths(cfg, params.kappa_bound)
 
-    coord = cfg.get("coordination", {})
-    _check_keys(coord, {"spacing", "parents"}, "coordination")
-    parents = coord.get("parents", {})
+    parents = _block(cfg, "coordination", {"spacing", "parents"}).get("parents", {})
     if not isinstance(parents, dict):
         raise ConfigError("coordination.parents must be a mapping")
     for k, v in parents.items():
@@ -239,8 +249,7 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
             path_index=u.get("path", 0),
             spawn_time=_num(u, "spawn_time", where, default=0.0)))
 
-    run = cfg.get("run", {})
-    _check_keys(run, {"duration", "dt"}, "run")
+    run = _block(cfg, "run", {"duration", "dt"})
     scenario = Scenario(
         params=params, paths=paths, uavs=uavs,
         duration=_num(run, "duration", "run", default=100.0) if duration is None else duration,
@@ -251,10 +260,7 @@ def build_scenario(cfg: dict, *, duration=None, dt=None) -> Scenario:
 
 
 def output_spec(cfg: dict) -> dict:
-    block = cfg.get("output", {})
-    if not isinstance(block, dict):
-        raise ConfigError("output: expected a mapping")
-    _check_keys(block, set(OUTPUT_DEFAULTS), "output")
+    block = _block(cfg, "output", set(OUTPUT_DEFAULTS))
     for key, v in block.items():
         if key == "long_every":
             if not _is_int(v) or v <= 0:

@@ -258,13 +258,11 @@ def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams,
     """``hybrid_supervisor`` lane by lane on arrays: (v, omega).
 
     ``code`` holds the lanes' region codes from ``batch_classify``;
-    ``kappa`` and ``zeta`` may be scalars.  Each region's branch runs only
+    ``zeta`` may be a scalar.  Each region's branch runs only
     when some lane is in that region and evaluates the scalar law's float
     expressions in the same order, so every command equals the scalar one.
     Lanes outside the universe get NaN; the caller decides how they fail.
     """
-    if np.ndim(kappa) == 0:
-        kappa = np.broadcast_to(kappa, rho.shape)
     count = np.bincount(code, minlength=len(REGIONS)).tolist()
     n_s1, n_outer = sum(count[:N_S1]), sum(count[N_S1:Region.OUTSIDE.code])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -353,26 +351,24 @@ def _batch_outer_law(rho, psi, kappa, params, code):
 
 
 def comparison_system_trajectory(err0: PathError, params: CoordParams,
-                                 which: str, dt: float = 0.01) -> float | None:
+                                 region: Region, dt: float = 0.01) -> float | None:
     """Axis crossing of the worst-case comparison system, or None.
 
-    Integrates the bounding system matching the robust law in the given
-    subset ("S21" or "S23") from err0 until the heading error crosses
-    zero, returning the crossing abscissa; None when the lateral error
-    leaves the universe first.  A crossing inside the universe certifies
-    that the robust law cannot push the real trajectory out.
+    Integrates the bounding system matching the robust law in ``region``
+    (S2_1 or S2_3) from err0 until the heading error crosses zero,
+    returning the crossing abscissa; None when the lateral error leaves
+    the universe first.  A crossing inside the universe certifies that the
+    robust law cannot push the real trajectory out.
     """
-    if which not in ("S21", "S23"):
-        raise ValueError("which must be 'S21' or 'S23'")
+    if region is not Region.S2_1 and region is not Region.S2_3:
+        raise ValueError(f"the comparison systems are S2_1's and S2_3's, not {region!r}")
     k0, v, om = params.kappa_bound, params.v_min, params.omega_max
     r2 = params.rho_universe
     # heading rate w + kv*cos(psi)/(1 + k0*rho) below the edge, else
     # w - kv*cos(psi)/(1 - k0*rho); k0 * v * cos(psi) is (k0 * v) * cos(psi)
     kv = k0 * v
-    if which == "S21":
-        w, edge, turn = -om, math.pi / 2.0, -1.0
-    else:
-        w, edge, turn = om, -math.pi / 2.0, 1.0
+    turn = _TURN[region.code]   # the robust law's turn sets w and the edge
+    w, edge = turn * om, -turn * math.pi / 2.0
     sin, cos = math.sin, math.cos
 
     def rk4(rho, psi, h):
@@ -417,9 +413,7 @@ def comparison_system_trajectory(err0: PathError, params: CoordParams,
     return None
 
 
-def comparison_admissible(err0: PathError, params: CoordParams, which: str) -> bool:
+def comparison_admissible(err0: PathError, params: CoordParams, region: Region) -> bool:
     """Whether the comparison trajectory certifies containment in the universe."""
-    crossing = comparison_system_trajectory(err0, params, which)
-    if crossing is None:
-        return False
-    return crossing <= params.rho_universe if which == "S21" else crossing >= -params.rho_universe
+    crossing = comparison_system_trajectory(err0, params, region)
+    return crossing is not None and _TURN[region.code] * crossing >= -params.rho_universe

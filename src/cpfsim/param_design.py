@@ -161,26 +161,6 @@ class CoordParams:
             raise ValueError("rho_universe must stay below 1/kappa_bound - v_min/omega_max")
 
 
-def _failed_precondition(limits: SpeedLimits, speed_margin: float) -> str | None:
-    """The first inequality of the existence condition that fails, or None."""
-    if limits.kappa_bound > limits.omega_max / limits.v_max:
-        return "curvature bound exceeds omega_max/v_max"
-    if limits.v_min + speed_margin > limits.v_max:
-        return "v_min + speed_margin exceeds v_max"
-    return None
-
-
-def _r1_factors(r1, limits: SpeedLimits, speed_margin, alpha):
-    """The v_coord window's factors of rho_max alone: lo's numerator and hi's cap; arrays ok."""
-    return (_speed_num(r1, limits, speed_margin),
-            np.minimum(limits.v_max, _side_bound(r1, limits, alpha)))
-
-
-def _v_coord_window(a, cos_a, r1, num, cap, limits: SpeedLimits, alpha):
-    """Feasible v_coord interval (lo, hi) given cos(a) and ``_r1_factors``; arrays ok."""
-    return num / cos_a, np.minimum(cap, _corner_bound(a, r1, limits, alpha))
-
-
 def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
     """Feasible point maximizing a*r1 on a rectangular grid, or None.
 
@@ -196,7 +176,8 @@ def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
     order, gives the floats and the tie-break of a pass per row.
     """
     r1_list = r1_grid.tolist()
-    num, cap = _r1_factors(r1_grid, limits, speed_margin, alpha)
+    num = _speed_num(r1_grid, limits, speed_margin)
+    cap = np.minimum(limits.v_max, _side_bound(r1_grid, limits, alpha))
     rows = max(1, _GRID_BLOCK // len(r1_list))
     best = None
     for start in range(0, len(a_grid), rows):
@@ -207,7 +188,8 @@ def _best_on_grid(a_grid, r1_grid, limits, speed_margin, alpha):
             continue
         j0, j1 = int(band[0]), int(band[-1]) + 1
         r1 = r1_grid[j0:j1]
-        lo, hi = _v_coord_window(a, cos_a, r1, num[j0:j1], cap[j0:j1], limits, alpha)
+        lo = num[j0:j1] / cos_a
+        hi = np.minimum(cap[j0:j1], _corner_bound(a, r1, limits, alpha))
         prod = np.where((hi >= lo) & (hi > limits.v_min), a * r1, -np.inf)
         row_max = prod.max(axis=1).tolist()
         for p, a_row, jj in zip(row_max, a[:, 0].tolist(), prod.argmax(axis=1).tolist()):
@@ -245,9 +227,10 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
         raise ValueError("speed_margin must be positive")
     if not 0.0 < alpha < limits.omega_max:   # else the turn budget leaves no speed
         raise ValueError("need 0 < alpha < omega_max")
-    failed = _failed_precondition(limits, speed_margin)
-    if failed is not None:
-        raise Infeasible(f"feasibility precondition fails: {failed}")
+    if limits.kappa_bound > limits.omega_max / limits.v_max:
+        raise Infeasible("feasibility precondition fails: curvature bound exceeds omega_max/v_max")
+    if limits.v_min + speed_margin > limits.v_max:
+        raise Infeasible("feasibility precondition fails: v_min + speed_margin exceeds v_max")
 
     r0 = 1.0 / limits.kappa_bound
     a_lo, a_hi = 1.0e-4, math.pi / 2.0 - 1.0e-6
@@ -270,10 +253,10 @@ def design_coordination_set(limits: SpeedLimits, speed_margin: float = 1.0,
         r_lo, r_hi = max(r_lo, r_c - dr), min(r_hi, r_c + dr)
 
     _, a, r1 = best
-    _, hi = _v_coord_window(a, math.cos(a), r1, *_r1_factors(r1, limits, speed_margin, alpha),
-                            limits, alpha)
+    v_coord = min(limits.v_max, _side_bound(r1, limits, alpha),
+                  float(_corner_bound(a, r1, limits, alpha)))
     params = CoordParams(
-        psi_max=a, rho_max=r1, v_coord=float(hi),
+        psi_max=a, rho_max=r1, v_coord=v_coord,
         v_min=limits.v_min, v_max=limits.v_max,
         omega_max=limits.omega_max, kappa_bound=limits.kappa_bound,
         alpha=alpha, speed_margin=speed_margin,

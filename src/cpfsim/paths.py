@@ -80,7 +80,6 @@ class Path:
     Immutable after construction: concurrent reads are safe.
     """
 
-    kind: str = "abstract"
     closed: bool = False
     total_length: float = 0.0
     kappa_bound: float = 0.0
@@ -104,7 +103,6 @@ class Path:
 class CirclePath(Path):
     """Circular orbit, counterclockwise or clockwise; s = 0 at angle 0."""
 
-    kind = "circle"
     closed = True
 
     def __init__(self, center: tuple[float, float], radius: float,
@@ -118,7 +116,6 @@ class CirclePath(Path):
                 f"circle curvature {1.0 / radius:g} >= bound {kappa_bound:g}")
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
-        self.direction = direction
         self.ccw = direction == "ccw"
         self.kappa_bound = float(kappa_bound)
         self.total_length = TWO_PI * self.radius
@@ -159,7 +156,6 @@ class LinePath(Path):
     ``total_length`` is only the simulated horizon; s is unrestricted.
     """
 
-    kind = "line"
     closed = False
     total_length = 1.0e5   # m
 
@@ -227,7 +223,6 @@ class SplinePath(Path):
     and the gates read, so a shared table holds the floats of its own build.
     """
 
-    kind = "bspline"
     closed = False
     _DEGREE = 3
 

@@ -161,15 +161,8 @@ class Metrics:
     per_uav: dict[int, UavMetrics]
 
     def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "all_in_s1_time": self.all_in_s1_time,
-            "overtake_events_before": self.overtake_events_before,
-            "overtake_events_after": self.overtake_events_after,
-            "per_uav": {str(k): vars(v) for k, v in sorted(self.per_uav.items())},
-        }
+        return {**vars(self),
+                "per_uav": {str(k): vars(v) for k, v in sorted(self.per_uav.items())}}
 
 
 def rk4_unicycle(x: float, y: float, theta: float, v: float, omega: float,

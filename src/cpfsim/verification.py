@@ -335,23 +335,23 @@ def suite_reach_robust(params: CoordParams, n_per_class: int = 200, seed: int = 
         1.0 - params.kappa_bound * r2)
     phase_bound = math.pi / alpha1 * (1.0 + _BOUND_MARGIN)
     starts = []
-    for label, region, which in (("S2_1", Region.S2_1, "S21"), ("S2_3", Region.S2_3, "S23")):
+    for region in (Region.S2_1, Region.S2_3):
         found = 0
         attempts = 0
         while found < n_per_class and attempts < 200 * n_per_class:
             attempts += 1
             rho0 = rng.uniform(-r2, r2)
             psi0 = rng.uniform(1.0e-4, math.pi - 1.0e-4)
-            if which == "S23":
+            if region is Region.S2_3:
                 psi0 = -psi0
             err0 = PathError(rho0, psi0)
             if classify(err0, params) is not region:
                 continue
-            if not comparison_admissible(err0, params, which):
+            if not comparison_admissible(err0, params, region):
                 continue
             found += 1
             kappa = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound)
-            starts.append((label, rho0, psi0, kappa))
+            starts.append((region.value, rho0, psi0, kappa))
     rho0s, psi0s, kappas = (np.array([st[c] for st in starts], dtype=float)
                             for c in (1, 2, 3))
     entered, left, outside = _run_to_s1(params, rho0s, psi0s, kappas, _SETTLE_HORIZON)

@@ -549,6 +549,56 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert f"error: {where}: unknown key(s) ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("old, new, error", [
+        # the waypoint lists and the keys of two types ended in a TypeError
+        # traceback, coordination read a list as its keys, and the limits
+        # error did not name its block
+        ("coordination: {spacing: 1047.1975511965976}", "coordination: [1]",
+         "coordination: expected a mapping, got list"),
+        ("center: [0.0, 0.0], radius: 1000.0, direction: ccw", "kind: bspline, waypoints: null",
+         "paths[0].waypoints: expected a list of [x, y] numbers"),
+        ("center: [0.0, 0.0], radius: 1000.0, direction: ccw", "kind: bspline, waypoints: 5",
+         "paths[0].waypoints: expected a list of [x, y] numbers"),
+        ("center: [0.0, 0.0], radius: 1000.0, direction: ccw",
+         "kind: bspline, lonlat: 3, lonlat_origin: [0.0, 0.0]",
+         "paths[0].lonlat: expected a list of [x, y] numbers"),
+        ("kappa_bound: 0.002}", "kappa_bound: 0.002, 1: 2, turbo: 3}",
+         "limits: unknown key(s) [1, 'turbo']"),
+        ("v_min: 10.0", "v_min: 30.0", "limits: need 0 < v_min <= v_max"),
+    ], ids=["coordination-list", "waypoints-null", "waypoints-int", "lonlat-int",
+            "keys-of-two-types", "bad-limits"])
+    def test_mis_shaped_block_is_a_config_error_at_the_cli(self, tmp_path, capsys, old, new,
+                                                           error):
+        text = MINIMAL.replace("kind: circle, ", "") if "bspline" in new else MINIMAL
+        assert old in text
+        rc = main(["simulate", "--config", str(write_config(tmp_path, text.replace(old, new))),
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {error}" in err and "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_config_directory_is_a_config_error_at_the_cli(self, tmp_path, capsys):
+        # ended in an IsADirectoryError traceback
+        rc = main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: cannot read config file {tmp_path}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("block", ["coordination", "run", "output"])
+    def test_null_optional_block_reads_as_absent(self, tmp_path, block):
+        # a null coordination or run block ended in a TypeError traceback, a
+        # null output block in an error
+        absent = "".join(line + "\n" for line in MINIMAL.splitlines()
+                         if not line.startswith(f"{block}:"))
+        traces = []
+        for name, text in (("absent", absent), ("null", absent + f"{block}:\n")):
+            cfg = write_config(tmp_path, text, f"{name}.yaml")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--duration", "1"]) == 0
+            traces.append((tmp_path / name / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
     def test_verify_unknown_suite(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         assert main(["verify", "--config", str(cfg), "--suite", "nope"]) == 1

@@ -427,32 +427,33 @@ class TestSupervisorMatchesPublicLaws:
 class TestComparisonTrajectory:
     def test_worst_case_from_right_angle(self, params):
         crossing = comparison_system_trajectory(PathError(0.0, math.pi / 2.0),
-                                                params, "S21")
+                                                params, Region.S2_1)
         assert crossing is not None
         assert crossing <= params.rho_universe
         fine = comparison_system_trajectory(PathError(0.0, math.pi / 2.0),
-                                            params, "S21", dt=1.0e-4)
+                                            params, Region.S2_1, dt=1.0e-4)
         assert crossing == pytest.approx(fine, abs=1e-5)
 
     def test_immediate_crossing(self, params):
         crossing = comparison_system_trajectory(PathError(250.0, 1.0e-4),
-                                                params, "S21")
+                                                params, Region.S2_1)
         assert crossing == pytest.approx(250.0, abs=0.05)
 
     def test_straight_path_closed_form(self, params):
         flat = dataclasses.replace(params, kappa_bound=0.0)
         crossing = comparison_system_trajectory(PathError(0.0, math.pi / 2.0),
-                                                flat, "S21")
+                                                flat, Region.S2_1)
         # heading unwinds at the full turn rate; lateral gain v/omega
         assert crossing == pytest.approx(10.0 / 0.2, abs=1e-6)
 
     def test_s23_mirror(self, params):
-        up = comparison_system_trajectory(PathError(0.0, math.pi / 2.0), params, "S21")
-        down = comparison_system_trajectory(PathError(0.0, -math.pi / 2.0), params, "S23")
+        up = comparison_system_trajectory(PathError(0.0, math.pi / 2.0), params, Region.S2_1)
+        down = comparison_system_trajectory(PathError(0.0, -math.pi / 2.0), params, Region.S2_3)
         assert down == pytest.approx(-up, abs=1e-9)
 
-    @pytest.mark.parametrize("which", ["S21", "S23"])
-    def test_flat_rk4_equals_reference(self, params, which):
+    @pytest.mark.parametrize("region, which", [(Region.S2_1, "S21"), (Region.S2_3, "S23")],
+                             ids=["S21", "S23"])
+    def test_flat_rk4_equals_reference(self, params, region, which):
         # starts of the suite's candidate distribution; starts on and beside
         # psi = +-pi/2, where the heading rate switches branch; headings
         # already across the axis; starts that leave the universe.  Most
@@ -472,12 +473,17 @@ class TestComparisonTrajectory:
         dts = rng.choice([0.01, 0.05, 0.1, 0.25], n, p=[0.1, 0.3, 0.3, 0.3])
         crossings = []
         for r, p, dt in zip(rho.tolist(), psi.tolist(), dts.tolist()):
-            got = comparison_system_trajectory(PathError(r, p), params, which, dt=dt)
+            got = comparison_system_trajectory(PathError(r, p), params, region, dt=dt)
             assert got == comparison_reference(PathError(r, p), params, which, dt=dt), (r, p, dt)
             crossings.append(got)
         assert 200 < crossings.count(None) < n - 200
 
     def test_inadmissible_returns_none(self, params):
         out = comparison_system_trajectory(
-            PathError(params.rho_universe - 1.0, math.pi / 2.0), params, "S21")
+            PathError(params.rho_universe - 1.0, math.pi / 2.0), params, Region.S2_1)
         assert out is None
+
+    @pytest.mark.parametrize("region", [r for r in REGIONS if r not in (Region.S2_1, Region.S2_3)])
+    def test_only_the_robust_subsets_have_a_comparison_system(self, params, region):
+        with pytest.raises(ValueError, match="comparison systems are S2_1's and S2_3's"):
+            comparison_system_trajectory(PathError(0.0, math.pi / 2.0), params, region)

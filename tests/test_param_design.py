@@ -111,10 +111,9 @@ class TestDesign:
         # validate() rounded it in another form: the design rejected its own result
         p = design_coordination_set(limits)
         p.validate()
-        _, hi = param_design._v_coord_window(
-            p.psi_max, math.cos(p.psi_max), p.rho_max,
-            *param_design._r1_factors(p.rho_max, limits, 1.0, 0.01), limits, 0.01)
-        assert p.v_coord == hi
+        assert p.v_coord == min(limits.v_max, param_design._side_bound(p.rho_max, limits, 0.01),
+                                float(param_design._corner_bound(p.psi_max, p.rho_max, limits,
+                                                                 0.01)))
         assert p.constraint_slacks()[binding] == 0.0
 
     def test_bounds_of_floats_equal_bounds_of_arrays(self):
@@ -228,15 +227,15 @@ class TestGridSearch:
 
     def test_bundled_design_evaluates_the_window_on_bands(self, monkeypatch):
         shapes = []
-        window = param_design._v_coord_window
-        monkeypatch.setattr(param_design, "_v_coord_window", lambda a, cos_a, r1, *rest: (
+        corner = param_design._corner_bound
+        monkeypatch.setattr(param_design, "_corner_bound", lambda a, r1, *rest: (
             shapes.append(np.broadcast_shapes(np.shape(a), np.shape(r1)))
-            or window(a, cos_a, r1, *rest)))
+            or corner(a, r1, *rest)))
         design_coordination_set(_LIMITS, speed_margin=1.0, alpha=0.01)
         # 13 rows a pass on the 400 x 1,200 coarse grid, where the 9 blocks
         # from psi_max 1.126 on have no band; one pass per 121 x 121 zoom
-        # grid; and the designed point's v_coord
-        assert [s[0] if s else () for s in shapes] == [13] * 22 + [121] * 3 + [()]
+        # grid; the designed point's v_coord; and validate()'s slack
+        assert [s[0] if s else () for s in shapes] == [13] * 22 + [121] * 3 + [(), ()]
         assert [s[1] for s in shapes[22:25]] == [121] * 3
         # 145,870 points here; 523,924 without the band
         assert sum(math.prod(s) for s in shapes) <= 150_000

@@ -736,12 +736,13 @@ def test_curvature_many_equals_curvature_at(circle, hil_spline):
     paths = [circle, CirclePath((5.0, -3.0), 800.0, "cw", 0.002),
              LinePath((1.0, 2.0), 0.3), hil_spline]
     for path in paths:
+        label = type(path).__name__
         s = np.random.default_rng(5).uniform(-100.0, path.total_length + 100.0, 500)
         s = np.concatenate([[-10.0, 0.0, path.total_length], s])
         got = path.curvature_many(s)
-        assert got.dtype == np.float64 and got.shape == s.shape, path.kind
-        assert _same_floats(got.tolist(), [path.curvature_at(x) for x in s.tolist()]), path.kind
-        assert path.curvature_many(np.empty(0)).shape == (0,), path.kind
+        assert got.dtype == np.float64 and got.shape == s.shape, label
+        assert _same_floats(got.tolist(), [path.curvature_at(x) for x in s.tolist()]), label
+        assert path.curvature_many(np.empty(0)).shape == (0,), label
 
 
 def test_lonlat_conversion_matches_table():

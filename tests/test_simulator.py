@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,11 @@ CIRCLE6_EVENTS_BYTES = 222
 # golden trace.csv of the bundled circle6 scenario (also in perfbench/golden.json)
 CIRCLE6_TRACE_SHA256 = "7ee9c6a696f390b9936d83964e2f9de370dfa514eb3248178f41ce7dfb4a0617"
 CIRCLE6_TRACE_BYTES = 41_935_659
+# golden metrics.json of the bundled scenarios, as ``cpfsim simulate`` writes it
+METRICS_JSON_GOLDEN = {
+    "circle6": ("063cd73822364f051af931bd65bcb50ebebbe5f0947c31fa5ea8c89e1f91f7bf", 1_828),
+    "parallel4": ("558463e1272987c73c7109369bac15fa414ab154624137353ded28530b8b8ad9", 1_269),
+}
 
 
 def circle_scenario(params, uavs, duration, dt=0.01, **kw):
@@ -179,6 +185,14 @@ class TestRunScenario:
         _, _, _, _, blob = circle6_run
         assert len(blob) == CIRCLE6_TRACE_BYTES
         assert hashlib.sha256(blob).hexdigest() == CIRCLE6_TRACE_SHA256
+
+    @pytest.mark.parametrize("name", sorted(METRICS_JSON_GOLDEN))
+    def test_metrics_json_golden(self, request, name):
+        metrics = request.getfixturevalue(f"{name}_run")[2]
+        blob = (json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        sha, size = METRICS_JSON_GOLDEN[name]
+        assert len(blob) == size
+        assert hashlib.sha256(blob).hexdigest() == sha
 
     def test_circle6_steps_follow_the_error_model(self, circle6_run):
         # one plant: the unicycle RK4 in (x, y, theta) plus the projection
