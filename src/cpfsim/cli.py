@@ -64,7 +64,10 @@ def _load(args):
 
 def _out_dir(args, spec) -> FsPath:
     path = FsPath(args.out or spec["dir"])
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in the way, or no permission
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
     return path
 
 

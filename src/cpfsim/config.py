@@ -95,6 +95,8 @@ def load_config(path) -> dict:
             cfg = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:   # missing, a directory, unreadable
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}")
     if not isinstance(cfg, dict):

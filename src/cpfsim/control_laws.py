@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_frame import N_S1, REGIONS, PathError, Region, classify, switching_value
+from .error_frame import N_S1, REGIONS, PathError, Region, classify_with_switching
 from .exceptions import OutsideUniverse, WrongRegion
 from .param_design import CoordParams
 
@@ -50,7 +50,7 @@ def _batch_smoothed_sign(x, eps):
     return np.where(x == 0.0, 0.0, np.copysign(1.0, x))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlCommand:
     """Forward/angular speed pair plus the region the law was chosen for."""
 
@@ -130,21 +130,23 @@ def coord_control(err: PathError, zeta: float, params: CoordParams,
     curvature feedforward with switching-surface feedback; the reset step
     may then lower the forward speed to restore a margin inequality.
     """
-    region = classify(err, params)
+    region, th = classify_with_switching(err, params)
     if not region.in_s1:
         raise WrongRegion(f"coordinated law called in {region.value}")
-    return _coord_law(err, zeta, params, chi, region)
+    return _coord_law(err, zeta, params, chi, region, th)
 
 
-def _coord_law(err, zeta, params, chi, region):
+def _coord_law(err, zeta, params, chi, region, th):
+    # th: the switching value of (err.rho, err.psi), as classify_with_switching gave it
     rho, psi, kappa = err.rho, err.psi, err.kappa
     denom = 1.0 - kappa * rho
-    v1 = sat(denom / math.cos(psi) * chi(zeta), params.v_min, params.v_max)
-    th = switching_value(rho, psi, params)
-    omega_d = (v1 * (-params.k1 * th / params.k2 + kappa * math.cos(psi) / denom)
+    cos_psi = math.cos(psi)
+    kc = kappa * cos_psi
+    v1 = sat(denom / cos_psi * chi(zeta), params.v_min, params.v_max)
+    omega_d = (v1 * (-params.k1 * th / params.k2 + kc / denom)
                - params.alpha * smoothed_sign(th, params.sign_eps))
     omega = sat(omega_d, -params.omega_max, params.omega_max)
-    v = _reset(v1, omega, region, err, params)
+    v = _reset(v1, omega, region, psi, kappa, denom, cos_psi, kc, params)
     return ControlCommand(v, omega, region, resetvalue_applied=v != v1)
 
 
@@ -156,7 +158,7 @@ _RESET_SIGN = (1.0, 1.0, -1.0, -1.0, -1.0, 1.0)
 _LOWER_ONLY = (True, True, True, True, False, False)
 
 
-def _reset(v, omega, region, err, params):
+def _reset(v, omega, region, psi, kappa, denom, cos_psi, kc, params):
     """Forward-speed reset of the coordinated law in the S1 subset ``region``.
 
     Each coordination subset carries one margin inequality; when the
@@ -165,16 +167,16 @@ def _reset(v, omega, region, err, params):
     is admissible, and for the four boundary subsets only when it lowers
     the speed (a raise there can only come from the smoothed switching
     term near the surface, where the inequality is not load-bearing).
+
+    ``denom``, ``cos_psi`` and ``kc`` are the law's 1 - kappa*rho, cos(psi)
+    and kappa*cos(psi).
     """
-    rho, psi, kappa = err.rho, err.psi, err.kappa
     a, r1, alpha = params.psi_max, params.rho_max, params.alpha
     sign = _RESET_SIGN[region.code]
-    denom = 1.0 - kappa * rho
-    kc = kappa * math.cos(psi)
     if region is Region.S1_1 or region is Region.S1_3:
-        margin = (v * (a * math.sin(psi) - r1 * kappa * math.cos(psi) / denom)
-                  + r1 * omega + sign * r1 * alpha)
-        bracket = a * math.sin(psi) - r1 * kc / denom
+        a_sin = a * math.sin(psi)
+        margin = v * (a_sin - r1 * kappa * cos_psi / denom) + r1 * omega + sign * r1 * alpha
+        bracket = a_sin - r1 * kc / denom
         if not (sign * margin > 0.0 and bracket != 0.0):
             return v
         cand = -r1 * (omega + sign * alpha) / bracket
@@ -229,14 +231,15 @@ def hybrid_supervisor(err: PathError, zeta: float, params: CoordParams,
                       chi: CoordinationChi | LinearChi) -> ControlCommand:
     """Dispatch to the unique law owning the error's region.
 
-    Classifies once and hands the region to the law bodies; the public
-    coordinated law classifies again only to guard direct callers.
+    Classifies once and hands the region, and in the coordination set the
+    switching value, to the law bodies; the public coordinated law
+    classifies again only to guard direct callers.
     """
-    region = classify(err, params)
+    region, th = classify_with_switching(err, params)
     if region is Region.OUTSIDE:
         raise outside_universe(err.rho, params)
     if region.in_s1:
-        return _coord_law(err, zeta, params, chi, region)
+        return _coord_law(err, zeta, params, chi, region, th)
     return _outer_law(err, params, region)
 
 

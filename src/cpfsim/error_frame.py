@@ -18,7 +18,7 @@ import numpy as np
 from .paths import Path, wrap_angle
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PathError:
     """(rho, psi) plus the projection arc position and local curvature."""
 
@@ -63,13 +63,15 @@ def switching_value(rho: float, psi: float, params) -> float:
     return params.k1 * rho + params.k2 * psi + params.k3 * math.sin(psi)
 
 
-def compute_error(state, path: Path, hint_s: float | None = None) -> PathError:
+def compute_error(state, path: Path) -> PathError:
     """Path-following error of a UAV state against its path.
 
-    Projection uniqueness is only guaranteed for |rho| < path.r0; the warm
-    start ``hint_s`` keeps the projection continuous between steps.
+    The projection warm-starts from ``state.s_hint``, the state's previous
+    projection (None: a global search), and stores itself there for the next
+    step.  Uniqueness is only guaranteed for |rho| < path.r0; the warm start
+    keeps the projection continuous between steps.
     """
-    proj = path.project((state.x, state.y), hint_s)
+    proj = state.s_hint = path.project((state.x, state.y), state.s_hint)
     psi = wrap_angle(state.theta - proj.tangent_angle)
     return PathError(proj.rho, psi, proj.s, proj.curvature)
 
@@ -120,19 +122,26 @@ def classify(err: PathError, params) -> Region:
     origin lands in S1_2), then the two outer box subsets, then the two
     remaining outer subsets.
     """
+    return classify_with_switching(err, params)[0]
+
+
+def classify_with_switching(err: PathError, params) -> tuple[Region, float | None]:
+    """``classify``'s region and, inside the coordination set, the switching
+    value that chose its subset (None outside): the coordinated law reads it."""
     rho, psi = err.rho, err.psi
     a, r1, r2 = params.psi_max, params.rho_max, params.rho_universe
     if abs(rho) <= r1 and abs(psi) <= a and abs(a * rho + r1 * psi) <= a * r1:
-        return _s1_subset(rho, psi, switching_value(rho, psi, params))
+        th = switching_value(rho, psi, params)
+        return _s1_subset(rho, psi, th), th
     if abs(rho) > r2:
-        return Region.OUTSIDE
+        return Region.OUTSIDE, None
     if -r2 <= rho < -r1 and 0.0 < psi <= a:
-        return Region.S2_2
+        return Region.S2_2, None
     if r1 < rho <= r2 and -a <= psi < 0.0:
-        return Region.S2_4
+        return Region.S2_4, None
     if psi > 0.0 or (psi == 0.0 and rho > r1):
-        return Region.S2_1
-    return Region.S2_3
+        return Region.S2_1, None
+    return Region.S2_3, None
 
 
 def _sign_class(x):

@@ -56,13 +56,13 @@ def _grid_blocks(stop, n, share=0):
         yield u
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Projection:
     """Closest point of a path to a query point.
 
     ``rho`` is the signed lateral offset of the query point (positive left
     of the path direction); the offset vector is orthogonal to the path
-    tangent at ``s``.
+    tangent at ``s``.  The next step's ``project`` takes it as its warm start.
     """
 
     s: float
@@ -93,7 +93,7 @@ class Path:
         """``curvature_at`` at each arc length of the array ``s``."""
         return np.array([self.curvature_at(x) for x in np.asarray(s).tolist()], dtype=float)
 
-    def project(self, point: tuple[float, float], hint_s: float | None = None) -> Projection:
+    def project(self, point: tuple[float, float], hint: Projection | None = None) -> Projection:
         raise NotImplementedError
 
     def wrap_s(self, s: float) -> float:
@@ -135,7 +135,7 @@ class CirclePath(Path):
     def curvature_many(self, s):
         return np.full(np.shape(s), self.curvature_at(0.0))
 
-    def project(self, point, hint_s=None):
+    def project(self, point, hint=None):
         dx = point[0] - self.center[0]
         dy = point[1] - self.center[1]
         d = math.hypot(dx, dy)
@@ -179,7 +179,7 @@ class LinePath(Path):
     def curvature_many(self, s):
         return np.full(np.shape(s), 0.0)
 
-    def project(self, point, hint_s=None):
+    def project(self, point, hint=None):
         dx = point[0] - self.origin[0]
         dy = point[1] - self.origin[1]
         s = dx * self._ux + dy * self._uy
@@ -483,10 +483,21 @@ class SplinePath(Path):
 
     # -- projection ---------------------------------------------------------
 
-    def project(self, point, hint_s=None):
+    def project(self, point, hint=None):
+        """Closest point to ``point``: Newton from ``hint``, the previous step's
+        projection onto this path, else a global search.
+
+        Newton's first iterate reads the hint's frame, ``_frame(hint.s)`` as
+        ``_projection_at`` stored it.  A tail projection's frame is not
+        ``_frame``'s, even where its s rounds onto an end: a hint with
+        curvature 0.0, as every tail projection has, evaluates ``_frame``.
+        """
         px, py = float(point[0]), float(point[1])
-        if hint_s is not None:
-            s = self._newton_refine(px, py, hint_s)
+        if hint is not None:
+            frame = None
+            if hint.curvature != 0.0:
+                frame = (hint.x, hint.y, hint.tangent_angle, hint.curvature)
+            s = self._newton_refine(px, py, hint.s, frame)
             if s is not None:
                 if s < 0.0 or s > self.total_length:
                     return self._tail_projection(s < 0.0, px, py)
@@ -499,11 +510,13 @@ class SplinePath(Path):
         rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
         return Projection(s, x, y, ta, kappa, rho)
 
-    def _newton_refine(self, px, py, s0, tol=1.0e-9, max_iter=30):
+    def _newton_refine(self, px, py, s0, frame0=None, tol=1.0e-9, max_iter=30):
         # Root of g(s) = (q - p(s)) . T(s);  g'(s) = -(1 - kappa*rho).
+        # frame0, when given, is _frame(s0).
         s = s0
         for _ in range(max_iter):
-            x, y, ta, kappa = self._frame(s)
+            x, y, ta, kappa = frame0 or self._frame(s)
+            frame0 = None
             tx, ty = math.cos(ta), math.sin(ta)
             ex, ey = px - x, py - y
             g = ex * tx + ey * ty

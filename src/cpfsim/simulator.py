@@ -18,7 +18,7 @@ from .coordination import (OvertakeEvent, Relation, chain_coordination, detect_o
 from .error_frame import compute_error
 from .exceptions import ConfigError, OutsideUniverse
 from .param_design import CoordParams
-from .paths import Path, wrap_angle
+from .paths import Path, Projection, wrap_angle
 
 _SPAWN_TOL = 1.0e-12   # a UAV joins at the first row with t >= spawn_time - _SPAWN_TOL
 
@@ -35,7 +35,7 @@ class UavState:
     y: float
     theta: float
     path_index: int = 0
-    s_hint: float | None = None
+    s_hint: Projection | None = None   # the previous step's projection
 
 
 @dataclass(frozen=True)
@@ -198,11 +198,8 @@ def run_scenario(scenario: Scenario) -> tuple[Trace, Metrics]:
         while pending and pending[0].spawn_time <= t + _SPAWN_TOL:
             u = pending.pop(0)
             insort(active, UavState(u.id, u.x, u.y, u.theta, u.path_index), key=attrgetter("id"))
-        errs = [compute_error(u, paths[u.path_index], u.s_hint) for u in active]
-        projections = []
-        for u, e in zip(active, errs):
-            u.s_hint = e.s_proj
-            projections.append((u.id, e.s_proj, e.rho))
+        errs = [compute_error(u, paths[u.path_index]) for u in active]
+        projections = [(u.id, e.s_proj, e.rho) for u, e in zip(active, errs)]
         if scenario.parents:
             coord = chain_coordination(projections, scenario.parents, ref, params.spacing)
         else:

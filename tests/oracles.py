@@ -217,9 +217,10 @@ def comparison_system_trajectory(err0: PathError, params: CoordParams,
 
 # -- SplinePath pre-change reference ------------------------------------------
 # The scalar evaluator and single queries SplinePath had before ``_frame``
-# became its only scalar evaluator, kept verbatim (``self`` -> ``path``) so
-# the evaluators can be held to them with ``==``.  Their branches before 0
-# and past ``total_length`` are the straight extension ``_frame`` answers.
+# became its only scalar evaluator, and its projection before the warm start
+# carried its frame, kept verbatim (``self`` -> ``path``) so the evaluators
+# and the projection can be held to them with ``==``.  Their branches before
+# 0 and past ``total_length`` are the straight extension ``_frame`` answers.
 
 def spline_eval(path, u, deriv):
     i = bisect.bisect_right(path._breaks, u) - 1
@@ -289,6 +290,40 @@ def spline_projection_at(path, s, px, py):
     ta = spline_tangent_angle_at(path, s)
     rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
     return Projection(s, x, y, ta, spline_curvature_at(path, s), rho)
+
+
+def spline_project(path, point, hint_s=None):
+    """SplinePath.project while its warm start was an arc length: Newton's
+    first iterate evaluated ``_frame(hint_s)``."""
+    px, py = float(point[0]), float(point[1])
+    if hint_s is not None:
+        s = spline_newton_refine(path, px, py, hint_s)
+        if s is not None:
+            if s < 0.0 or s > path.total_length:
+                return path._tail_projection(s < 0.0, px, py)
+            return path._projection_at(s, px, py)
+    return path._global_project(px, py)
+
+
+def spline_newton_refine(path, px, py, s0, tol=1.0e-9, max_iter=30):
+    # Root of g(s) = (q - p(s)) . T(s);  g'(s) = -(1 - kappa*rho).
+    s = s0
+    for _ in range(max_iter):
+        x, y, ta, kappa = path._frame(s)
+        tx, ty = math.cos(ta), math.sin(ta)
+        ex, ey = px - x, py - y
+        g = ex * tx + ey * ty
+        rho = tx * ey - ty * ex
+        denom = 1.0 - kappa * rho
+        if abs(denom) < 1.0e-6:
+            return None
+        step = g / denom
+        if abs(step) > 50.0:
+            step = math.copysign(50.0, step)
+        s += step
+        if abs(step) < tol:
+            return s
+    return None
 
 
 def spline_eval_gather(path, u, deriv):

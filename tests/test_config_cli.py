@@ -585,6 +585,36 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert rc == 1
         assert f"error: cannot read config file {tmp_path}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_config_that_is_not_utf8_is_a_config_error_at_the_cli(self, tmp_path, capsys,
+                                                                  monkeypatch, loader):
+        # a UTF-16 byte-order mark: the decoder's error, without the promised file name
+        monkeypatch.setattr(cfgmod, "_YAML_LOADER", loader)
+        cfg = tmp_path / "scenario.yaml"
+        cfg.write_bytes(b"\xff\xfe\x00bad")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name, extra", [
+        ("simulate", "circle6", ["--duration", "0.1"]),
+        ("design-params", "design", []),
+        ("demo-escape", "circle6", []),
+    ])
+    def test_out_naming_a_file_is_a_config_error_at_the_cli(self, tmp_path, capsys, command,
+                                                            name, extra):
+        # ended in a FileExistsError traceback
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        rc = main([command, "--config", str(bundled_config_path(name)), "--out", str(out),
+                   *extra])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: cannot create output directory {out}: " in err and "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
     @pytest.mark.parametrize("block", ["coordination", "run", "output"])
     def test_null_optional_block_reads_as_absent(self, tmp_path, block):
         # a null coordination or run block ended in a TypeError traceback, a

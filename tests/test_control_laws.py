@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cpfsim.control_laws import (CoordinationChi, LinearChi, _reset, build_chi,
+from cpfsim.control_laws import (CoordinationChi, LinearChi, build_chi,
                                  comparison_system_trajectory, coord_control,
                                  hybrid_supervisor, sat)
 from cpfsim.error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, classify,
@@ -18,7 +18,7 @@ from oracles import _reset as reset_reference
 from oracles import _s24_law as s24_reference
 from oracles import comparison_system_trajectory as comparison_reference
 from oracles import hybrid_supervisor as supervisor_reference
-from test_batch import random_states
+from test_batch import law_reset, random_states
 from test_error_frame import error_rates
 
 
@@ -185,8 +185,8 @@ class TestResetValue:
         cmd = coord_control(PathError(50.0, 0.2, 0.0, 0.001), SPACING,
                             pure(params), chi)
         assert not cmd.resetvalue_applied
-        v = _reset(cmd.v, cmd.omega, cmd.region, PathError(50.0, 0.2, 0.0, 0.001),
-                   pure(params))
+        v = law_reset(cmd.v, cmd.omega, cmd.region, PathError(50.0, 0.2, 0.0, 0.001),
+                      pure(params))
         assert v == cmd.v
 
     def test_reset_bound_exercised(self, tight_params):
@@ -401,7 +401,7 @@ class TestSupervisorMatchesPublicLaws:
         for r, s, k, vi, wi, c in zip(*(x.tolist() for x in (rho, psi, kappa, v, omega, code))):
             region = REGIONS[c]
             err = PathError(r, s, 0.0, k)
-            got = _reset(vi, wi, region, err, params)
+            got = law_reset(vi, wi, region, err, params)
             assert got == reset_reference(vi, wi, region, err, params), (region, err, vi, wi)
             changed[region] += got != vi
         assert min(changed.values()) > 100, changed

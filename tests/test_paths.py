@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,14 +15,14 @@ from cpfsim.config import (build_limits, build_paths, build_scenario, bundled_co
                            load_config)
 from cpfsim.exceptions import (CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous,
                                TableTooLarge)
-from cpfsim.paths import (CirclePath, LinePath, SplinePath, _grid_blocks, waypoints_from_lonlat,
-                          wrap_angle)
+from cpfsim.paths import (CirclePath, LinePath, Projection, SplinePath, _grid_blocks,
+                          waypoints_from_lonlat, wrap_angle)
 
 from conftest import HIL_LONLAT, HIL_WAYPOINTS, draw_float, for_each_draw
 from oracles import (brute_force_projection, bspline_kappa_max, clamped_knots,
                      ppoly_power_coefficients, spline_curvature_at, spline_ends, spline_eval,
-                     spline_lut_whole_grid, spline_point_at, spline_projection_at,
-                     spline_tangent_angle_at)
+                     spline_lut_whole_grid, spline_point_at, spline_project,
+                     spline_projection_at, spline_tangent_angle_at)
 
 VALLEY_WAYPOINTS = [(0.0, 2000.0), (1000.0, 600.0), (2000.0, 0.0),
                     (3000.0, 600.0), (4000.0, 2000.0)]
@@ -41,6 +42,11 @@ def bundled_splines(hil_spline):
     named["hil_spline"] = hil_spline
     named["valley"] = SplinePath(VALLEY_WAYPOINTS, kappa_bound=0.002)
     return named
+
+
+def hint_at(path, s):
+    """A warm start at arc length s, with the fields ``_projection_at`` stores."""
+    return Projection(s, *path._frame(s), 0.0)
 
 
 def _same_floats(got, want):
@@ -70,7 +76,7 @@ def test_parallel4_warm_start_agrees_with_global_projection(parallel4_run):
     for uav_id, rows in history.items():
         path = paths[uav_id]
         for k in range(50, len(rows), 50):
-            hint = path._global_project(rows[k - 1][2], rows[k - 1][3]).s
+            hint = path._global_project(rows[k - 1][2], rows[k - 1][3])
             x, y, rho = rows[k][2], rows[k][3], rows[k][5]
             warm = path.project((x, y), hint)
             ref = path._global_project(x, y)
@@ -79,6 +85,54 @@ def test_parallel4_warm_start_agrees_with_global_projection(parallel4_run):
             assert abs(rho - ref.rho) <= 1.0e-6, (uav_id, k, rho, ref)
             checked += 1
     assert checked == 4 * 300
+
+
+def test_warm_start_frame_equals_newton_from_frame(bundled_splines):
+    # project(q, hint) reads Newton's first frame from the hint; the
+    # pre-change projection (tests/oracles.py) evaluated _frame(hint.s).
+    # Hints: previous projections, global (np.float64 s) and warm-started
+    # (float s), projections at exactly 0 and total_length, tail projections
+    # past an end, and tail projections whose s is exactly 0 or total_length
+    path = bundled_splines["parallel4[0]"]
+    length, r0 = path.total_length, path.r0
+    rng = np.random.default_rng(25)
+
+    def near(s, rho):
+        x, y = path.point_at(s)
+        ta = path.tangent_angle_at(s)
+        return (x - rho * math.sin(ta), y + rho * math.cos(ta))
+
+    def previous(kind):
+        s = float(rng.uniform(0.0, length))
+        rho = float(rng.uniform(-0.4, 0.4)) * r0
+        if kind == 0:
+            return path.project(near(s, rho))
+        if kind == 1:
+            return path.project(near(s, rho), hint_at(path, s + float(rng.uniform(-5.0, 5.0))))
+        if kind == 2:
+            s = float(rng.choice([0.0, length]))
+            return path._projection_at(s, *near(s, rho))
+        head = bool(rng.integers(2))
+        if kind == 3:
+            s = float(rng.uniform(-300.0, 0.0) if head else rng.uniform(length, length + 300.0))
+            p = path._tail_projection(head, *near(s, rho))
+            assert p.s < 0.0 or p.s > length
+            return p
+        x, y, _, _ = path._head if head else path._tail
+        p = path._tail_projection(head, x, y)
+        assert p.s == (0.0 if head else length) and p.curvature == 0.0
+        return p
+
+    seen = set()
+    for kind in [0] * 1000 + [1] * 400 + [2] * 200 + [3] * 300 + [4] * 100:
+        hint = previous(kind)
+        q = (hint.x + float(rng.uniform(-30.0, 30.0)), hint.y + float(rng.uniform(-30.0, 30.0)))
+        got, want = path.project(q, hint), spline_project(path, q, hint.s)
+        assert got == want, (kind, hint, q)
+        assert list(map(type, dataclasses.astuple(got))) == \
+            list(map(type, dataclasses.astuple(want))), (kind, hint, q)
+        seen.add((kind, type(hint.s)))
+    assert seen == {(0, np.float64), (1, float), (2, float), (3, float), (4, float)}
 
 
 def _waypoint(rng):
@@ -271,7 +325,7 @@ class TestSpline:
 
     def test_warm_start_round_trip(self, hil_spline):
         for s in np.linspace(5.0, hil_spline.total_length - 5.0, 100):
-            pr = hil_spline.project(hil_spline.point_at(float(s)), hint_s=float(s) + 4.0)
+            pr = hil_spline.project(hil_spline.point_at(float(s)), hint_at(hil_spline, float(s) + 4.0))
             assert abs(pr.s - s) < 1e-6
 
     def test_projection_optimality_vs_brute_force(self, hil_spline):
@@ -490,7 +544,8 @@ class TestSpline:
                     s = path._newton_refine(*q, hint)
                     assert s < 0.0 if head else s > path.total_length, (name, head, s)
                     tail = path._tail_projection(head, *q)
-                    assert path.project(q, hint) == tail == path._global_project(*q), name
+                    assert path.project(q, hint_at(path, hint)) == tail == \
+                        path._global_project(*q), name
 
     def test_build_peak_memory(self, bundled_splines):
         # the dense grids are built and reduced block by block; the whole
@@ -572,7 +627,7 @@ class TestSpline:
             x, y = hil_spline.point_at(s)
             ta = hil_spline.tangent_angle_at(s)
             p = (x - rho * math.sin(ta), y + rho * math.cos(ta))
-            warm = hil_spline.project(p, hint_s=s + offset)
+            warm = hil_spline.project(p, hint_at(hil_spline, s + offset))
             cold = hil_spline._global_project(*p)
             assert abs(warm.s - cold.s) <= 1e-6
             assert abs(warm.rho - cold.rho) <= 1e-6
@@ -635,7 +690,7 @@ class TestSharedShapes:
             ta = alone.tangent_angle_at(s)
             q = (x - rho * alone.r0 * math.sin(ta), y + rho * alone.r0 * math.cos(ta))
             assert shared.project(q) == alone.project(q)
-            assert shared.project(q, hint_s=s) == alone.project(q, hint_s=s)
+            assert shared.project(q, hint_at(shared, s)) == alone.project(q, hint_at(alone, s))
 
     @pytest.mark.parametrize("base, offset, hit", [
         (HIL_WAYPOINTS, (0.0, 100.0), True), (HIL_WAYPOINTS, (0.37, 12.91), False),

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from cpfsim import error_frame
 from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.coordination import OvertakeEvent
 from cpfsim.error_frame import PathError, batch_error_step
 from cpfsim.exceptions import OutsideUniverse
-from cpfsim.paths import CirclePath
+from cpfsim.paths import CirclePath, SplinePath
 from cpfsim.simulator import Scenario, UavSpec, rk4_unicycle, run_scenario
 from cpfsim.verification import escape_demo, in_escape_set
 
@@ -246,6 +247,49 @@ class TestRunScenario:
         sc.params = dataclasses.replace(sc.params, **change)
         with pytest.raises(ValueError, match=message):
             run_scenario(sc)
+
+
+class TestStepWork:
+    """What one UAV-step computes, counted: each value once."""
+
+    def test_parallel4_frames_per_step(self, monkeypatch):
+        # a warm-started step evaluates _frame for two Newton iterates and the
+        # projection (the first iterate reads the hint's frame); the global
+        # search at each UAV's first row evaluates it 197 times in all
+        frame, search = SplinePath._frame, SplinePath._global_project
+        calls = {"all": 0, "search": 0}
+        in_search = []
+
+        def counted_frame(self, s):
+            calls["all"] += 1
+            calls["search"] += bool(in_search)
+            return frame(self, s)
+
+        def counted_search(self, px, py):
+            in_search.append(True)
+            try:
+                return search(self, px, py)
+            finally:
+                in_search.pop()
+
+        monkeypatch.setattr(SplinePath, "_frame", counted_frame)
+        monkeypatch.setattr(SplinePath, "_global_project", counted_search)
+        sc = build_scenario(load_config(bundled_config_path("parallel4")), duration=5.0)
+        trace, _ = run_scenario(sc)
+        assert len(trace.rows) == 4 * 501
+        assert calls == {"all": 6_197, "search": 197}
+        assert calls["all"] - calls["search"] == 3 * (len(trace.rows) - 4)
+
+    def test_circle6_one_switching_value_per_s1_command(self, monkeypatch):
+        calls = []
+        switching_value = error_frame.switching_value
+        monkeypatch.setattr(error_frame, "switching_value",
+                            lambda *a: calls.append(1) or switching_value(*a))
+        sc = build_scenario(load_config(bundled_config_path("circle6")), duration=30.0)
+        trace, _ = run_scenario(sc)
+        s1 = sum(r[7].startswith("S1") for r in trace.rows)
+        assert s1 == 7_360
+        assert len(calls) == s1
 
 
 class TestEscapeDemo:
