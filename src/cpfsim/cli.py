@@ -77,6 +77,7 @@ def cmd_design_params(args) -> int:
     if not isinstance(block, dict) or "design" not in block:
         raise ConfigError("design-params needs a params.design section")
     params = cfgmod.resolve_params(cfg)
+    out = _out_dir(args, cfgmod.output_spec(cfg))
 
     rows = [("psi_max (rad)", params.psi_max),
             ("rho_max (m)", params.rho_max),
@@ -90,7 +91,6 @@ def cmd_design_params(args) -> int:
     for name, value in rows:
         print(f"  {name:<{width}}  {value:.9g}")
 
-    out = _out_dir(args, cfgmod.output_spec(cfg))
     fragment = out / "params_fragment.yaml"
     fragment.write_text(cfgmod.params_fragment(params), encoding="utf-8")
     print(f"wrote {fragment}")
@@ -101,17 +101,17 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     spec = cfgmod.output_spec(cfg)
     scenario = cfgmod.build_scenario(cfg, duration=args.duration, dt=args.dt)
+    out = _out_dir(args, spec)
     trace, metrics = run_scenario(scenario)
 
-    out = _out_dir(args, spec)
+    m = metrics.to_dict()
     trace.write_csv(out / spec["trace"])
     trace.write_events_csv(out / spec["events"])
     trace.write_long_csv(out / spec["long"], every=spec["long_every"])
     with open(out / spec["metrics"], "w", encoding="utf-8") as fh:
-        json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(m, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    m = metrics.to_dict()
     print(f"simulated {scenario.duration:g}s x {len(scenario.uavs)} UAVs "
           f"(dt={scenario.dt:g}s)")
     print(f"  all-in-coordination-set time: {m['all_in_s1_time']}")
@@ -139,9 +139,10 @@ def cmd_verify(args) -> int:
 
 def cmd_demo_escape(args) -> int:
     cfg = _load(args)
-    report = escape_demo(cfgmod.resolve_params(cfg))
-    print(report.summary())
+    params = cfgmod.resolve_params(cfg)
     out = _out_dir(args, cfgmod.output_spec(cfg))
+    report = escape_demo(params)
+    print(report.summary())
     with open(out / "escape_report.json", "w", encoding="utf-8") as fh:
         json.dump(vars(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -82,11 +82,11 @@ def batch_error_rates(rho, psi, v, omega, kappa):
     return v * np.sin(psi), omega - kappa * v * np.cos(psi) / (1.0 - kappa * rho)
 
 
-def batch_error_step(rho, psi, v, omega, kappa, dt: float, wrap: bool = True):
+def batch_error_step(rho, psi, v, omega, kappa, dt: float):
     """One RK4 step of the error dynamics under held (v, omega), constant curvature.
 
     Lane by lane on arrays (``kappa`` may be a scalar).  The heading error
-    is wrapped to [-pi, pi) unless ``wrap`` is False.
+    is wrapped to [-pi, pi).
     """
     k1r, k1p = batch_error_rates(rho, psi, v, omega, kappa)
     k2r, k2p = batch_error_rates(rho + 0.5 * dt * k1r, psi + 0.5 * dt * k1p, v, omega, kappa)
@@ -94,9 +94,7 @@ def batch_error_step(rho, psi, v, omega, kappa, dt: float, wrap: bool = True):
     k4r, k4p = batch_error_rates(rho + dt * k3r, psi + dt * k3p, v, omega, kappa)
     rho = rho + dt / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     psi = psi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    if wrap:
-        psi = (psi + math.pi) % (2.0 * math.pi) - math.pi
-    return rho, psi
+    return rho, (psi + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _s1_subset(rho: float, psi: float, th: float) -> Region:

@@ -131,8 +131,8 @@ class CoordParams:
             raise ValueError("need 0 < rho_max < 1/kappa_bound")
         if not self.v_min < self.v_coord <= self.v_max:
             raise ValueError("need v_min < v_coord <= v_max")
-        if self.rho_universe < self.rho_max:
-            raise ValueError("rho_universe must cover the coordination set")
+        if not self.rho_max <= self.rho_universe < self.r0:   # where 1 - kappa*rho > 0
+            raise ValueError("need rho_max <= rho_universe < 1/kappa_bound")
         if self.k1 <= 0.0 or self.k2 < 1.0 or self.k3 < 1.0:
             raise ValueError("need k1 > 0 and k2, k3 >= 1")
         if not self.psi_max <= self.rho_max * self.k1 < self.psi_max * self.k2:

@@ -40,8 +40,6 @@ from .param_design import CoordParams
 
 # Largest number of states whose draws or commands are evaluated at once.
 _BLOCK = 2048
-_ONE_STEP_SLACK = 1.0e-4  # invariance: a one-step graze this far out is tolerated (sliding)
-_RESIDENT_SLACK = 1.0e-9  # invariance: two steps this far out in a row fail the run
 _DRIVE_TOL = 1.0e-9       # switch_drive: rounding allowance on each inequality
 _BOUND_MARGIN = 0.10      # reach_box, reach_robust: relative margin on the analytic time bound
 _PSI_MIN_SAMPLE = 0.05    # reach_box: smallest start |psi|; keeps the entry-time bound finite
@@ -74,18 +72,18 @@ def sample_s1(rng: np.random.Generator, params: CoordParams,
               n: int) -> tuple[np.ndarray, np.ndarray]:
     """n uniform samples of the coordination set as two arrays (rho, psi).
 
-    Rejection in the set's bounding box.  Draws (rho, psi) per attempt in the
-    order of a one-at-a-time rejection loop.  Each attempt yields at most one
-    sample, so a round of at most n - found attempts never draws past the
-    attempt that completes the n samples.  Rounds hold at most ``_BLOCK``
-    attempts.
+    Rejection in the set's bounding box by ``batch_classify``.  Draws (rho,
+    psi) per attempt in the order of a one-at-a-time rejection loop.  Each
+    attempt yields at most one sample, so a round of at most n - found
+    attempts never draws past the attempt that completes the n samples.
+    Rounds hold at most ``_BLOCK`` attempts.
     """
     a, r1 = params.psi_max, params.rho_max
     rhos, psis, found = [np.empty(0)], [np.empty(0)], 0
     while found < n:
         m = min(n - found, _BLOCK)
         rho, psi = rng.uniform(np.tile([-r1, -a], m), np.tile([r1, a], m)).reshape(m, 2).T
-        ok = np.abs(a * rho + r1 * psi) <= a * r1
+        ok = batch_classify(rho, psi, params) < N_S1
         rhos.append(rho[ok])
         psis.append(psi[ok])
         found += len(rhos[-1])
@@ -102,9 +100,9 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     """Coordination-set forward invariance under the coordinated law.
 
     Runs the closed-loop error dynamics from random in-set states with a
-    per-run constant curvature inside the bound.  A single-step boundary
-    graze below ``_ONE_STEP_SLACK`` is tolerated (discretized sliding);
-    anything larger or longer fails, and the run leaves the batch.  The
+    per-run constant curvature inside the bound.  A run fails, and leaves
+    the batch, at the first step that ``batch_classify`` puts outside the
+    coordination set; that classification is the next step's region.  The
     spacing error is the desired one, or for L = 0 (the linear chi) a
     per-run constant drawn after the curvatures from [0, z), where
     chi(z) = v_max.
@@ -120,33 +118,24 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
             else params.spacing)
     lanes = np.arange(n_runs)
     rho, psi, kappa = rho0, psi0, kappas
-    consecutive = np.zeros(n_runs, dtype=int)
+    code = batch_classify(rho, psi, params)
     failed = {}
     for k in range(n_steps):
         if not lanes.size:
             break
-        code = batch_classify(rho, psi, params)
-        outside = code == Region.OUTSIDE.code
         v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
-        rho_n, psi_n = batch_error_step(rho, psi, v, omega, kappa, _DT)
-        # a lane outside the universe gets no command: it keeps its state
-        rho = np.where(outside, rho, rho_n)
-        psi = np.where(outside, psi, psi_n)
-        slack = np.maximum(np.maximum(np.abs(rho) - r1, np.abs(psi) - a),
-                           np.abs(a * rho + r1 * psi) - a * r1)
-        slack[outside] = math.inf
-        consecutive = np.where(slack > _RESIDENT_SLACK, consecutive + 1, 0)
-        dead = (slack > _ONE_STEP_SLACK) | (consecutive > 1)
+        rho, psi = batch_error_step(rho, psi, v, omega, kappa, _DT)
+        code = batch_classify(rho, psi, params)
+        dead = code >= N_S1
         if dead.any():
             for j in np.flatnonzero(dead).tolist():
-                run = int(lanes[j])
+                run, r, p = int(lanes[j]), float(rho[j]), float(psi[j])
+                slack = max(abs(r) - r1, abs(p) - a, abs(a * r + r1 * p) - a * r1)
                 failed[run] = (f"run {run}: start=({rho0[run]:.4f}, {psi0[run]:.4f}) "
                                f"kappa={kappas[run]:.5f} t={k * _DT:.2f}s "
-                               f"state=({float(rho[j]):.6f}, {float(psi[j]):.6f}) "
-                               f"slack={float(slack[j]):.3e}")
+                               f"state=({r:.6f}, {p:.6f}) slack={slack:.3e}")
             keep = ~dead
-            lanes, rho, psi, kappa, consecutive = (
-                x[keep] for x in (lanes, rho, psi, kappa, consecutive))
+            lanes, rho, psi, kappa, code = (x[keep] for x in (lanes, rho, psi, kappa, code))
             if np.ndim(zeta):
                 zeta = zeta[keep]
     return SuiteResult("invariance", not failed, n_runs, len(failed), _first(failed))
@@ -533,7 +522,7 @@ def escape_demo(params: CoordParams, eps0: float | None = None,
         alive = np.isinf(exit_time)
         if not alive.any():
             break
-        rho, psi = batch_error_step(rho, psi, v, w, kappa, dt, wrap=False)
+        rho, psi = batch_error_step(rho, psi, v, w, kappa, dt)
         t += dt
         out = alive & (np.abs(rho) > r0)
         exit_time[out] = t

@@ -603,17 +603,33 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         ("design-params", "design", []),
         ("demo-escape", "circle6", []),
     ])
-    def test_out_naming_a_file_is_a_config_error_at_the_cli(self, tmp_path, capsys, command,
-                                                            name, extra):
-        # ended in a FileExistsError traceback
+    def test_out_naming_a_file_is_a_config_error_at_the_cli(self, tmp_path, capsys, monkeypatch,
+                                                            command, name, extra):
+        # ended in a FileExistsError traceback; then the run, the table or the
+        # escape grid came first and the error after it
+        calls = []
+        for work in ("run_scenario", "escape_demo"):
+            monkeypatch.setattr(f"cpfsim.cli.{work}", lambda *a, w=work: calls.append(w))
         out = tmp_path / "taken"
         out.write_text("not a directory\n", encoding="utf-8")
         rc = main([command, "--config", str(bundled_config_path(name)), "--out", str(out),
                    *extra])
-        err = capsys.readouterr().err
+        printed, err = capsys.readouterr()
         assert rc == 1
         assert f"error: cannot create output directory {out}: " in err and "Traceback" not in err
         assert out.read_text(encoding="utf-8") == "not a directory\n"
+        assert (calls, printed) == ([], "")
+
+    @pytest.mark.parametrize("r2", ["500.0", "700"])
+    def test_universe_past_the_uniqueness_radius_rejected_at_the_cli(self, tmp_path, capsys, r2):
+        # 1/kappa_bound = 500 m, where 1 - kappa*rho reaches 0: 700 built a scenario
+        text = MINIMAL.replace("v_coord: 25.0}", f"v_coord: 25.0, rho_universe: {r2}}}")
+        cfg = write_config(tmp_path, text)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: need rho_max <= rho_universe < 1/kappa_bound\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block", ["coordination", "run", "output"])
     def test_null_optional_block_reads_as_absent(self, tmp_path, block):
@@ -662,7 +678,7 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         # error dynamics frozen at their start: no pair leaves the escape set,
         # and the report is still written
         monkeypatch.setattr("cpfsim.verification.batch_error_step",
-                            lambda rho, psi, *args, **kwargs: (rho, psi))
+                            lambda rho, psi, *args: (rho, psi))
         cfg = bundled_config_path("circle6")
         assert main(["demo-escape", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         # the summary said "slowest nans"

@@ -271,6 +271,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             bad.validate()
 
+    @pytest.mark.parametrize("r2", [500.0, 700.0])
+    def test_universe_inside_the_uniqueness_radius(self, params, r2):
+        # 1/kappa_bound = 500 m, where 1 - kappa*rho reaches 0: not only validate() rejects it
+        with pytest.raises(ValueError, match="need rho_max <= rho_universe < 1/kappa_bound"):
+            dataclasses.replace(params, rho_universe=r2).validate_basic()
+
     def test_design_inequality_enforced(self, params):
         bad = dataclasses.replace(params, rho_max=300.0,
                                   k2=300.0 / params.psi_max + 1.0)

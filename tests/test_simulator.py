@@ -19,6 +19,9 @@ from oracles import integrate_unicycle
 
 CIRCLE6_EVENTS_SHA256 = "9eaf1410b37298fd9bc38df7d81f8622744366592233f4f970e49e16f6e9a29f"
 CIRCLE6_EVENTS_BYTES = 222
+# parallel4's fixed chain sees no overtake: its events.csv is the header alone
+PARALLEL4_EVENTS_SHA256 = "08ba544c2eaa803a51a8bd335744c881c5376e84f1438a72619fcbbf0603f144"
+PARALLEL4_EVENTS_BYTES = 18
 # golden trace.csv of the bundled circle6 scenario (also in perfbench/golden.json)
 CIRCLE6_TRACE_SHA256 = "7ee9c6a696f390b9936d83964e2f9de370dfa514eb3248178f41ce7dfb4a0617"
 CIRCLE6_TRACE_BYTES = 41_935_659
@@ -181,6 +184,15 @@ class TestRunScenario:
         blob = out.read_bytes()
         assert len(blob) == CIRCLE6_EVENTS_BYTES
         assert hashlib.sha256(blob).hexdigest() == CIRCLE6_EVENTS_SHA256
+
+    def test_parallel4_events_csv_golden(self, parallel4_run, tmp_path):
+        # the chain relation's overtake detection on the bundled parallel4 run
+        _, trace, _ = parallel4_run
+        out = tmp_path / "events.csv"
+        trace.write_events_csv(out)
+        blob = out.read_bytes()
+        assert len(blob) == PARALLEL4_EVENTS_BYTES
+        assert hashlib.sha256(blob).hexdigest() == PARALLEL4_EVENTS_SHA256
 
     def test_circle6_trace_csv_golden(self, circle6_run):
         _, _, _, _, blob = circle6_run

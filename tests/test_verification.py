@@ -8,6 +8,8 @@ import pytest
 from cpfsim import verification as vmod
 from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.error_frame import N_S1
+from cpfsim.exceptions import Infeasible
+from cpfsim.param_design import SpeedLimits, design_coordination_set
 from cpfsim.verification import escape_demo, suite_reach_box
 
 from test_config_cli import MINIMAL
@@ -51,6 +53,44 @@ def test_golden_invariance_broken_params(tmp_path):
                                    "psi_max: 0.78, rho_max: 20.0"), encoding="utf-8")
     params = build_scenario(load_config(cfg)).params
     assert asdict(vmod.suite_invariance(params, 200, seed=0)) == GOLDEN["broken_invariance"]
+
+
+def test_invariance_fails_a_one_step_graze(circle6_scenario, monkeypatch):
+    # run 0 is put 5e-5 m outside the rho edge of S1 for one step, then back
+    # inside: any step outside the set fails the run, however small
+    params, step, calls = circle6_scenario.params, vmod.batch_error_step, []
+
+    def push(rho, psi, *args):
+        rho, psi = step(rho, psi, *args)
+        calls.append(len(calls))
+        if calls[-1] in (9, 10):
+            rho, psi = rho.copy(), psi.copy()
+            rho[0], psi[0] = (params.rho_max + 5.0e-5, 0.0) if calls[-1] == 9 else (0.0, 0.0)
+        return rho, psi
+
+    monkeypatch.setattr(vmod, "batch_error_step", push)
+    r = vmod.suite_invariance(params, n_runs=20, duration=1.0, seed=0)
+    assert (r.passed, r.failures) == (False, 1)
+    assert r.first_counterexample.startswith("run 0: start=(")
+    assert r.first_counterexample.endswith(
+        f"t=0.09s state=({params.rho_max + 5.0e-5:.6f}, 0.000000) slack=5.000e-05")
+
+
+def test_invariance_holds_on_designed_sets():
+    # no step leaves S1 at dt 0.01, on a seeded family of designs whose limits
+    # span v_min 5-15, v_max - v_min 2-22, omega_max 0.05-0.4, kappa_bound 5e-4-0.01
+    rng, designs = np.random.default_rng(26), []
+    while len(designs) < 8:
+        v_min = rng.uniform(5.0, 15.0)
+        limits = SpeedLimits(v_min, v_min + rng.uniform(2.0, 22.0), rng.uniform(0.05, 0.4),
+                             rng.uniform(5.0e-4, 0.01))
+        try:
+            designs.append(design_coordination_set(limits, spacing=1000.0))
+        except Infeasible:
+            continue
+    for params in designs:
+        r = vmod.suite_invariance(params, n_runs=100, duration=10.0, seed=0)
+        assert r.passed, (params.limits(), r.first_counterexample)
 
 
 def test_golden_reset_bound_criterion_5(params):
