@@ -26,7 +26,7 @@ from .coordination import (OvertakeEvent, chain_coordination, detect_overtaking,
 from .error_frame import PathError, Region, classify, compute_error, switching_value
 from .exceptions import (ConfigError, CpfsimError, CurvatureBoundExceeded,
                          DegenerateSpline, Infeasible, OutsideUniverse,
-                         ProjectionAmbiguous, TableTooLarge, WrongRegion)
+                         ProjectionAmbiguous, WrongRegion)
 from .param_design import (CoordParams, SpeedLimits, coordination_rate_bound,
                            design_coordination_set)
 from .paths import (CirclePath, LinePath, Path, Projection, SplinePath,

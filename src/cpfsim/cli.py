@@ -4,8 +4,8 @@ Thin shell over the library: parameter design, scenario simulation, the
 verification suites and the escape-set demonstration.  Every setting comes
 from the config file or a flag.
 
-Exit codes: 0 ok, 1 validation/configuration error, 2 runtime abort,
-3 verification failure (a suite fails, or an escape-demo pair stays).
+Exit codes: 0 ok, 1 validation/configuration or usage error, 2 runtime
+abort, 3 verification failure (a suite fails, or an escape-demo pair stays).
 """
 
 from __future__ import annotations
@@ -27,8 +27,20 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error is a configuration error; the subparsers inherit it
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpfsim",
         description="Coordinated path following for speed-constrained fixed-wing UAVs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--suite", action="append",
                    help="suite name filter (repeatable); default: all")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed of the suites")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed of the suites (>= 0)")
 
     p = sub.add_parser("demo-escape", help="escape-set brute-force demonstration")
     common(p)

@@ -6,13 +6,14 @@ are rejected everywhere so typos fail loudly.
 
 from __future__ import annotations
 
+import functools
 import math
 from importlib import resources
 from pathlib import Path as FsPath
 
 import yaml
 
-from .exceptions import ConfigError, CpfsimError, TableTooLarge
+from .exceptions import ConfigError, CpfsimError
 from .param_design import CoordParams, SpeedLimits, derived_defaults, design_coordination_set
 from .paths import CirclePath, LinePath, SplinePath, waypoints_from_lonlat
 from .simulator import Scenario, UavSpec
@@ -21,10 +22,35 @@ _NUM = (int, float)
 
 TOP_KEYS = {"limits", "params", "coordination", "paths", "uavs", "run", "output"}
 # libyaml's parser where PyYAML has it; both loaders build their dicts with
-# the same SafeConstructor.
+# the same SafeConstructor, and _loader adds _UniqueKeys to it.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 OUTPUT_DEFAULTS = {"dir": "out", "trace": "trace.csv", "metrics": "metrics.json",
                    "events": "events.csv", "long": "long.csv", "long_every": 10}
+
+
+class _UniqueKeys:
+    """Loader mixin: a key given twice in one mapping is an error; PyYAML keeps the last value."""
+
+    def flatten_mapping(self, node):
+        # the first call on a node sees its own keys; a later one (when the node is
+        # merged) sees the merged keys too, which a key next to << may override
+        checked = self.__dict__.setdefault("_checked", set())
+        if node not in checked:
+            checked.add(node)
+            keys = set()
+            for k, _ in node.value:
+                if isinstance(k, yaml.ScalarNode) and k.tag != "tag:yaml.org,2002:merge":
+                    key = k.value if k.tag == "tag:yaml.org,2002:str" else self.construct_object(k)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"duplicate key {key!r}", k.start_mark)
+                    keys.add(key)
+        super().flatten_mapping(node)
+
+
+@functools.cache
+def _loader(base):   # one class per base, so its method lookups stay cached
+    return type("Loader", (_UniqueKeys, base), {})
 
 
 def bundled_config_path(name: str) -> FsPath:
@@ -92,7 +118,7 @@ def _pairs(d: dict, key: str, where: str) -> list[tuple[float, float]]:
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.load(fh, Loader=_YAML_LOADER)
+            cfg = yaml.load(fh, Loader=_loader(_YAML_LOADER))
     except OSError as exc:   # missing, a directory, unreadable
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -188,8 +214,7 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
                 origin=_pair(p.get("origin", [0.0, 0.0]), f"{where}.origin"),
                 heading=_num(p, "heading", where, default=0.0))
         elif form == "bspline":
-            _check_keys(p, {"kind", "waypoints", "lonlat", "lonlat_origin",
-                            "offset", "lut_step"}, where)
+            _check_keys(p, {"kind", "waypoints", "lonlat", "lonlat_origin", "offset"}, where)
             if ("waypoints" in p) == ("lonlat" in p):
                 raise ConfigError(f"{where}: give exactly one of 'waypoints' or 'lonlat'")
             if "waypoints" in p:
@@ -202,17 +227,11 @@ def build_paths(cfg: dict, kappa_bound: float) -> list:
             if "offset" in p:
                 ox, oy = _pair(p["offset"], f"{where}.offset")
                 wps = [(x + ox, y + oy) for x, y in wps]
-            lut_step = _num(p, "lut_step", where, default=0.1)
-            if lut_step <= 0.0:
-                raise ConfigError(
-                    f"{where}.lut_step: expected a positive number, got {lut_step!r}")
-            cls, kwargs = SplinePath, dict(waypoints=wps, lut_step=lut_step, _shapes=shapes)
+            cls, kwargs = SplinePath, dict(waypoints=wps, _shapes=shapes)
         else:
             raise ConfigError(f"{where}: unknown path kind {form!r}")
         try:   # a shape the config asks for and the path rejects is a config error
             out.append(cls(kappa_bound=kappa_bound, **kwargs))
-        except TableTooLarge as exc:   # names lut_step
-            raise ConfigError(f"{where}.{exc}") from None
         except (ValueError, CpfsimError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
     return out

@@ -17,10 +17,6 @@ class CurvatureBoundExceeded(CpfsimError):
     """Constructed path violates the declared curvature bound."""
 
 
-class TableTooLarge(CpfsimError, ValueError):
-    """A path's lookup table would exceed its size cap."""
-
-
 class ProjectionAmbiguous(CpfsimError):
     """Closest-point projection is not unique within tolerance."""
 

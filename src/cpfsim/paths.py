@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous,
-                         TableTooLarge)
+from .exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +28,8 @@ TWO_PI = 2.0 * math.pi
 # (about 340k points for a 17 km path); bounds the temporaries.
 _BUILD_BLOCK = 16384
 
-# Most entries of a SplinePath arc-length table (800 MB of doubles).
+# Spacing (m) and most entries (800 MB of doubles) of a SplinePath arc-length table.
+_LUT_STEP = 0.1
 MAX_LUT_ENTRIES = 10 ** 8
 
 # Mean Earth radius for the equirectangular lon/lat conversion (m).
@@ -205,17 +205,16 @@ class SplinePath(Path):
 
     The waypoints act as control points of a clamped cubic B-spline whose
     knots come from chord-length parameterization.  A dense lookup table
-    maps arc length to the spline parameter every ``lut_step`` meters; it
-    must be positive, and the default is 0.1 m.  Every query reads it with
-    one interpolation, ``_u_at`` (``_u_many`` lane by lane).  Beyond either
-    endpoint the path continues straight along the end tangent, curvature 0.
+    maps arc length to the spline parameter every ``_LUT_STEP`` (0.1) meters.
+    Every query reads it with one interpolation, ``_u_at`` (``_u_many`` lane
+    by lane).  Beyond either endpoint the path continues straight along the
+    end tangent, curvature 0.
 
     Raises ``DegenerateSpline`` on non-finite waypoints or when the spline
     speed vanishes anywhere, and ``CurvatureBoundExceeded`` when the densely
     sampled curvature reaches ``kappa_bound``; a NaN in a grid fails its gate.
-    Raises ``TableTooLarge`` (a ``ValueError``) before building a table of
-    more than ``MAX_LUT_ENTRIES``: the spline is no longer than its control
-    polygon, so the polygon's length over ``lut_step`` bounds the table.
+    Raises ``ValueError`` before building a table of more than
+    ``MAX_LUT_ENTRIES``: the spline is no longer than its control polygon.
 
     Paths of one scenario with the same shape share one arc-length table:
     ``build_paths`` hands them one ``_shapes`` dict, and the table is built
@@ -227,13 +226,10 @@ class SplinePath(Path):
     _DEGREE = 3
 
     def __init__(self, waypoints: list[tuple[float, float]],
-                 kappa_bound: float = 0.002, lut_step: float = 0.1, *, _shapes=None):
+                 kappa_bound: float = 0.002, *, _shapes=None):
         pts = np.asarray(waypoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < self._DEGREE + 1:
             raise ValueError("need at least 4 [x, y] waypoints")
-        lut_step = float(lut_step)
-        if not 0.0 < lut_step < math.inf:
-            raise ValueError(f"lut_step must be positive and finite, got {lut_step!r}")
         if not np.isfinite(pts).all():
             raise DegenerateSpline("non-finite waypoint coordinates")
         self.waypoints = [(float(x), float(y)) for x, y in pts]
@@ -246,11 +242,9 @@ class SplinePath(Path):
         interior = np.array([chord[j + 1:j + k + 1].mean() for j in range(len(pts) - k - 1)])
         knots = np.concatenate([[chord[0]] * (k + 1), interior, [chord[-1]] * (k + 1)])
         self._u_end = float(chord[-1])
-        n_lut = self._u_end / lut_step + 2.0
-        if not n_lut <= MAX_LUT_ENTRIES:
-            raise TableTooLarge(f"lut_step: {lut_step!r} asks for up to {n_lut:.3g} table "
-                                f"entries over a {self._u_end:.6g} m control polygon, more "
-                                f"than {MAX_LUT_ENTRIES:.0e}")
+        if not self._u_end / _LUT_STEP + 2.0 <= MAX_LUT_ENTRIES:
+            raise ValueError(f"control polygon of {self._u_end:.6g} m is too long for an "
+                             f"arc-length table of at most {MAX_LUT_ENTRIES:.0e} entries")
         self._breaks, self._cx = self._power_coefficients(knots, pts[:, 0])
         _, self._cy = self._power_coefficients(knots, pts[:, 1])
         # near-coincident knots overflow the derivative recurrence
@@ -260,11 +254,11 @@ class SplinePath(Path):
         # all that _build_lut and _check_shape read: the first and second
         # derivatives take the breaks and c0..c2 only.  Bytes, so that -0.0
         # and 0.0 differ.
-        shape = np.array([self._u_end, lut_step, self.kappa_bound, *self._breaks,
+        shape = np.array([self._u_end, self.kappa_bound, *self._breaks,
                           *(c for col in self._cx + self._cy for c in col[:3])]).tobytes()
         shapes = {} if _shapes is None else _shapes
         if shape not in shapes:
-            self._build_lut(lut_step)
+            self._build_lut()
             self._check_shape()
             shapes[shape] = (self._lut_step, self.total_length, self._u_of_s)
         self._lut_step, self.total_length, self._u_of_s = shapes[shape]
@@ -337,7 +331,7 @@ class SplinePath(Path):
                 h[i + 1] = f * (x - t[lj])
         return h
 
-    def _build_lut(self, lut_step):
+    def _build_lut(self):
         # Trapezoid integration of spline speed on a fine grid, then a uniform
         # s -> u table, one block of the grid at a time.  A block shares its
         # first point with the block before, carries the running arc length
@@ -345,7 +339,7 @@ class SplinePath(Path):
         # range.  A block whose min speed fails raises (a NaN fails too), so
         # the gate decides as one min over the whole grid.
         n_fine = max(2000, int(self._u_end / 0.05) + 1)
-        self._lut_step = step = float(lut_step)
+        self._lut_step = step = _LUT_STEP
         lut = array("d")
         s = np.zeros(1)
         for u in _grid_blocks(self._u_end, n_fine, share=1):
@@ -359,7 +353,7 @@ class SplinePath(Path):
             g = np.arange(len(lut), int(s[-1] / step) + 3, dtype=float) * step + 0.0
             lut.frombytes(np.interp(g[:np.searchsorted(g, s[-1])], s, u).tobytes())
         self.total_length = float(s[-1])
-        # the rest of len(np.arange(0.0, total_length + lut_step, lut_step))
+        # the rest of len(np.arange(0.0, total_length + step, step))
         # lies at or past the end
         n_lut = math.ceil((self.total_length + step) / step)
         lut.extend([self._u_end] * (n_lut - len(lut)))

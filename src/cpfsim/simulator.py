@@ -73,6 +73,9 @@ class Scenario:
             raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 <= self.duration < math.inf:
             raise ConfigError(f"duration must be finite and >= 0, got {self.duration!r}")
+        if not self.duration / self.dt < math.inf:   # else n_steps overflows
+            raise ConfigError(f"duration / dt overflows: duration={self.duration!r}, "
+                              f"dt={self.dt!r}")
         if not self.paths:
             raise ConfigError("at least one path required")
         if not self.uavs:

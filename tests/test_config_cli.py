@@ -24,6 +24,13 @@ run: {duration: 1.0, dt: 0.01}
 """
 
 
+# limits with v_min given twice, the second time on line 7
+DUPLICATE_V_MIN = MINIMAL.replace(
+    "limits: {v_min: 10.0, v_max: 25.0, omega_max: 0.2, kappa_bound: 0.002}",
+    "limits:\n  v_min: 10.0\n  v_max: 25.0\n  omega_max: 0.2\n  kappa_bound: 0.002\n"
+    "  v_min: 12.0")
+
+
 # params.design keys that overrode the designed set's defaults
 _DESIGN_OVERRIDES = ("rho_universe", "k1", "k2", "k3", "eps_switch", "chi_blend", "chi_delta1",
                      "sign_eps")
@@ -129,17 +136,14 @@ class TestSchema:
         assert f"error: {where}: expected " in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
-    @pytest.mark.parametrize("lut_step", [0, -0.5])
-    def test_non_positive_lut_step_rejected_at_the_cli(self, tmp_path, capsys, lut_step):
-        # 0 ended in an OverflowError traceback, -0.5 in an IndexError one
+    def test_lut_step_is_an_unknown_key(self, tmp_path, capsys):
+        # the table step is fixed at 0.1 m; a config that set it was read
         cfg = load_config(bundled_config_path("parallel4"))
-        cfg["paths"][0]["lut_step"] = lut_step
+        cfg["paths"][0]["lut_step"] = 0.1
         path = write_config(tmp_path, yaml.safe_dump(cfg))
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: paths[0].lut_step: expected a positive number")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err.startswith("error: paths[0]: unknown key(s) ['lut_step']")
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("old, new, err", [
@@ -158,18 +162,20 @@ class TestSchema:
         assert capsys.readouterr().err == err
         assert not (tmp_path / "trace.csv").exists()
 
-    @pytest.mark.parametrize("lut_step", [1e-300, 1e-6])
-    def test_giant_lut_rejected_at_the_cli(self, tmp_path, capsys, lut_step):
-        # 1e-300 exited with numpy's "Maximum allowed size exceeded"; 1e-6 asked
-        # for about 1.4e10 table entries (115 GB)
+    @pytest.mark.parametrize("scale", [1e299, 1e5])
+    def test_giant_lut_rejected_at_the_cli(self, tmp_path, capsys, monkeypatch, scale):
+        # a 1.7e303 m polygon asks for 1.7e304 table entries, a 1.7e9 m one for
+        # 1.7e10 (136 GB)
+        monkeypatch.setattr("cpfsim.paths.SplinePath._build_lut", None)   # nothing is allocated
         cfg = load_config(bundled_config_path("parallel4"))
-        cfg["paths"][0]["lut_step"] = lut_step
+        cfg["paths"][0]["waypoints"] = [[x * scale, y * scale]
+                                        for x, y in cfg["paths"][0]["waypoints"]]
         path = write_config(tmp_path, yaml.safe_dump(cfg))
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: paths[0].lut_step: {lut_step!r} asks for up to ")
-        assert "Traceback" not in err
+        assert err.startswith("error: paths[0]: control polygon of 1.69872e+")
+        assert "too long for an arc-length table" in err and "Traceback" not in err
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--duration", "inf"), ("--dt", "nan")])
@@ -401,6 +407,33 @@ class TestYamlLoaders:
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text, error", [
+        (DUPLICATE_V_MIN, r"duplicate key 'v_min'\n.*line 7, column 3"),
+        # keys equal once constructed: 0x2 is the integer 2
+        ("parents: {2: 1, 0x2: 3}\n", r"duplicate key 2\n.*line 1, column 17"),
+    ], ids=["str", "int"])
+    def test_duplicate_key_is_a_config_error(self, tmp_path, monkeypatch, loader, text, error):
+        # PyYAML kept the last value: v_min read 12.0 and the 10.0 was ignored
+        monkeypatch.setattr(cfgmod, "_YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match=error):
+            load_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    def test_key_next_to_a_merge_overrides_it(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(cfgmod, "_YAML_LOADER", loader)
+        cfg = load_config(bundled_config_path("parallel4"))
+        assert [p["offset"] for p in cfg["paths"][1:]] == [[0.0, 100.0], [0.0, 200.0],
+                                                          [0.0, 300.0]]
+        # &b overrides a key it merges and is merged into the last path before
+        # its own mapping is built
+        text = ("paths:\n"
+                "  - defs: [&a {kind: line, heading: 0.0}, &b {<<: *a, heading: 1.0}]\n"
+                "  - {<<: *b, origin: [5.0, 0.0]}\n")
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg["paths"][1] == {"kind": "line", "heading": 1.0, "origin": [5.0, 0.0]}
+        assert cfg["paths"][0]["defs"][1] == {"kind": "line", "heading": 1.0}
+
     def test_design_yaml_designs_the_pinned_set(self):
         p = resolve_params(load_config(bundled_config_path("design")))
         assert (p.psi_max, p.rho_max, p.v_coord) == (0.6990040004295561, 140.99915822080837, 25.0)
@@ -481,6 +514,51 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         for command in ("verify", "simulate", "design-params", "demo-escape"):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--threads", "1"])
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--dt", "abc"], "cpfsim simulate: error: argument --dt: invalid float "
+                                      "value: 'abc'"),
+        (["bogus"], "cpfsim: error: argument command: invalid choice: 'bogus'"),
+        # reached numpy, which printed "expected non-negative integer"
+        (["verify", "--seed", "-1"], "cpfsim verify: error: argument --seed: expected a "
+                                     "non-negative integer, got '-1'"),
+        (["verify", "--seed", "x"], "cpfsim verify: error: argument --seed: expected a "
+                                    "non-negative integer, got 'x'"),
+    ], ids=["dt_not_a_number", "unknown_command", "negative_seed", "seed_not_a_number"])
+    def test_usage_error_exits_1(self, capsys, args, message):
+        # argparse exited 2, the code of a runtime abort
+        if args[0] != "bogus":
+            args[1:1] = ["--config", str(bundled_config_path("circle6"))]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 1
+        assert f"\n{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, old, new, values", [
+        (["--duration", "1e308"], "", "", "duration=1e+308, dt=0.01"),
+        (["--dt", "1e-320"], "", "", "duration=1.0, dt=1e-320"),
+        ([], "duration: 1.0", "duration: 1.0e+308", "duration=1e+308, dt=0.01"),
+    ], ids=["duration_flag", "dt_flag", "run_duration"])
+    def test_overflowing_step_count_rejected_at_the_cli(self, tmp_path, capsys,
+                                                        flags, old, new, values):
+        # each ended in "OverflowError: cannot convert float infinity to integer"
+        cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: duration / dt overflows: {values}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_key_rejected_at_the_cli(self, tmp_path, capsys):
+        # design-params designed from the second v_min and exited 0
+        text = DUPLICATE_V_MIN.replace("explicit: {psi_max: 0.6303, rho_max: 122.1297, "
+                                       "v_coord: 25.0}", "design: {}")
+        cfg = write_config(tmp_path, text)
+        rc = main(["design-params", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid YAML in {cfg}: duplicate key 'v_min'\n")
+        assert "line 7, column 3" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_flag(self, capsys):
         rc = main(["simulate"])

@@ -13,8 +13,7 @@ import pytest
 from cpfsim import paths as paths_mod
 from cpfsim.config import (build_limits, build_paths, build_scenario, bundled_config_path,
                            load_config)
-from cpfsim.exceptions import (CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous,
-                               TableTooLarge)
+from cpfsim.exceptions import CurvatureBoundExceeded, DegenerateSpline, ProjectionAmbiguous
 from cpfsim.paths import (CirclePath, LinePath, Projection, SplinePath, _grid_blocks,
                           waypoints_from_lonlat, wrap_angle)
 
@@ -457,7 +456,8 @@ class TestSpline:
     @pytest.mark.parametrize("lut_step", [0.1, 0.07, 0.5, 3.0])
     def test_build_equals_whole_grid_build(self, monkeypatch, block, lut_step):
         monkeypatch.setattr(paths_mod, "_BUILD_BLOCK", block)
-        path = SplinePath(HIL_WAYPOINTS, kappa_bound=0.002, lut_step=lut_step)
+        monkeypatch.setattr(paths_mod, "_LUT_STEP", lut_step)
+        path = SplinePath(HIL_WAYPOINTS, kappa_bound=0.002)
         assert _same_floats((path.total_length, list(path._u_of_s)),
                             spline_lut_whole_grid(path, lut_step))
         assert len(path._u_of_s) == len(np.arange(0.0, path.total_length + lut_step, lut_step))
@@ -469,8 +469,9 @@ class TestSpline:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(paths_mod, "_BUILD_BLOCK", 997)
+            mp.setattr(paths_mod, "_LUT_STEP", lut_step)
             try:
-                path = SplinePath(waypoints, kappa_bound=math.inf, lut_step=lut_step)
+                path = SplinePath(waypoints, kappa_bound=math.inf)
             except DegenerateSpline as exc:
                 # the table's speed gate fails as on the whole grid; the
                 # curvature grid's fails only after the table was built.
@@ -553,7 +554,7 @@ class TestSpline:
         ref = bundled_splines["parallel4[0]"]
         tracemalloc.start()
         try:
-            SplinePath(ref.waypoints, kappa_bound=ref.kappa_bound, lut_step=ref._lut_step)
+            SplinePath(ref.waypoints, kappa_bound=ref.kappa_bound)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -715,9 +716,9 @@ class TestSharedShapes:
         builds = []
         build_lut = SplinePath._build_lut
 
-        def counted(path, lut_step):
+        def counted(path):
             builds.append(path)
-            build_lut(path, lut_step)
+            build_lut(path)
 
         monkeypatch.setattr(SplinePath, "_build_lut", counted)
         cfg = load_config(bundled_config_path("parallel4"))
@@ -730,18 +731,6 @@ class TestSharedShapes:
         assert all(p._u_of_s is second[0]._u_of_s for p in second)
         assert second[0]._u_of_s is not first[0]._u_of_s
 
-    def test_copies_with_other_lut_steps_get_their_own_tables(self):
-        cfg = load_config(bundled_config_path("parallel4"))
-        for p, step in zip(cfg["paths"], (0.1, 0.5, 0.1, 0.5)):
-            p["lut_step"] = step
-        built = build_paths(cfg, build_limits(cfg).kappa_bound)
-        assert built[2]._u_of_s is built[0]._u_of_s
-        assert built[3]._u_of_s is built[1]._u_of_s
-        assert built[1]._u_of_s is not built[0]._u_of_s
-        alone = SplinePath(built[1].waypoints, lut_step=0.5)
-        assert _same_floats((built[1].total_length, list(built[1]._u_of_s)),
-                            (alone.total_length, list(alone._u_of_s)))
-
     def test_failed_build_stores_nothing(self):
         shapes = {}
         with pytest.raises(CurvatureBoundExceeded):
@@ -753,25 +742,24 @@ class TestSharedShapes:
             SplinePath(HIL_WAYPOINTS, kappa_bound=0.001, _shapes=shapes)
         assert len(shapes) == 1
 
-    @pytest.mark.parametrize("lut_step", [0.0, -0.0, -0.5, math.inf, math.nan])
-    def test_lut_step_must_be_positive_and_finite(self, lut_step):
-        with pytest.raises(ValueError, match="lut_step must be positive and finite"):
-            SplinePath(HIL_WAYPOINTS, lut_step=lut_step)
-
-    @pytest.mark.parametrize("lut_step", [1e-300, 1e-6])
-    def test_giant_table_raises_before_the_build(self, monkeypatch, lut_step):
+    @pytest.mark.parametrize("scale", [1e299, 1e5])
+    def test_giant_table_raises_before_the_build(self, monkeypatch, scale):
+        # a 1.7e303 m and a 1.7e9 m control polygon: 1.7e304 and 1.7e10 entries
         monkeypatch.setattr(SplinePath, "_build_lut", None)   # nothing is allocated
-        with pytest.raises(ValueError, match=r"lut_step: .* table entries") as info:
-            SplinePath(HIL_WAYPOINTS, lut_step=lut_step)
-        assert isinstance(info.value, TableTooLarge)
+        with pytest.raises(ValueError, match=r"^control polygon of 1\.69872e\+(303|09) m is "
+                                             r"too long for an arc-length table of at most "
+                                             r"1e\+08 entries$"):
+            SplinePath([(x * scale, y * scale) for x, y in HIL_WAYPOINTS])
 
     def test_control_polygon_bounds_the_table(self, monkeypatch):
-        u_end = SplinePath(HIL_WAYPOINTS)._u_end
-        monkeypatch.setattr(paths_mod, "MAX_LUT_ENTRIES", 1000)
-        path = SplinePath(HIL_WAYPOINTS, lut_step=u_end / 998.0)
-        assert len(path._u_of_s) <= 1000
-        with pytest.raises(TableTooLarge):
-            SplinePath(HIL_WAYPOINTS, lut_step=u_end / 998.5)
+        # the cap is inclusive: u_end / _LUT_STEP + 2 entries fit, half an entry less does not
+        n_max = SplinePath(HIL_WAYPOINTS)._u_end / paths_mod._LUT_STEP + 2.0
+        monkeypatch.setattr(paths_mod, "MAX_LUT_ENTRIES", n_max)
+        assert len(SplinePath(HIL_WAYPOINTS)._u_of_s) <= n_max
+        monkeypatch.setattr(paths_mod, "MAX_LUT_ENTRIES", n_max - 0.5)
+        monkeypatch.setattr(SplinePath, "_build_lut", None)
+        with pytest.raises(ValueError, match="control polygon of .* is too long"):
+            SplinePath(HIL_WAYPOINTS)
 
 
 @pytest.mark.parametrize("block", [997, 16384])

@@ -10,7 +10,7 @@ from cpfsim import error_frame
 from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.coordination import OvertakeEvent
 from cpfsim.error_frame import PathError, batch_error_step
-from cpfsim.exceptions import OutsideUniverse
+from cpfsim.exceptions import ConfigError, OutsideUniverse
 from cpfsim.paths import CirclePath, SplinePath
 from cpfsim.simulator import Scenario, UavSpec, rk4_unicycle, run_scenario
 from cpfsim.verification import escape_demo, in_escape_set
@@ -85,6 +85,15 @@ class TestRunScenario:
         trace, _ = run_scenario(sc)
         assert len(trace.rows) == 1
         assert trace.rows[0][0] == 0.0
+
+    @pytest.mark.parametrize("duration, dt", [(1e308, 0.01), (400.0, 1e-320), (1e308, 1e-320)])
+    def test_overflowing_step_count_rejected(self, params, duration, dt):
+        # n_steps raised "OverflowError: cannot convert float infinity to integer"
+        sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2.0)], duration, dt)
+        with pytest.raises(ConfigError) as info:
+            sc.validate()
+        assert str(info.value) == f"duration / dt overflows: duration={duration!r}, dt={dt!r}"
+        circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2.0)], 1e300, 0.01).validate()
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_long_csv_needs_a_positive_every(self, params, tmp_path, every):
