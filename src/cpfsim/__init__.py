@@ -3,7 +3,7 @@
 Library layout:
 
 * ``paths`` - directed planar paths (circle, line, clamped cubic B-spline)
-  with arc-length point/tangent/curvature/projection queries;
+  with one arc-length frame query (point, tangent, curvature) and closest-point projection;
 * ``error_frame`` - path-following error, its batched dynamics and the
   region classification driving the hybrid dispatch;
 * ``param_design`` - coordination-set parameter design (grid optimization)

@@ -1,8 +1,8 @@
 """Directed planar C2 paths with arc-length queries.
 
-Every path is parameterized by arc length s (meters) and answers point,
-tangent, curvature and closest-projection queries.  Sign conventions used
-throughout the package:
+Every path is parameterized by arc length s (meters) and answers one frame
+query (point, tangent, curvature) and closest-point projection.  Sign
+conventions used throughout the package:
 
 * rho > 0 when the query point lies on the LEFT of the directed path;
 * curvature > 0 when the path turns toward its left.
@@ -74,8 +74,8 @@ class Projection:
 
 
 class Path:
-    """Common interface; concrete paths give ``point_at``, ``tangent_angle_at``,
-    ``curvature_at`` and ``project``.
+    """Common interface; concrete paths give ``frame(s) -> (x, y, tangent_angle,
+    curvature)`` and ``project``.
 
     Immutable after construction: concurrent reads are safe.
     """
@@ -90,8 +90,8 @@ class Path:
         return 1.0 / self.kappa_bound
 
     def curvature_many(self, s) -> np.ndarray:
-        """``curvature_at`` at each arc length of the array ``s``."""
-        return np.array([self.curvature_at(x) for x in np.asarray(s).tolist()], dtype=float)
+        """``frame``'s curvature at each arc length of the array ``s``."""
+        return np.array([self.frame(x)[3] for x in np.asarray(s).tolist()], dtype=float)
 
     def project(self, point: tuple[float, float], hint: Projection | None = None) -> Projection:
         raise NotImplementedError
@@ -119,21 +119,16 @@ class CirclePath(Path):
         self.ccw = direction == "ccw"
         self.kappa_bound = float(kappa_bound)
         self.total_length = TWO_PI * self.radius
+        self._kappa = 1.0 / self.radius if self.ccw else -1.0 / self.radius
 
-    def point_at(self, s):
+    def frame(self, s):
         ang = s / self.radius if self.ccw else -s / self.radius
-        cx, cy = self.center
-        return (cx + self.radius * math.cos(ang), cy + self.radius * math.sin(ang))
-
-    def tangent_angle_at(self, s):
-        ang = s / self.radius if self.ccw else -s / self.radius
-        return wrap_angle(ang + math.pi / 2.0) if self.ccw else wrap_angle(ang - math.pi / 2.0)
-
-    def curvature_at(self, s):
-        return 1.0 / self.radius if self.ccw else -1.0 / self.radius
+        ta = wrap_angle(ang + math.pi / 2.0) if self.ccw else wrap_angle(ang - math.pi / 2.0)
+        return (self.center[0] + self.radius * math.cos(ang),
+                self.center[1] + self.radius * math.sin(ang), ta, self._kappa)
 
     def curvature_many(self, s):
-        return np.full(np.shape(s), self.curvature_at(0.0))
+        return np.full(np.shape(s), self._kappa)
 
     def project(self, point, hint=None):
         dx = point[0] - self.center[0]
@@ -147,7 +142,7 @@ class CirclePath(Path):
         y = self.center[1] + self.radius * dy / d
         ta = wrap_angle(ang + math.pi / 2.0) if self.ccw else wrap_angle(ang - math.pi / 2.0)
         rho = self.radius - d if self.ccw else d - self.radius
-        return Projection(s, x, y, ta, self.curvature_at(s), rho)
+        return Projection(s, x, y, ta, self._kappa, rho)
 
 
 class LinePath(Path):
@@ -167,14 +162,8 @@ class LinePath(Path):
         self._ux = math.cos(self.heading)
         self._uy = math.sin(self.heading)
 
-    def point_at(self, s):
-        return (self.origin[0] + s * self._ux, self.origin[1] + s * self._uy)
-
-    def tangent_angle_at(self, s):
-        return self.heading
-
-    def curvature_at(self, s):
-        return 0.0
+    def frame(self, s):
+        return (self.origin[0] + s * self._ux, self.origin[1] + s * self._uy, self.heading, 0.0)
 
     def curvature_many(self, s):
         return np.full(np.shape(s), 0.0)
@@ -390,7 +379,7 @@ class SplinePath(Path):
         each slice is evaluated with its span's coefficients.  ``u`` below the
         first break belongs to the first span, at or past the last break to
         the last.  Returns ``(x, y)`` arrays.  The expressions are
-        ``_frame``'s, so both evaluators give the same floats at the same u.
+        ``frame``'s, so both evaluators give the same floats at the same u.
         """
         if (u[1:] < u[:-1]).any():
             raise ValueError("spline parameters must be non-decreasing")
@@ -432,23 +421,12 @@ class SplinePath(Path):
         u = table[j] * (1.0 - f) + table[j + 1] * f
         return np.where(i < 0, 0.0, np.where(i >= len(table) - 1, self._u_end, u))
 
-    def point_at(self, s):
-        x, y, _, _ = self._frame(s)
-        return (x, y)
-
-    def tangent_angle_at(self, s):
-        return self._frame(s)[2]
-
-    def curvature_at(self, s):
-        return self._frame(s)[3]
-
-    def _frame(self, s):
+    def frame(self, s):
         """(x, y, tangent_angle, curvature) at any arc length s.
 
-        The only scalar evaluator: ``point_at``, ``tangent_angle_at`` and
-        ``curvature_at`` return its parts.  Before 0 and past
-        ``total_length`` it answers on the straight extension along the end
-        tangent, where the curvature is 0.0.
+        The only scalar evaluator.  Before 0 and past ``total_length`` it
+        answers on the straight extension along the end tangent, where the
+        curvature is 0.0.
         """
         if s < 0.0 or s > self.total_length:
             x, y, ux, uy = self._head if s < 0.0 else self._tail
@@ -481,10 +459,10 @@ class SplinePath(Path):
         """Closest point to ``point``: Newton from ``hint``, the previous step's
         projection onto this path, else a global search.
 
-        Newton's first iterate reads the hint's frame, ``_frame(hint.s)`` as
+        Newton's first iterate reads the hint's frame, ``frame(hint.s)`` as
         ``_projection_at`` stored it.  A tail projection's frame is not
-        ``_frame``'s, even where its s rounds onto an end: a hint with
-        curvature 0.0, as every tail projection has, evaluates ``_frame``.
+        ``frame``'s, even where its s rounds onto an end: a hint with
+        curvature 0.0, as every tail projection has, evaluates ``frame``.
         """
         px, py = float(point[0]), float(point[1])
         if hint is not None:
@@ -500,16 +478,16 @@ class SplinePath(Path):
 
     def _projection_at(self, s, px, py):
         # callers pass 0 <= s <= total_length; past an end, _tail_projection projects
-        x, y, ta, kappa = self._frame(s)
+        x, y, ta, kappa = self.frame(s)
         rho = math.cos(ta) * (py - y) - math.sin(ta) * (px - x)
         return Projection(s, x, y, ta, kappa, rho)
 
     def _newton_refine(self, px, py, s0, frame0=None, tol=1.0e-9, max_iter=30):
         # Root of g(s) = (q - p(s)) . T(s);  g'(s) = -(1 - kappa*rho).
-        # frame0, when given, is _frame(s0).
+        # frame0, when given, is frame(s0).
         s = s0
         for _ in range(max_iter):
-            x, y, ta, kappa = frame0 or self._frame(s)
+            x, y, ta, kappa = frame0 or self.frame(s)
             frame0 = None
             tx, ty = math.cos(ta), math.sin(ta)
             ex, ey = px - x, py - y
@@ -572,7 +550,7 @@ class SplinePath(Path):
                 s_riv = self._golden_section(px, py,
                                              max(0.0, s_grid[j] - stride),
                                              min(self.total_length, s_grid[j] + stride))
-                rx, ry = self.point_at(s_riv)
+                rx, ry = self.frame(s_riv)[:2]
                 if abs(math.hypot(rx - px, ry - py) - d_best) <= tol:
                     raise ProjectionAmbiguous(
                         f"|rho|={abs(winner.rho):g} >= r0={self.r0:g} with tied minima")
@@ -582,7 +560,7 @@ class SplinePath(Path):
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
         def d2(s):
-            x, y = self.point_at(s)
+            x, y = self.frame(s)[:2]
             return (x - px) ** 2 + (y - py) ** 2
 
         a, b = lo, hi

@@ -233,7 +233,8 @@ def compute_metrics(trace: Trace, scenario: Scenario) -> Metrics:
         per_rows.setdefault(r[1], []).append(r)
     per_uav = {}
     entries = []
-    final_window = 0.9 * duration
+    # the last row's t: a rounded n_steps can put it before 0.9 * duration
+    final_window = 0.9 * (scenario.n_steps * dt)
     for uav_id, rows in per_rows.items():
         entry = None
         for r in reversed(rows):

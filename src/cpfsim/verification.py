@@ -367,7 +367,15 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
     UAVs advance as one batch (``batch_relation``, which equals the
     simulator's scalar relation run by run).  A UAV that leaves the
     universe raises ``OutsideUniverse``.
+
+    The arc positions are drawn by rejection until every cyclic gap is over
+    1 m; five positions on a path of length L pass with probability
+    (1 - 5/L)^4, which is 0 for L <= 5 m.  A path shorter than 10 m, where it
+    falls below 1/16, raises ``ValueError`` before the first draw.
     """
+    if path.total_length < 10.0:
+        raise ValueError(f"no_overtaking needs a path of at least 10 m, "
+                         f"got {path.total_length:g} m")
     rng = np.random.default_rng(seed)
     chi = build_chi(params)
     n_steps = int(duration / _DT)

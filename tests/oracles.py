@@ -89,7 +89,7 @@ def brute_force_projection(path, point, fine_step=0.01, coarse_step=1.0):
     ``fine_step`` resolves each of the best few basins.
     """
     coarse = np.arange(0.0, path.total_length + coarse_step, coarse_step)
-    pts = np.array([path.point_at(float(s)) for s in coarse])
+    pts = np.array([path.frame(float(s))[:2] for s in coarse])
     d2 = (pts[:, 0] - point[0]) ** 2 + (pts[:, 1] - point[1]) ** 2
     best = math.inf
     order = np.argsort(d2)[:5]
@@ -97,7 +97,7 @@ def brute_force_projection(path, point, fine_step=0.01, coarse_step=1.0):
         lo = max(0.0, coarse[i] - 2.0 * coarse_step)
         hi = min(path.total_length, coarse[i] + 2.0 * coarse_step)
         fine = np.arange(lo, hi + fine_step, fine_step)
-        fpts = np.array([path.point_at(float(s)) for s in fine])
+        fpts = np.array([path.frame(float(s))[:2] for s in fine])
         fd = np.hypot(fpts[:, 0] - point[0], fpts[:, 1] - point[1]).min()
         best = min(best, float(fd))
     return best
@@ -216,11 +216,11 @@ def comparison_system_trajectory(err0: PathError, params: CoordParams,
 
 
 # -- SplinePath pre-change reference ------------------------------------------
-# The scalar evaluator and single queries SplinePath had before ``_frame``
+# The scalar evaluator and single queries SplinePath had before ``frame``
 # became its only scalar evaluator, and its projection before the warm start
 # carried its frame, kept verbatim (``self`` -> ``path``) so the evaluators
 # and the projection can be held to them with ``==``.  Their branches before
-# 0 and past ``total_length`` are the straight extension ``_frame`` answers.
+# 0 and past ``total_length`` are the straight extension ``frame`` answers.
 
 def spline_eval(path, u, deriv):
     i = bisect.bisect_right(path._breaks, u) - 1
@@ -294,7 +294,7 @@ def spline_projection_at(path, s, px, py):
 
 def spline_project(path, point, hint_s=None):
     """SplinePath.project while its warm start was an arc length: Newton's
-    first iterate evaluated ``_frame(hint_s)``."""
+    first iterate evaluated ``frame(hint_s)``."""
     px, py = float(point[0]), float(point[1])
     if hint_s is not None:
         s = spline_newton_refine(path, px, py, hint_s)
@@ -309,7 +309,7 @@ def spline_newton_refine(path, px, py, s0, tol=1.0e-9, max_iter=30):
     # Root of g(s) = (q - p(s)) . T(s);  g'(s) = -(1 - kappa*rho).
     s = s0
     for _ in range(max_iter):
-        x, y, ta, kappa = path._frame(s)
+        x, y, ta, kappa = path.frame(s)
         tx, ty = math.cos(ta), math.sin(ta)
         ex, ey = px - x, py - y
         g = ex * tx + ey * ty

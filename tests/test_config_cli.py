@@ -362,7 +362,7 @@ uavs:
 run: {duration: 0.0, dt: 0.01}
 """
         sc = build_scenario(load_config(write_config(tmp_path, text)))
-        assert sc.paths[0].point_at(0.0) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert sc.paths[0].frame(0.0)[:2] == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_fragment_round_trips(self, params, tmp_path):
         frag = yaml.safe_load(params_fragment(params))
@@ -488,6 +488,16 @@ params: {design: {speed_margin: 1.0, alpha: 0.01}}
         assert len(lines) == 2  # header + the t=0 row
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["n_steps"] == 0
+
+    @pytest.mark.parametrize("flags", [["--dt", "0.3"], ["--dt", "0.4"], ["--dt", "1000"],
+                                       ["--duration", "0.004"]])
+    def test_simulate_whose_last_row_falls_before_0_9_duration(self, tmp_path, capsys, flags):
+        # each exited 1 with "error: max() arg is an empty sequence" and wrote no file
+        cfg = write_config(tmp_path, MINIMAL)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags])
+        assert rc == 0, capsys.readouterr().err
+        for name in ("trace.csv", "metrics.json", "events.csv", "long.csv"):
+            assert (tmp_path / "out" / name).exists()
 
     def test_simulate_writes_outputs(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -177,8 +177,7 @@ def test_error_dynamics_consistent_with_kinematics(circle):
     """Integrating the error equations tracks the full kinematic simulation."""
     s0 = 200.0
     rho0, psi0 = 50.0, 0.3
-    x0, y0 = circle.point_at(s0)
-    ta = circle.tangent_angle_at(s0)
+    x0, y0, ta, _ = circle.frame(s0)
     x = x0 - rho0 * math.sin(ta)
     y = y0 + rho0 * math.cos(ta)
     # interior offset of a ccw circle reduces the radius: rho is +50 here

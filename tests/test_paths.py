@@ -45,7 +45,7 @@ def bundled_splines(hil_spline):
 
 def hint_at(path, s):
     """A warm start at arc length s, with the fields ``_projection_at`` stores."""
-    return Projection(s, *path._frame(s), 0.0)
+    return Projection(s, *path.frame(s), 0.0)
 
 
 def _same_floats(got, want):
@@ -88,7 +88,7 @@ def test_parallel4_warm_start_agrees_with_global_projection(parallel4_run):
 
 def test_warm_start_frame_equals_newton_from_frame(bundled_splines):
     # project(q, hint) reads Newton's first frame from the hint; the
-    # pre-change projection (tests/oracles.py) evaluated _frame(hint.s).
+    # pre-change projection (tests/oracles.py) evaluated frame(hint.s).
     # Hints: previous projections, global (np.float64 s) and warm-started
     # (float s), projections at exactly 0 and total_length, tail projections
     # past an end, and tail projections whose s is exactly 0 or total_length
@@ -97,8 +97,7 @@ def test_warm_start_frame_equals_newton_from_frame(bundled_splines):
     rng = np.random.default_rng(25)
 
     def near(s, rho):
-        x, y = path.point_at(s)
-        ta = path.tangent_angle_at(s)
+        x, y, ta, _ = path.frame(s)
         return (x - rho * math.sin(ta), y + rho * math.cos(ta))
 
     def previous(kind):
@@ -199,25 +198,25 @@ def test_wrap_angle_half_open():
 
 class TestCircle:
     def test_anchor_points(self, circle):
-        x, y = circle.point_at(0.0)
+        x, y = circle.frame(0.0)[:2]
         assert (x, y) == pytest.approx((1000.0, 0.0), abs=1e-9)
         # half circumference is 1000*pi for r = 1000
-        x, y = circle.point_at(1000.0 * math.pi)
+        x, y = circle.frame(1000.0 * math.pi)[:2]
         assert (x, y) == pytest.approx((-1000.0, 0.0), abs=1e-6)
-        x, y = circle.point_at(500.0 * math.pi)  # quarter
+        x, y = circle.frame(500.0 * math.pi)[:2]  # quarter
         assert (x, y) == pytest.approx((0.0, 1000.0), abs=1e-6)
 
     def test_closure(self, circle):
         for s in (0.0, 123.4, 5000.0):
-            a = circle.point_at(s)
-            b = circle.point_at(s + circle.total_length)
+            a = circle.frame(s)[:2]
+            b = circle.frame(s + circle.total_length)[:2]
             assert a == pytest.approx(b, abs=1e-6)
 
     def test_curvature_sign(self, circle):
         for s in np.linspace(0, circle.total_length, 17):
-            assert circle.curvature_at(float(s)) == pytest.approx(0.001)
+            assert circle.frame(float(s))[3] == pytest.approx(0.001)
         cw = CirclePath((0.0, 0.0), 1000.0, "cw", kappa_bound=0.002)
-        assert cw.curvature_at(100.0) == pytest.approx(-0.001)
+        assert cw.frame(100.0)[3] == pytest.approx(-0.001)
 
     def test_projection_interior_point(self, circle):
         pr = circle.project((600.0, 0.0))
@@ -235,7 +234,7 @@ class TestCircle:
 
     def test_round_trip(self, circle):
         for s in np.linspace(0.0, circle.total_length, 400, endpoint=False):
-            pr = circle.project(circle.point_at(float(s)))
+            pr = circle.project(circle.frame(float(s))[:2])
             assert abs(pr.s - s) < 1e-6
 
     def test_rejects_overtight_curvature(self):
@@ -246,8 +245,8 @@ class TestCircle:
 class TestLine:
     def test_geometry(self):
         line = LinePath((0.0, 0.0), 0.0)
-        assert line.point_at(3.0) == pytest.approx((3.0, 0.0))
-        assert line.curvature_at(10.0) == 0.0
+        assert line.frame(3.0)[:2] == pytest.approx((3.0, 0.0))
+        assert line.frame(10.0)[3] == 0.0
         pr = line.project((3.0, -2.0))
         assert pr.s == pytest.approx(3.0)
         assert pr.rho == pytest.approx(-2.0)  # right of the direction of travel
@@ -255,18 +254,18 @@ class TestLine:
 
 class TestSpline:
     def test_starts_at_first_waypoint(self, hil_spline):
-        assert hil_spline.point_at(0.0) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert hil_spline.frame(0.0)[:2] == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_curvature_bound_dense_oracle(self, hil_spline):
         # independent finite-difference scan at 0.1 m resolution
         s = np.arange(0.0, hil_spline.total_length, 0.1)
-        pts = np.array([hil_spline.point_at(float(v)) for v in s])
+        pts = np.array([hil_spline.frame(float(v))[:2] for v in s])
         d1 = np.gradient(pts, s, axis=0)
         d2 = np.gradient(d1, s, axis=0)
         speed = np.hypot(d1[:, 0], d1[:, 1])
         kappa_fd = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed ** 3
         assert np.abs(kappa_fd[5:-5]).max() < 0.002
-        kappa_lib = np.array([hil_spline.curvature_at(float(v)) for v in s])
+        kappa_lib = np.array([hil_spline.frame(float(v))[3] for v in s])
         assert np.abs(kappa_lib - kappa_fd)[5:-5].max() < 1e-4
 
     def test_rejects_curvature_violation(self):
@@ -310,21 +309,22 @@ class TestSpline:
     def test_tangent_consistent_with_points(self, hil_spline):
         h = 0.05
         for s in np.linspace(10.0, hil_spline.total_length - 10.0, 60):
-            x0, y0 = hil_spline.point_at(float(s) - h)
-            x1, y1 = hil_spline.point_at(float(s) + h)
+            x0, y0 = hil_spline.frame(float(s) - h)[:2]
+            x1, y1 = hil_spline.frame(float(s) + h)[:2]
             fd = math.atan2(y1 - y0, x1 - x0)
-            assert abs(wrap_angle(fd - hil_spline.tangent_angle_at(float(s)))) < 1e-3
+            assert abs(wrap_angle(fd - hil_spline.frame(float(s))[2])) < 1e-3
             # unit-speed parameterization: chord over arc close to 1
             assert math.hypot(x1 - x0, y1 - y0) / (2 * h) == pytest.approx(1.0, abs=1e-3)
 
     def test_round_trip(self, hil_spline):
         for s in np.linspace(0.0, hil_spline.total_length, 300):
-            pr = hil_spline.project(hil_spline.point_at(float(s)))
+            pr = hil_spline.project(hil_spline.frame(float(s))[:2])
             assert abs(pr.s - s) < 1e-6
 
     def test_warm_start_round_trip(self, hil_spline):
         for s in np.linspace(5.0, hil_spline.total_length - 5.0, 100):
-            pr = hil_spline.project(hil_spline.point_at(float(s)), hint_at(hil_spline, float(s) + 4.0))
+            pr = hil_spline.project(hil_spline.frame(float(s))[:2],
+                                    hint_at(hil_spline, float(s) + 4.0))
             assert abs(pr.s - s) < 1e-6
 
     def test_projection_optimality_vs_brute_force(self, hil_spline):
@@ -332,8 +332,7 @@ class TestSpline:
         for _ in range(60):
             s = rng.uniform(0.0, hil_spline.total_length)
             rho = rng.uniform(-480.0, 480.0)
-            x, y = hil_spline.point_at(s)
-            ta = hil_spline.tangent_angle_at(s)
+            x, y, ta, _ = hil_spline.frame(s)
             q = (x - rho * math.sin(ta), y + rho * math.cos(ta))
             pr = hil_spline.project(q)
             found = math.hypot(pr.x - q[0], pr.y - q[1])
@@ -366,10 +365,7 @@ class TestSpline:
             x, y = spline_point_at(hil_spline, s)
             ta = spline_tangent_angle_at(hil_spline, s)
             kappa = spline_curvature_at(hil_spline, s)
-            assert hil_spline._frame(s) == (x, y, ta, kappa), s
-            assert hil_spline.point_at(s) == (x, y), s
-            assert hil_spline.tangent_angle_at(s) == ta, s
-            assert hil_spline.curvature_at(s) == kappa, s
+            assert hil_spline.frame(s) == (x, y, ta, kappa), s
         # _eval_vec takes sorted parameters; the same points, in order
         u = np.sort([hil_spline._u_at(s) for s in grid])
         for deriv in (0, 1, 2):
@@ -526,11 +522,9 @@ class TestSpline:
                       length + 1.0e-9, length + 10.0, length + 1.0e6):
                 s = kind(s)
                 want = (*spline_point_at(path, s), spline_tangent_angle_at(path, s), 0.0)
-                got = path._frame(s)
+                got = path.frame(s)
                 assert got == want and list(map(type, got)) == list(map(type, want)), (name, s)
                 assert spline_curvature_at(path, s) == 0.0
-                assert (path.point_at(s), path.tangent_angle_at(s), path.curvature_at(s)) == \
-                    (want[:2], want[2], 0.0)
 
     def test_projection_past_an_end_is_the_tail_projection(self, bundled_splines):
         # Newton starts on the spline near the end and steps onto the
@@ -625,8 +619,7 @@ class TestSpline:
         def check(frac, rho_frac, offset):
             s = frac * hil_spline.total_length
             rho = rho_frac * hil_spline.r0
-            x, y = hil_spline.point_at(s)
-            ta = hil_spline.tangent_angle_at(s)
+            x, y, ta, _ = hil_spline.frame(s)
             p = (x - rho * math.sin(ta), y + rho * math.cos(ta))
             warm = hil_spline.project(p, hint_at(hil_spline, s + offset))
             cold = hil_spline._global_project(*p)
@@ -639,13 +632,13 @@ class TestSpline:
                                     draw_float(rng, -5.0, 5.0)), check)
 
     def test_extrapolation_beyond_ends(self, hil_spline):
-        x0, y0 = hil_spline.point_at(0.0)
-        xm, ym = hil_spline.point_at(-50.0)
-        ta = hil_spline.tangent_angle_at(-1.0)
+        x0, y0 = hil_spline.frame(0.0)[:2]
+        xm, ym = hil_spline.frame(-50.0)[:2]
+        ta = hil_spline.frame(-1.0)[2]
         assert (xm, ym) == pytest.approx((x0 - 50.0 * math.cos(ta),
                                           y0 - 50.0 * math.sin(ta)), abs=1e-6)
-        assert hil_spline.curvature_at(-1.0) == 0.0
-        pr = hil_spline.project(hil_spline.point_at(hil_spline.total_length + 40.0))
+        assert hil_spline.frame(-1.0)[3] == 0.0
+        pr = hil_spline.project(hil_spline.frame(hil_spline.total_length + 40.0)[:2])
         assert pr.s == pytest.approx(hil_spline.total_length + 40.0, abs=1e-6)
 
 
@@ -687,8 +680,7 @@ class TestSharedShapes:
         rng = np.random.default_rng(seed)
         for s, rho in zip(rng.uniform(-200.0, alone.total_length + 200.0, 8).tolist(),
                           rng.uniform(-0.8, 0.8, 8).tolist()):
-            x, y = alone.point_at(s)
-            ta = alone.tangent_angle_at(s)
+            x, y, ta, _ = alone.frame(s)
             q = (x - rho * alone.r0 * math.sin(ta), y + rho * alone.r0 * math.cos(ta))
             assert shared.project(q) == alone.project(q)
             assert shared.project(q, hint_at(shared, s)) == alone.project(q, hint_at(alone, s))
@@ -775,7 +767,7 @@ def test_grid_blocks_equal_linspace(monkeypatch, block):
             assert joined.tobytes() == want, (stop, n)
 
 
-def test_curvature_many_equals_curvature_at(circle, hil_spline):
+def test_curvature_many_equals_frame(circle, hil_spline):
     paths = [circle, CirclePath((5.0, -3.0), 800.0, "cw", 0.002),
              LinePath((1.0, 2.0), 0.3), hil_spline]
     for path in paths:
@@ -784,7 +776,7 @@ def test_curvature_many_equals_curvature_at(circle, hil_spline):
         s = np.concatenate([[-10.0, 0.0, path.total_length], s])
         got = path.curvature_many(s)
         assert got.dtype == np.float64 and got.shape == s.shape, label
-        assert _same_floats(got.tolist(), [path.curvature_at(x) for x in s.tolist()]), label
+        assert _same_floats(got.tolist(), [path.frame(x)[3] for x in s.tolist()]), label
         assert path.curvature_many(np.empty(0)).shape == (0,), label
 
 

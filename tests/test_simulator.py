@@ -9,10 +9,10 @@ import pytest
 from cpfsim import error_frame
 from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.coordination import OvertakeEvent
-from cpfsim.error_frame import PathError, batch_error_step
+from cpfsim.error_frame import PathError, batch_error_step, compute_error
 from cpfsim.exceptions import ConfigError, OutsideUniverse
 from cpfsim.paths import CirclePath, SplinePath
-from cpfsim.simulator import Scenario, UavSpec, rk4_unicycle, run_scenario
+from cpfsim.simulator import Scenario, UavSpec, UavState, rk4_unicycle, run_scenario
 from cpfsim.verification import escape_demo, in_escape_set
 
 from oracles import integrate_unicycle
@@ -39,8 +39,7 @@ def circle_scenario(params, uavs, duration, dt=0.01, **kw):
 
 
 def on_path_spec(uav_id, path, s, rho=0.0, psi=0.0, spawn_time=0.0, path_index=0):
-    x, y = path.point_at(s)
-    ta = path.tangent_angle_at(s)
+    x, y, ta, _ = path.frame(s)
     return UavSpec(uav_id, x - rho * math.sin(ta), y + rho * math.cos(ta),
                    ta + psi, path_index, spawn_time)
 
@@ -173,6 +172,18 @@ class TestRunScenario:
         assert m.max_abs_rho_final < 1e-3
         assert m.final_zeta_error == 0.0  # lone UAV holds the desired spacing
 
+    @pytest.mark.parametrize("duration, dt", [(1.0, 0.3), (1.0, 0.4), (1.0, 1000.0),
+                                              (0.004, 0.01)])
+    def test_metrics_window_ends_at_the_last_row(self, params, duration, dt):
+        # n_steps = round(duration / dt) puts the last row before 0.9 * duration;
+        # a window from 0.9 * duration held no row, and max() of it raised
+        sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2.0)], duration, dt)
+        trace, metrics = run_scenario(sc)
+        last = trace.rows[-1]
+        assert last[0] < 0.9 * duration
+        m = metrics.per_uav[1]
+        assert (m.max_abs_rho_final, m.max_abs_psi_final) == (abs(last[5]), abs(last[6]))
+
     def test_trace_csv_layout(self, params, tmp_path):
         sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2.0)], 0.5)
         trace, _ = run_scenario(sc)
@@ -231,12 +242,50 @@ class TestRunScenario:
         step = uav[1:] == uav[:-1]   # a row and the same UAV's next row
         assert step.sum() == 6 * 40_000
         rho_n, psi_n = batch_error_step(rho[:-1][step], psi[:-1][step], v[:-1][step],
-                                        omega[:-1][step], scenario.paths[0].curvature_at(0.0),
+                                        omega[:-1][step], scenario.paths[0].frame(0.0)[3],
                                         scenario.dt)
         d_rho = np.abs(rho_n - rho[1:][step])
         d_psi = np.abs((psi_n - psi[1:][step] + math.pi) % (2.0 * math.pi) - math.pi)
         assert d_rho.max() <= 4 * math.ulp(1000.0)
         assert d_psi.max() <= 8 * math.ulp(math.pi)
+
+    def test_parallel4_steps_follow_the_error_model(self, parallel4_run):
+        # the spline twin of the circle6 check: batch_error_step holds the
+        # curvature kappa_k of the step's start while the projection moves on.
+        # The psi rate's term kappa v cos(psi) / (1 - kappa rho) has the kappa
+        # derivative v cos(psi) / (1 - kappa rho)^2, so a curvature that
+        # changes by dk within the step moves psi by at most
+        # dk v dt / (1 - kappa_bound max|rho|)^2, and rho (rate v sin(psi)) by
+        # at most v dt / 2 times that.  On top sits circle6's rounding, with
+        # rho's ulps taken at the largest coordinate.  The curvatures are the
+        # run's own: its projections, replayed from the same warm starts.
+        scenario, trace, _ = parallel4_run
+        path_of = {u.id: scenario.paths[u.path_index] for u in scenario.uavs}
+        states = {u.id: UavState(u.id, 0.0, 0.0, 0.0) for u in scenario.uavs}
+        rows = sorted(trace.rows, key=lambda r: r[1])   # stable: each UAV's rows in time order
+        kappa = []
+        for r in rows:
+            u = states[r[1]]
+            u.x, u.y, u.theta = r[2], r[3], r[4]
+            err = compute_error(u, path_of[r[1]])
+            assert (err.rho, err.psi) == (r[5], r[6]), r[:2]
+            kappa.append(err.kappa)
+        uav, x, y, rho, psi, v, omega = np.array([(r[1], r[2], r[3], r[5], r[6], r[8], r[9])
+                                                  for r in rows]).T
+        kappa = np.array(kappa)
+        step = uav[1:] == uav[:-1]   # a row and the same UAV's next row
+        assert step.sum() == 4 * 15_000
+        dt = scenario.dt
+        v0, k0 = v[:-1][step], kappa[:-1][step]
+        rho_n, psi_n = batch_error_step(rho[:-1][step], psi[:-1][step], v0, omega[:-1][step],
+                                        k0, dt)
+        d_rho = np.abs(rho_n - rho[1:][step])
+        d_psi = np.abs((psi_n - psi[1:][step] + math.pi) % (2.0 * math.pi) - math.pi)
+        shrink = (1.0 - scenario.params.kappa_bound * np.abs(rho).max()) ** 2
+        psi_miss = np.abs(kappa[1:][step] - k0) * v0 * dt / shrink
+        coord = max(np.abs(x).max(), np.abs(y).max())
+        assert (d_psi <= psi_miss + 8 * math.ulp(math.pi)).all()
+        assert (d_rho <= 0.5 * v0 * dt * psi_miss + 4 * math.ulp(coord)).all()
 
     @pytest.mark.xfail(strict=True, reason=(
         "SplinePath._global_project returns a NumPy-scalar s, and the fleet state "
@@ -274,10 +323,10 @@ class TestStepWork:
     """What one UAV-step computes, counted: each value once."""
 
     def test_parallel4_frames_per_step(self, monkeypatch):
-        # a warm-started step evaluates _frame for two Newton iterates and the
+        # a warm-started step evaluates frame for two Newton iterates and the
         # projection (the first iterate reads the hint's frame); the global
         # search at each UAV's first row evaluates it 197 times in all
-        frame, search = SplinePath._frame, SplinePath._global_project
+        frame, search = SplinePath.frame, SplinePath._global_project
         calls = {"all": 0, "search": 0}
         in_search = []
 
@@ -293,7 +342,7 @@ class TestStepWork:
             finally:
                 in_search.pop()
 
-        monkeypatch.setattr(SplinePath, "_frame", counted_frame)
+        monkeypatch.setattr(SplinePath, "frame", counted_frame)
         monkeypatch.setattr(SplinePath, "_global_project", counted_search)
         sc = build_scenario(load_config(bundled_config_path("parallel4")), duration=5.0)
         trace, _ = run_scenario(sc)

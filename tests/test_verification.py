@@ -1,15 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpfsim
 from cpfsim import verification as vmod
 from cpfsim.config import build_scenario, bundled_config_path, load_config
 from cpfsim.error_frame import N_S1
 from cpfsim.exceptions import Infeasible
 from cpfsim.param_design import SpeedLimits, design_coordination_set
+from cpfsim.paths import SplinePath
 from cpfsim.verification import escape_demo, suite_reach_box
 
 from test_config_cli import MINIMAL
@@ -43,6 +48,31 @@ def test_golden_suite_outcomes_benchmark_sizes(circle6_scenario, seed):
         args = ((circle6_scenario.params, circle6_scenario.paths[0])
                 if e["suite"] == "no_overtaking" else (circle6_scenario.params,))
         assert asdict(fn(*args, seed=seed, **e["kwargs"])) == e["result"], e["suite"]
+
+
+def test_no_overtaking_rejects_a_short_path_at_the_cli(tmp_path):
+    # five arc positions more than 1 m apart do not fit on a 3 m path: the
+    # draw looped forever, so the suite runs in a process of its own
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text(MINIMAL.replace(
+        "{kind: circle, center: [0.0, 0.0], radius: 1000.0, direction: ccw}",
+        "{kind: bspline, waypoints: [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]}"),
+        encoding="utf-8")
+    src = str(Path(cpfsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "cpfsim.cli", "verify", "--config", str(cfg),
+                           "--suite", "no_overtaking"], capture_output=True, text=True, env=env,
+                          timeout=20)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no_overtaking needs a path of at least 10 m, got 3 m\n"
+
+
+def test_no_overtaking_rejects_a_path_shorter_than_10_m(circle6_scenario):
+    # a draw on 9 m passes with probability (1 - 5/9)^4, 0.04
+    path = SplinePath([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0), (9.0, 0.0)])
+    with pytest.raises(ValueError, match="got 9 m"):
+        vmod.suite_no_overtaking(circle6_scenario.params, path, n_runs=1, duration=0.01)
 
 
 def test_golden_invariance_broken_params(tmp_path):
