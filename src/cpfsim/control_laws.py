@@ -7,8 +7,9 @@ would otherwise fail.  Outside the set, greedy near-time-optimal laws
 (outer box subsets) and constant robust laws (remaining outer subsets)
 drive the error back.  All commands respect the actuation box exactly.
 
-The scalar law (``hybrid_supervisor``) and its lane-by-lane form
-(``batch_hybrid_law``) read each per-region decision from one table.
+The scalar law (``hybrid_supervisor``) and the batched law of each level
+(``batch_coord_law`` in the set, ``batch_outer_law`` outside it) read each
+per-region decision from one table; a batched law rejects other lanes.
 """
 
 from __future__ import annotations
@@ -249,46 +250,18 @@ def outside_universe(rho: float, params: CoordParams) -> OutsideUniverse:
         f"|rho|={abs(rho):.3f} exceeds rho_universe={params.rho_universe:.3f}")
 
 
-# -- batched hybrid law -------------------------------------------------------
+# -- batched laws -------------------------------------------------------------
 
 # the region tables as arrays, indexed by the lanes' codes
 _RESET_SIGN_ARR, _LOWER_ONLY_ARR, _TURN_ARR, _BOX_ARR = (
     np.array(table) for table in (_RESET_SIGN, _LOWER_ONLY, _TURN, _BOX))
 
 
-def batch_hybrid_law(rho, psi, kappa, zeta, params: CoordParams,
-                     chi: CoordinationChi | LinearChi, code) -> tuple[np.ndarray, np.ndarray]:
-    """``hybrid_supervisor`` lane by lane on arrays: (v, omega).
-
-    ``code`` holds the lanes' region codes from ``batch_classify``;
-    ``zeta`` may be a scalar.  Each region's branch runs only
-    when some lane is in that region and evaluates the scalar law's float
-    expressions in the same order, so every command equals the scalar one.
-    Lanes outside the universe get NaN; the caller decides how they fail.
-    """
-    count = np.bincount(code, minlength=len(REGIONS)).tolist()
-    n_s1, n_outer = sum(count[:N_S1]), sum(count[N_S1:Region.OUTSIDE.code])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # lanes all in S1 or all in the outer subsets need no mask
-        if n_s1 == rho.size:
-            chi_z = chi(zeta) if np.ndim(zeta) == 0 else chi.many(zeta)
-            return _batch_coord_law(rho, psi, kappa, chi_z, params, code)
-        if n_outer == rho.size:
-            return _batch_outer_law(rho, psi, kappa, params, code)
-        v = np.full(rho.shape, np.nan)
-        omega = np.full(rho.shape, np.nan)
-        if n_s1:
-            m = code < N_S1
-            chi_z = chi(zeta) if np.ndim(zeta) == 0 else chi.many(zeta[m])
-            v[m], omega[m] = _batch_coord_law(rho[m], psi[m], kappa[m], chi_z, params,
-                                              code[m])
-        if n_outer:
-            m = (code >= N_S1) & (code < Region.OUTSIDE.code)
-            v[m], omega[m] = _batch_outer_law(rho[m], psi[m], kappa[m], params, code[m])
-    return v, omega
-
-
-def _batch_coord_law(rho, psi, kappa, chi_z, params, code):
+def batch_coord_law(rho, psi, kappa, chi_z, params: CoordParams, code):
+    """The coordinated law on S1 lanes: (v, omega), each equal to ``hybrid_supervisor``'s.
+    ``chi_z`` is chi(zeta), per lane or one for all; ``code`` is ``batch_classify``'s."""
+    if (code >= N_S1).any():
+        raise WrongRegion("coordinated law called outside the coordination set")
     denom = 1.0 - kappa * rho
     cos_psi = np.cos(psi)
     sin_psi = np.sin(psi)
@@ -312,23 +285,27 @@ def _batch_reset(v1, omega, code, sin_psi, cos_psi, kappa, denom, params):
         return (params.v_min <= cand) & np.where(lower_only, cand < v1, cand <= params.v_max)
 
     v = v1
-    if quad.any():
-        margin = (v1 * (a * sin_psi - r1 * kappa * cos_psi / denom) + r1 * omega
-                  + sign * r1 * alpha)
-        bracket = a * sin_psi - r1 * kc / denom
-        cand = -r1 * (omega + sign * alpha) / bracket
-        take = quad & (sign * margin > 0.0) & (bracket != 0.0) & admissible(cand)
-        v = np.where(take, cand, v)
-    if not quad.all():
-        shifted = omega - kc * v1 / denom + sign * alpha
-        cand = denom / kc * (omega + sign * alpha)
-        take = ~quad & (sign * shifted > 0.0) & (kc != 0.0) & admissible(cand)
-        v = np.where(take, cand, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if quad.any():
+            margin = (v1 * (a * sin_psi - r1 * kappa * cos_psi / denom) + r1 * omega
+                      + sign * r1 * alpha)
+            bracket = a * sin_psi - r1 * kc / denom
+            cand = -r1 * (omega + sign * alpha) / bracket
+            take = quad & (sign * margin > 0.0) & (bracket != 0.0) & admissible(cand)
+            v = np.where(take, cand, v)
+        if not quad.all():
+            shifted = omega - kc * v1 / denom + sign * alpha
+            cand = denom / kc * (omega + sign * alpha)
+            take = ~quad & (sign * shifted > 0.0) & (kc != 0.0) & admissible(cand)
+            v = np.where(take, cand, v)
     return v
 
 
-def _batch_outer_law(rho, psi, kappa, params, code):
-    """``_outer_law`` lane by lane, in one pass over all outer subsets."""
+def batch_outer_law(rho, psi, kappa, params: CoordParams, code):
+    """The outer laws on outer lanes, in one pass over the four subsets: ``_outer_law``'s
+    (v, omega) lane by lane."""
+    if ((code < N_S1) | (code == Region.OUTSIDE.code)).any():
+        raise WrongRegion("outer law called outside the outer subsets")
     om_max = params.omega_max
     turn = _TURN_ARR[code]
     box = _BOX_ARR[code]
@@ -342,7 +319,8 @@ def _batch_outer_law(rho, psi, kappa, params, code):
     turn_feed = turn * feed
     hold = om_max + turn_feed >= 0.0
     held = np.where(turn_feed < om_max, feed, turn_om)
-    v = np.where(turning | hold, params.v_max, -turn_om * denom / (kappa * cos_psi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(turning | hold, params.v_max, -turn_om * denom / (kappa * cos_psi))
     omega = np.where(turning, turn_om, np.where(hold, held, -turn_om))
     if not box.all():
         v = np.where(box, v, params.v_min)

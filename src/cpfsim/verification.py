@@ -7,9 +7,12 @@ the run-based suites use the scenario's configured law.
 
 Starts are drawn from the suite's seeded generator in the order of
 one-at-a-time draws (an array draw gives the same values); the states and
-runs then advance together as lanes of the batched law
-(``batch_classify``, ``batch_hybrid_law``, ``batch_error_step``), which
-equal the scalar law and RK4 lane by lane.  ``no_overtaking`` also batches
+runs then advance together as lanes of the batched law of the one level
+each suite tests (``batch_classify``, then ``batch_coord_law`` in the
+coordination set or ``batch_outer_law`` outside it, and
+``batch_error_step``), which equal the scalar law and RK4 lane by lane.
+A lane outside the suite's level fails its run or leaves the batch
+before the law runs.  ``no_overtaking`` also batches
 its pre-neighbor relation and overtake detection across runs
 (``batch_relation``, ``batch_overtake_counts``), which give the
 ``(pre, zeta, gap)`` records and event counts of the simulator's
@@ -30,12 +33,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control_laws import (batch_hybrid_law, batch_sat, build_chi, comparison_admissible,
-                           outside_universe)
+from .control_laws import (batch_coord_law, batch_outer_law, batch_sat, build_chi,
+                           comparison_admissible, outside_universe)
 from .coordination import batch_overtake_counts, batch_relation
 from .error_frame import (N_S1, REGIONS, PathError, Region, batch_classify, batch_error_rates,
                           batch_error_step, classify)
-from .exceptions import WrongRegion
 from .param_design import CoordParams
 
 # Largest number of states whose draws or commands are evaluated at once.
@@ -114,8 +116,8 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     rho0, psi0 = sample_s1(rng, params, n_runs)
     kappas = rng.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, n_runs)
     # the linear chi (L = 0) is checked over its range, not at its floor alone
-    zeta = (rng.uniform(0.0, _zeta_top(params, chi), n_runs) if params.spacing == 0.0
-            else params.spacing)
+    chi_z = (chi.many(rng.uniform(0.0, _zeta_top(params, chi), n_runs))
+             if params.spacing == 0.0 else chi(params.spacing))
     lanes = np.arange(n_runs)
     rho, psi, kappa = rho0, psi0, kappas
     code = batch_classify(rho, psi, params)
@@ -123,7 +125,7 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
     for k in range(n_steps):
         if not lanes.size:
             break
-        v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
+        v, omega = batch_coord_law(rho, psi, kappa, chi_z, params, code)
         rho, psi = batch_error_step(rho, psi, v, omega, kappa, _DT)
         code = batch_classify(rho, psi, params)
         dead = code >= N_S1
@@ -136,8 +138,8 @@ def suite_invariance(params: CoordParams, n_runs: int = 200, duration: float = 2
                                f"state=({r:.6f}, {p:.6f}) slack={slack:.3e}")
             keep = ~dead
             lanes, rho, psi, kappa, code = (x[keep] for x in (lanes, rho, psi, kappa, code))
-            if np.ndim(zeta):
-                zeta = zeta[keep]
+            if np.ndim(chi_z):
+                chi_z = chi_z[keep]
     return SuiteResult("invariance", not failed, n_runs, len(failed), _first(failed))
 
 
@@ -166,9 +168,8 @@ def _coord_states(rng: np.random.Generator, pure: CoordParams, n: int):
         m = min(_BLOCK, n - start)
         kappa[b], zeta[b] = rng.uniform(np.tile(lo, m), np.tile(hi, m)).reshape(m, 2).T
         code[b] = batch_classify(rho[b], psi[b], pure)
-        v[b], omega[b] = batch_hybrid_law(rho[b], psi[b], kappa[b], zeta[b], pure, chi, code[b])
-    if (code >= N_S1).any():
-        raise WrongRegion("coordinated law called outside the coordination set")
+        v[b], omega[b] = batch_coord_law(rho[b], psi[b], kappa[b], chi.many(zeta[b]), pure,
+                                         code[b])
     return rho, psi, kappa, zeta, code, v, omega
 
 
@@ -230,7 +231,7 @@ _LEFT_ROBUST = np.array([r.in_s1 or r in (Region.S2_2, Region.S2_4) for r in REG
 
 
 def _run_to_s1(params: CoordParams, rho, psi, kappa, limit):
-    """Advance lanes under the hybrid law until each is in the coordination set.
+    """Advance lanes under the outer laws until each is in the coordination set.
 
     A lane runs while the shared clock (``t += _DT`` from 0) is at most its
     ``limit``.  Per lane, returns lists of: the time it was first seen in
@@ -238,7 +239,6 @@ def _run_to_s1(params: CoordParams, rho, psi, kappa, limit):
     the lateral error at which it was seen outside the universe (None if
     never; the lane stops there).
     """
-    chi = build_chi(params)
     n = rho.size
     entered, left, outside = [None] * n, [None] * n, [None] * n
     lanes = np.arange(n)
@@ -270,7 +270,7 @@ def _run_to_s1(params: CoordParams, rho, psi, kappa, limit):
                 x[keep] for x in (lanes, rho, psi, kappa, limit, not_left, code))
             if not lanes.size:
                 break
-        v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
+        v, omega = batch_outer_law(rho, psi, kappa, params, code)
         rho, psi = batch_error_step(rho, psi, v, omega, kappa, _DT)
         t += _DT
     return entered, left, outside
@@ -365,8 +365,9 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
     no overtaking event may occur for the rest of the run.  The relation,
     the overtake detection, the law and the error dynamics of all runs'
     UAVs advance as one batch (``batch_relation``, which equals the
-    simulator's scalar relation run by run).  A UAV that leaves the
-    universe raises ``OutsideUniverse``.
+    simulator's scalar relation run by run).  The claim's premise is that
+    every UAV stays in the set: a run fails, and leaves the batch, at its
+    first UAV that ``batch_classify`` puts outside it.
 
     The arc positions are drawn by rejection until every cyclic gap is over
     1 m; five positions on a path of length L pass with probability
@@ -392,8 +393,8 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
     runs = np.arange(n_runs)            # runs still in the batch, in lane order
     events = np.zeros(n_runs, dtype=int)
     prev = None
-    outside = {}
-    for _ in range(n_steps):
+    left = {}
+    for k in range(n_steps):
         if not runs.size:
             break
         pre, zeta, gap = batch_relation(s.reshape(-1, _N_UAVS), rho.reshape(-1, _N_UAVS),
@@ -403,11 +404,13 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
         zeta = zeta.ravel()
         kappa = path.curvature_many(s)
         code = batch_classify(rho, psi, params)
-        out = code == Region.OUTSIDE.code
+        out = code >= N_S1
         if out.any():
-            # the run stops at its first UAV outside the universe
+            # the run fails, and leaves the batch, at its first UAV outside S1
             for j in np.flatnonzero(out).tolist():
-                outside.setdefault(int(runs[j // _N_UAVS]), float(rho[j]))
+                run = int(runs[j // _N_UAVS])
+                left.setdefault(run, f"run {run}: UAV {j % _N_UAVS} left the coordination set "
+                                     f"at t={k * _DT:.2f}s in {REGIONS[code[j]].value}")
             keep = ~out.reshape(-1, _N_UAVS).any(axis=1)
             runs, pre, gap = runs[keep], pre[keep], gap[keep]
             lane_keep = np.repeat(keep, _N_UAVS)
@@ -416,14 +419,13 @@ def suite_no_overtaking(params: CoordParams, path, n_runs: int = 20, duration: f
             if not runs.size:
                 break
         prev = pre, gap
-        v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
+        v, omega = batch_coord_law(rho, psi, kappa, chi.many(zeta), params, code)
         s_dot = v * np.cos(psi) / (1.0 - kappa * rho)
         rho, psi = batch_error_step(rho, psi, v, omega, kappa, _DT)
         s = path.wrap_s(s + s_dot * _DT)
-    if outside:
-        raise outside_universe(outside[min(outside)], params)
     failed = {run: f"run {run}: {n} overtaking event(s)"
               for run, n in enumerate(events.tolist()) if n}
+    failed.update(left)
     return SuiteResult("no_overtaking", not failed, n_runs, len(failed), _first(failed))
 
 

@@ -10,11 +10,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cpfsim.control_laws import (_batch_reset, _reset, batch_hybrid_law, build_chi,
-                                 hybrid_supervisor)
-from cpfsim.error_frame import (REGIONS, PathError, Region, batch_classify,
+from cpfsim.control_laws import (_batch_reset, _reset, batch_coord_law, batch_outer_law,
+                                 build_chi, hybrid_supervisor)
+from cpfsim.error_frame import (N_S1, REGIONS, PathError, Region, batch_classify,
                                 batch_error_step, classify)
-from cpfsim.exceptions import OutsideUniverse
+from cpfsim.exceptions import OutsideUniverse, WrongRegion
 from cpfsim.verification import sample_s1
 
 from oracles import error_step, sample_s1_one_at_a_time
@@ -61,13 +61,25 @@ def random_states(params, n, seed):
     return rho, psi, kappa, zeta
 
 
+def batch_law(rho, psi, kappa, zeta, params, chi, code):
+    """The hybrid law lane by lane: each level's batched law on the lanes of its level."""
+    s1 = code < N_S1
+    v, omega = np.empty(rho.size), np.empty(rho.size)
+    chi_z = chi.many(zeta[s1]) if np.ndim(zeta) else chi(zeta)
+    v[s1], omega[s1] = batch_coord_law(rho[s1], psi[s1], kappa[s1], chi_z, params, code[s1])
+    v[~s1], omega[~s1] = batch_outer_law(rho[~s1], psi[~s1], kappa[~s1], params, code[~s1])
+    return v, omega
+
+
 @pytest.mark.parametrize("sign_eps", [0.0, 1.0e-3])
 def test_batch_law_equals_supervisor(params, sign_eps):
     p = replace(params, sign_eps=sign_eps)
     chi = build_chi(p)
     rho, psi, kappa, zeta = random_states(p, 100_000, seed=7)
     code = batch_classify(rho, psi, p)
-    v, omega = batch_hybrid_law(rho, psi, kappa, zeta, p, chi, code)
+    m = code != Region.OUTSIDE.code     # an OUTSIDE lane is of neither law
+    v, omega = np.full(rho.size, np.nan), np.full(rho.size, np.nan)
+    v[m], omega[m] = batch_law(rho[m], psi[m], kappa[m], zeta[m], p, chi, code[m])
     seen = set()
     for i, (r, s, k, z) in enumerate(zip(rho.tolist(), psi.tolist(), kappa.tolist(),
                                          zeta.tolist())):
@@ -78,12 +90,38 @@ def test_batch_law_equals_supervisor(params, sign_eps):
         if region is Region.OUTSIDE:
             with pytest.raises(OutsideUniverse):
                 hybrid_supervisor(err, z, p, chi)
-            assert math.isnan(v[i]) and math.isnan(omega[i])
             continue
         cmd = hybrid_supervisor(err, z, p, chi)
         assert (v[i], omega[i]) == (cmd.v, cmd.omega), (i, region, r, s, k, z)
     assert seen == set(Region)
     assert (kappa == 0.0).sum() > 10_000
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_batch_laws_reject_lanes_of_another_level(params, region):
+    # each batched law on the lanes of its level plus one lane of ``region``:
+    # it raises unless that lane is of its level too
+    chi = build_chi(params)
+    rho, psi, kappa, zeta = random_states(params, 20_000, seed=10)
+    code = batch_classify(rho, psi, params)
+    i = int(np.flatnonzero(code == region.code)[0])
+    s1 = code < N_S1
+
+    def coord(m):
+        return batch_coord_law(rho[m], psi[m], kappa[m], chi.many(zeta[m]), params, code[m])
+
+    def outer(m):
+        return batch_outer_law(rho[m], psi[m], kappa[m], params, code[m])
+
+    for law, level, name in ((coord, s1, "coordinated"),
+                             (outer, ~s1 & (code != Region.OUTSIDE.code), "outer")):
+        m = level.copy()
+        m[i] = True
+        if level[i]:
+            law(m)
+        else:
+            with pytest.raises(WrongRegion, match=f"^{name} law called outside the "):
+                law(m)
 
 
 def test_batch_reset_equals_reset_value(params):
@@ -111,27 +149,30 @@ def test_batch_reset_equals_reset_value(params):
 
 
 def test_batch_law_scalar_zeta(params):
-    # a scalar spacing (the suites' desired spacing) gives the array result
+    # a scalar chi_z (the suites' desired spacing) gives the array result
     chi = build_chi(params)
     rho, psi, kappa, _ = random_states(params, 20_000, seed=8)
     code = batch_classify(rho, psi, params)
-    v1, w1 = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
-    v2, w2 = batch_hybrid_law(rho, psi, kappa, np.full(rho.size, params.spacing),
-                              params, chi, code)
-    assert np.array_equal(v1, v2, equal_nan=True) and np.array_equal(w1, w2, equal_nan=True)
+    s1 = code < N_S1
+    rho, psi, kappa, code = rho[s1], psi[s1], kappa[s1], code[s1]
+    v1, w1 = batch_coord_law(rho, psi, kappa, chi(params.spacing), params, code)
+    v2, w2 = batch_coord_law(rho, psi, kappa, chi.many(np.full(rho.size, params.spacing)),
+                             params, code)
+    assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
 
 
 def test_batch_law_region_subsets(params):
-    # lanes of one region alone, and mixed lanes, give the same commands
+    # lanes of one region alone, and all lanes of its level, give the same commands
     chi = build_chi(params)
     rho, psi, kappa, zeta = random_states(params, 20_000, seed=9)
     code = batch_classify(rho, psi, params)
-    v, omega = batch_hybrid_law(rho, psi, kappa, zeta, params, chi, code)
-    for region in REGIONS:
+    inside = code != Region.OUTSIDE.code     # an OUTSIDE lane is of neither law
+    rho, psi, kappa, zeta, code = (x[inside] for x in (rho, psi, kappa, zeta, code))
+    v, omega = batch_law(rho, psi, kappa, zeta, params, chi, code)
+    for region in REGIONS[:-1]:
         m = code == region.code
-        vm, wm = batch_hybrid_law(rho[m], psi[m], kappa[m], zeta[m], params, chi, code[m])
-        assert np.array_equal(vm, v[m], equal_nan=True)
-        assert np.array_equal(wm, omega[m], equal_nan=True)
+        vm, wm = batch_law(rho[m], psi[m], kappa[m], zeta[m], params, chi, code[m])
+        assert m.any() and np.array_equal(vm, v[m]) and np.array_equal(wm, omega[m])
 
 
 def test_batch_error_step_held_controls(params):
@@ -165,7 +206,7 @@ def test_batch_closed_loop_equals_scalar_loop(params):
     for _ in range(3000):
         code = batch_classify(rho, psi, params)
         assert (code != Region.OUTSIDE.code).all()
-        v, omega = batch_hybrid_law(rho, psi, kappa, params.spacing, params, chi, code)
+        v, omega = batch_law(rho, psi, kappa, params.spacing, params, chi, code)
         rho, psi = batch_error_step(rho, psi, v, omega, kappa, 0.01)
         nxt = []
         for (r, p), k in zip(ref, kappa.tolist()):

@@ -42,6 +42,36 @@ def write_config(tmp_path, text, name="scenario.yaml"):
     return path
 
 
+CIRCLE = "  - {kind: circle, center: [0.0, 0.0], radius: 1000.0, direction: ccw}"
+UAV = "  - {id: 1, x: 1000.0, y: 0.0, theta: 1.5707963267948966}"
+LONLAT = "lonlat: [[113.2167, 28.2029], [113.2371, 28.2209]]"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("radius: 1000.0, ", "", "paths[0]: missing required key 'radius'"),
+    (MINIMAL, "- 1\n", "{cfg}: top level must be a mapping"),
+    ("paths:\n" + CIRCLE, "paths: []", "'paths' must be a non-empty list"),
+    (CIRCLE, "  - 5", "paths[0]: expected a mapping"),
+    (CIRCLE, "  - {kind: bspline, waypoints: [[0.0, 0.0], [900.0, 0.0]], " + LONLAT
+     + ", lonlat_origin: [113.2167, 28.2029]}",
+     "paths[0]: give exactly one of 'waypoints' or 'lonlat'"),
+    (CIRCLE, "  - {kind: bspline}", "paths[0]: give exactly one of 'waypoints' or 'lonlat'"),
+    (CIRCLE, "  - {kind: bspline, " + LONLAT + "}",
+     "paths[0]: 'lonlat' requires 'lonlat_origin'"),
+    (CIRCLE, "  - {kind: spiral}", "paths[0]: unknown path kind 'spiral'"),
+    ("{spacing: 1047.1975511965976}", "{spacing: 1047.1975511965976, parents: [1]}",
+     "coordination.parents must be a mapping"),
+    ("uavs:\n" + UAV, "uavs: []", "'uavs' must be a non-empty list"),
+    (UAV, "  - 5", "uavs[0]: expected a mapping"),
+])
+def test_config_shape_errors_exit_1(tmp_path, capsys, old, new, message):
+    assert old in MINIMAL
+    cfg = write_config(tmp_path, MINIMAL.replace(old, new))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+
+
 class TestSchema:
     def test_bundled_configs_load(self):
         for name in ("circle6", "parallel4", "design"):

@@ -287,3 +287,20 @@ class TestValidation:
     def test_chi_shape_skipped_without_spacing(self, params):
         free = dataclasses.replace(params, spacing=0.0)
         free.validate()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"omega_max": 0.0}, "omega_max must be positive"),
+    ({"kappa_bound": 0.0}, "kappa_bound must be positive"),
+    ({"psi_max": 0.0}, "need 0 < psi_max < pi/2"),
+    ({"rho_max": 600.0}, "need 0 < rho_max < 1/kappa_bound"),
+    ({"v_coord": 10.0}, "need v_min < v_coord <= v_max"),
+    ({"k1": 0.0}, "need k1 > 0 and k2, k3 >= 1"),
+    ({"speed_margin": 0.0}, "speed_margin must be positive"),
+    ({"chi_blend": 1.0}, "chi_blend must lie in (0, 1)"),
+    ({"sign_eps": -1.0e-3}, "sign_eps must be >= 0"),
+])
+def test_validate_basic_rejects(params, change, message):
+    # each structural check of the limits and the parameters, one at a time
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(params, **change).validate_basic()

@@ -12,7 +12,8 @@ from cpfsim.coordination import OvertakeEvent
 from cpfsim.error_frame import PathError, batch_error_step, compute_error
 from cpfsim.exceptions import ConfigError, OutsideUniverse
 from cpfsim.paths import CirclePath, SplinePath
-from cpfsim.simulator import Scenario, UavSpec, UavState, rk4_unicycle, run_scenario
+from cpfsim.simulator import (Scenario, Trace, UavSpec, UavState, compute_metrics, rk4_unicycle,
+                              run_scenario)
 from cpfsim.verification import escape_demo, in_escape_set
 
 from oracles import integrate_unicycle
@@ -390,3 +391,33 @@ class TestEscapeDemo:
         report = escape_demo(params, eps0=0.05, state_grid=(5, 5),
                              control_grid=(5, 5))
         assert report.n_states == 25
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no path", "at least one path required"),
+    ("no UAV", "at least one UAV required"),
+    ("path index", "UAV 1: path index 1 out of range"),
+])
+def test_scenario_rejects_an_empty_fleet_or_a_missing_path(params, case, message):
+    # the config rejects these first; a Scenario built in code must too
+    sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2,
+                                          path_index=int(case == "path index"))], 1.0)
+    if case == "no path":
+        sc.paths = []
+    elif case == "no UAV":
+        sc.uavs = []
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        sc.validate()
+
+
+def test_metrics_count_overtakes_after_the_fleet_is_in_s1(params):
+    # UAV 1 is in S1 from t = 0.01 on: an event at that time counts before,
+    # one after it counts after
+    sc = circle_scenario(params, [UavSpec(1, 1000.0, 0.0, math.pi / 2)], 0.02)
+    trace = Trace()
+    for t, region in ((0.0, "S2_1"), (0.01, "S1_1"), (0.02, "S1_1")):
+        trace.rows.append((t, 1, 0.0, 0.0, 0.0, 0.0, 0.0, region, 0.0, 0.0, 0.0, None, 0))
+    trace.events = [OvertakeEvent(0.01, 1, "pre_neighbor_change"),
+                    OvertakeEvent(0.02, 1, "zeta_zero_cross")]
+    m = compute_metrics(trace, sc)
+    assert (m.all_in_s1_time, m.overtake_events_before, m.overtake_events_after) == (0.01, 1, 1)

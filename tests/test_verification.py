@@ -85,6 +85,50 @@ def test_golden_invariance_broken_params(tmp_path):
     assert asdict(vmod.suite_invariance(params, 200, seed=0)) == GOLDEN["broken_invariance"]
 
 
+@pytest.fixture(scope="module")
+def broken_params(tmp_path_factory):
+    # heading box wider than the turn budget (test_golden_invariance_broken_params)
+    cfg = tmp_path_factory.mktemp("broken") / "broken.yaml"
+    cfg.write_text(MINIMAL.replace("psi_max: 0.6303, rho_max: 122.1297",
+                                   "psi_max: 0.78, rho_max: 20.0"), encoding="utf-8")
+    return build_scenario(load_config(cfg)).params
+
+
+def test_reset_bound_fails_on_broken_params(broken_params):
+    r = vmod.suite_reset_bound(broken_params, n=1000, seed=0)
+    assert (r.passed, r.checked, r.failures, r.info) == (False, 1000, 80, {"resets_observed": 80})
+    assert r.first_counterexample == (
+        "state 10: (7.4217, 0.2347) kappa=-0.00136 zeta=1512.49: reset bound violated: "
+        "v=18.302147913731094 v_before=25.0")
+
+
+def test_switch_drive_fails_on_broken_params(broken_params):
+    r = vmod.suite_switch_drive(broken_params, n=1000, seed=0)
+    assert (r.passed, r.checked, r.failures) == (False, 1000, 34)
+    assert r.first_counterexample == (
+        "state 2: (1.7450, 0.6787) kappa=0.00118: drift ratio -0.014212550362837853 > -0.039")
+
+
+def test_reach_box_fails_a_start_held_still(circle6_scenario, monkeypatch):
+    # run 0 of S2_4 is held at its start: it never enters S1, runs to its
+    # deadline and leaves the batch there; every other start enters in time
+    step, start = vmod.batch_error_step, []
+
+    def hold(rho, psi, *args):
+        new_rho, new_psi = step(rho, psi, *args)
+        if not start:
+            start.append((rho[0], psi[0]))
+        if (rho[0], psi[0]) == start[0]:
+            new_rho[0], new_psi[0] = start[0]
+        return new_rho, new_psi
+
+    monkeypatch.setattr(vmod, "batch_error_step", hold)
+    r = vmod.suite_reach_box(circle6_scenario.params, n_per_class=50, seed=0)
+    assert (r.passed, r.checked, r.failures) == (False, 100, 1)
+    assert r.first_counterexample == (
+        "S2_4 run 0: start=(302.307, -0.2066) kappa=-0.00182 bound=87.85s entered=None")
+
+
 def test_invariance_fails_a_one_step_graze(circle6_scenario, monkeypatch):
     # run 0 is put 5e-5 m outside the rho edge of S1 for one step, then back
     # inside: any step outside the set fails the run, however small
@@ -104,6 +148,30 @@ def test_invariance_fails_a_one_step_graze(circle6_scenario, monkeypatch):
     assert r.first_counterexample.startswith("run 0: start=(")
     assert r.first_counterexample.endswith(
         f"t=0.09s state=({params.rho_max + 5.0e-5:.6f}, 0.000000) slack=5.000e-05")
+
+
+@pytest.mark.parametrize("where, region", [("rho_max", "S2_1"), ("rho_universe", "OutsideS")])
+def test_no_overtaking_fails_a_run_whose_uav_leaves_s1(circle6_scenario, monkeypatch, where,
+                                                       region):
+    # run 0's UAV 0 is put just outside the rho edge of S1, or outside the
+    # universe, by the tenth step: the claim's premise fails there, so the
+    # run fails; an outer subset passed and the universe raised OutsideUniverse
+    params, step, calls = circle6_scenario.params, vmod.batch_error_step, []
+
+    def push(rho, psi, *args):
+        rho, psi = step(rho, psi, *args)
+        calls.append(len(calls))
+        if calls[-1] == 9:
+            rho, psi = rho.copy(), psi.copy()
+            rho[0], psi[0] = getattr(params, where) + 5.0e-5, 0.0
+        return rho, psi
+
+    monkeypatch.setattr(vmod, "batch_error_step", push)
+    r = vmod.suite_no_overtaking(params, circle6_scenario.paths[0], n_runs=2, duration=5.0,
+                                 seed=0)
+    assert (r.passed, r.checked, r.failures) == (False, 2, 1)
+    assert r.first_counterexample == (
+        f"run 0: UAV 0 left the coordination set at t=0.10s in {region}")
 
 
 def test_invariance_holds_on_designed_sets():
@@ -175,34 +243,39 @@ def test_zero_spacing_invariance_draws_zeta_per_run(parallel4_scenario, monkeypa
     params = parallel4_scenario.params
     chi = vmod.build_chi(params)
     top = (params.v_max - chi(0.0)) / chi.slope
-    law, seen = vmod.batch_hybrid_law, []
+    law, seen = vmod.batch_coord_law, []
 
-    def spy(rho, psi, kappa, zeta, *args):
-        seen.append(zeta)
-        return law(rho, psi, kappa, zeta, *args)
+    def spy(rho, psi, kappa, chi_z, *args):
+        seen.append(chi_z)
+        return law(rho, psi, kappa, chi_z, *args)
 
-    monkeypatch.setattr(vmod, "batch_hybrid_law", spy)
+    monkeypatch.setattr(vmod, "batch_coord_law", spy)
     # benchmark size (perfbench's verify workload)
     r = vmod.suite_invariance(params, n_runs=200, duration=5.0, seed=seed)
     assert r.passed, r.first_counterexample
     ref = np.random.default_rng(seed)
     vmod.sample_s1(ref, params, 200)
     ref.uniform(-0.99 * params.kappa_bound, 0.99 * params.kappa_bound, 200)
-    assert np.array_equal(seen[0], ref.uniform(0.0, top, 200))
-    assert 0.0 <= seen[0].min() < 0.05 * top and 0.95 * top < seen[0].max() < top
+    zeta = ref.uniform(0.0, top, 200)
+    assert np.array_equal(seen[0], chi.many(zeta))
+    assert 0.0 <= zeta.min() < 0.05 * top and 0.95 * top < zeta.max() < top
 
 
 @pytest.mark.parametrize("suite", ["reach_box", "reach_robust"])
 def test_reach_suites_run_the_law_on_outer_lanes_only(parallel4_scenario, monkeypatch, suite):
-    # _run_to_s1 drops a lane as it enters S1, before the law runs, and the
-    # outer laws do not read zeta: the reach suites never evaluate the chi
-    law, codes = vmod.batch_hybrid_law, []
+    # _run_to_s1 drops a lane as it enters S1, before the law runs: the
+    # reach suites never run the coordinated law
+    law, codes = vmod.batch_outer_law, []
 
-    def spy(rho, psi, kappa, zeta, params, chi, code):
+    def spy(rho, psi, kappa, params, code):
         codes.append(code)
-        return law(rho, psi, kappa, zeta, params, chi, code)
+        return law(rho, psi, kappa, params, code)
 
-    monkeypatch.setattr(vmod, "batch_hybrid_law", spy)
+    def coord(*args):
+        raise AssertionError("coordinated law called")
+
+    monkeypatch.setattr(vmod, "batch_outer_law", spy)
+    monkeypatch.setattr(vmod, "batch_coord_law", coord)
     r = getattr(vmod, f"suite_{suite}")(parallel4_scenario.params, n_per_class=50, seed=0)
     assert r.passed, r.first_counterexample
     assert codes and all((code >= N_S1).all() for code in codes)
